@@ -12,15 +12,22 @@
 // This is the "efficient implementation" the paper cites: instead of
 // decrementing every credit on each eviction (O(n)), a global inflation
 // value L accumulates the deducted minima, credits are stored as H + L at
-// the time they were set, and comparisons remain consistent — O(log n) per
-// operation via an indexed eviction heap.
+// the time they were set, and comparisons remain consistent.
+//
+// O(1) per operation: L never decreases and costs are >= 0, so entries that
+// share a cost were given non-decreasing credits (cost + L) in the order
+// they were set. One FIFO list per distinct cost is therefore already sorted
+// by (credit, seq), and the victim is the smallest list head. A simulator
+// run passes a handful of distinct costs (the latency model's fetch levels
+// plus the 0 re-key of a P2P fetch), so a linear scan over the list heads
+// finds it.
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/eviction_heap.hpp"
+#include "cache/object_index.hpp"
 
 namespace webcache::cache {
 
@@ -28,23 +35,24 @@ class GreedyDualCache final : public Cache {
  public:
   explicit GreedyDualCache(std::size_t capacity) : Cache(capacity) {}
 
-  [[nodiscard]] std::size_t size() const override { return order_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   [[nodiscard]] bool contains(ObjectNum object) const override {
-    return order_.contains(object);
+    return index_.find(object) != nullptr;
   }
-  void prefetch(ObjectNum object) const override { order_.prefetch(object); }
+  void prefetch(ObjectNum object) const override { index_.prefetch(object); }
 
   /// On a hit, the object's credit resets to `cost` (plus inflation).
+  /// Throws std::logic_error when `object` is not cached and
+  /// std::invalid_argument when `cost` is negative or NaN.
   void access(ObjectNum object, double cost) override;
 
   /// Inserts with credit = `cost` (plus inflation), evicting the minimum-
-  /// credit object when full.
+  /// credit object when full. Throws std::logic_error when `object` is
+  /// already cached and std::invalid_argument when `cost` is negative or NaN.
   InsertResult insert(ObjectNum object, double cost) override;
 
   bool erase(ObjectNum object) override;
-  void reserve_universe(std::size_t universe) override {
-    order_.reserve_universe(universe);
-  }
+  void reserve_universe(std::size_t universe) override { index_.reserve_universe(universe); }
   [[nodiscard]] std::optional<ObjectNum> peek_victim() const override;
   [[nodiscard]] std::vector<ObjectNum> contents() const override;
 
@@ -56,16 +64,40 @@ class GreedyDualCache final : public Cache {
   [[nodiscard]] double inflation() const { return inflation_; }
 
  private:
-  // Per-object state is exactly (cost + inflation at set time, FIFO seq) —
-  // the eviction key itself — so the heap doubles as the only object index;
-  // there is no separate entry table to keep in sync. seq is unique per
-  // entry, so (credit, seq) orders totally — identical to the historical
-  // std::set<tuple<credit, seq, object>> victim order.
-  using Key = std::pair<double, std::uint64_t>;
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  // (credit, seq) is the eviction key; seq is unique per entry, so the order
+  // is total — identical to the historical std::set<tuple<credit, seq,
+  // object>> victim order. Aligned so no node straddles two cache lines.
+  struct alignas(32) Node {
+    double credit = 0.0;    ///< cost + inflation when last set
+    std::uint64_t seq = 0;  ///< when last set
+    ObjectNum object = 0;
+    std::uint32_t list = 0;     ///< index into lists_
+    std::uint32_t prev = kNil;  ///< neighbours in that list
+    std::uint32_t next = kNil;  ///< (next also links the free nodes)
+  };
+  /// Entries of one cost, oldest first. An emptied list keeps its slot and
+  /// is reused for the next new cost.
+  struct CostList {
+    double cost = 0.0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// Sets `at`'s credit for `cost` and appends it to that cost's list.
+  void place(std::uint32_t at, double cost);
+  void unlink(std::uint32_t at);
+  /// Node holding the minimum (credit, seq). Precondition: size_ > 0.
+  [[nodiscard]] std::uint32_t victim() const;
 
   double inflation_ = 0.0;
   std::uint64_t seq_ = 0;
-  EvictionHeap<Key> order_;
+  std::size_t size_ = 0;
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNil;  ///< head of the free-node chain
+  std::vector<CostList> lists_;
+  ObjectIndex index_;  ///< object -> index into nodes_
 };
 
 }  // namespace webcache::cache

@@ -941,7 +941,7 @@ void Simulator::step_hier_gd(const Request& request, unsigned proxy_index) {
     maybe_lose_p2p_message();
     const auto fetched = local.p2p->fetch(object, client, /*remove_on_hit=*/true);
     inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
+    inst_.hops_hist.add(static_cast<double>(fetched.hops));
     hop_latency += config_.p2p_hop_latency * fetched.hops;
     if (fetched.hit) {
       msg_.directory_true_positives.inc();
@@ -1015,7 +1015,7 @@ void Simulator::step_hier_gd(const Request& request, unsigned proxy_index) {
     maybe_lose_p2p_message();
     const auto fetched = push_holder->p2p->fetch(object, push_client, /*remove_on_hit=*/false);
     inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
+    inst_.hops_hist.add(static_cast<double>(fetched.hops));
     hop_latency += config_.p2p_hop_latency * fetched.hops;
     if (fetched.hit) {
       msg_.push_transfers.inc();

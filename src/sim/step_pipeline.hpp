@@ -2,7 +2,7 @@
 //
 // The sequential run loop and the sharded engine's phase-1 replay both chase
 // dependent cache-missing loads one request at a time: DenseMap/FlatMap
-// slots, EvictionHeap position entries, directory stamps, residency/digest
+// slots, policy object-index entries, directory stamps, residency/digest
 // words. The TraceSource already hands the replay a whole chunk of upcoming
 // requests, so the memory-level parallelism is sitting there unexploited.
 //

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -254,6 +256,41 @@ TEST(GreedyDual, EraseAndZeroCapacity) {
   EXPECT_FALSE(c.erase(1));
   GreedyDualCache zero(0);
   EXPECT_FALSE(zero.insert(1, 1.0).inserted);
+}
+
+// Contract violations throw in every build type (an assert would vanish from
+// release builds, where a duplicate insert once went unnoticed), and a
+// rejected call leaves the cache unchanged.
+TEST(GreedyDual, InsertOfResidentObjectThrows) {
+  GreedyDualCache c(2);
+  c.insert(1, 5.0);
+  EXPECT_THROW(c.insert(1, 5.0), std::logic_error);
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.credit(1), 5.0);
+}
+
+TEST(GreedyDual, AccessOfAbsentObjectThrows) {
+  GreedyDualCache c(2);
+  EXPECT_THROW(c.access(7, 1.0), std::logic_error);
+  c.insert(7, 1.0);
+  EXPECT_TRUE(c.erase(7));
+  EXPECT_THROW(c.access(7, 1.0), std::logic_error);
+  EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(GreedyDual, NegativeOrNanCostThrows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  GreedyDualCache c(2);
+  EXPECT_THROW(c.insert(1, -1.0), std::invalid_argument);
+  EXPECT_THROW(c.insert(1, nan), std::invalid_argument);
+  EXPECT_FALSE(c.contains(1));
+  c.insert(1, 0.0);
+  EXPECT_THROW(c.access(1, -0.5), std::invalid_argument);
+  EXPECT_THROW(c.access(1, nan), std::invalid_argument);
+  EXPECT_EQ(c.credit(1), 0.0);
+  // Zero-capacity caches store nothing but still reject a bad cost.
+  GreedyDualCache zero(0);
+  EXPECT_THROW(zero.insert(1, nan), std::invalid_argument);
 }
 
 class CachePolicyCapacity : public ::testing::TestWithParam<std::size_t> {};

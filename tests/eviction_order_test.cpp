@@ -1,18 +1,20 @@
-// Golden-sequence tests for the heap-backed caches.
+// Golden-sequence tests for the caches with a non-trivial victim order.
 //
 // LfuCache, GreedyDualCache and CostBenefitCache historically kept their
-// victim order in a std::set<std::tuple<...>>; they now share the
-// lazy-deletion EvictionHeap. These tests rebuild the original std::set
-// implementations locally and drive both through identical recorded traces
-// (~10k pseudo-random operations), asserting that every insert returns the
-// exact same victim, that peek_victim() agrees after every operation, and
-// that the final contents match. Any divergence in tie-breaking (equal LFU-DA
-// keys after aging, equal greedy-dual credits, equal cost-benefit values
-// after clairvoyant decay to zero) would surface as a wrong victim.
+// victim order in a std::set<std::tuple<...>>; LFU and cost-benefit now
+// share the indexed EvictionHeap, and greedy-dual keeps one FIFO list per
+// cost. These tests rebuild the original std::set implementations locally
+// and drive both through identical recorded traces (~10k pseudo-random
+// operations), asserting that every insert returns the exact same victim,
+// that peek_victim() agrees after every operation, and that the final
+// contents match. Any divergence in tie-breaking (equal LFU-DA keys after
+// aging, equal greedy-dual credits, equal cost-benefit values after
+// clairvoyant decay to zero) would surface as a wrong victim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -246,6 +248,7 @@ class RefGreedyDual {
   }
 
   double inflation() const { return inflation_; }
+  double credit(ObjectNum o) const { return entries_.at(o).inflated_credit - inflation_; }
 
  private:
   struct Entry {
@@ -259,31 +262,35 @@ class RefGreedyDual {
   std::map<ObjectNum, Entry> entries_;
 };
 
-TEST(EvictionOrder, GreedyDualMatchesSetReference) {
-  constexpr std::size_t kCapacity = 64;
+// The op mix the simulator issues: inserts and re-keys at the latency
+// model's fetch levels, the 0-cost re-key of a P2P fetch, and frequent
+// erases (directory-driven removals, crashed clients). After every step the
+// victim, inflation and every live credit must match the reference exactly.
+void drive_greedy_dual(std::size_t capacity) {
   constexpr ObjectNum kObjects = 400;
   constexpr int kSteps = 10'000;
-  // A small cost alphabet (the simulator's Tc / Ts / Ts + (P-1)(Ts - Tc)
-  // magnitudes) produces many exactly-equal credits, so the seq tie-break is
-  // load-bearing throughout the run.
-  constexpr double kCosts[] = {5.0, 25.0, 45.0, 25.0};
+  // A small alphabet produces many exactly-equal credits, so the seq
+  // tie-break is load-bearing throughout the run.
+  constexpr double kCosts[] = {0.0, 1.4, 2.0, 3.4, 5.0, 20.0, 45.0};
 
-  cache::GreedyDualCache real(kCapacity);
-  RefGreedyDual ref(kCapacity);
-  TraceRng rng(1998);
+  cache::GreedyDualCache real(capacity);
+  RefGreedyDual ref(capacity);
+  TraceRng rng(1998 + capacity);
 
   for (int step = 0; step < kSteps; ++step) {
     const auto u = rng.below(kObjects);
     const ObjectNum o = static_cast<ObjectNum>((u * u) / kObjects);
-    const double cost = kCosts[o % 4];
+    const double cost = kCosts[rng.below(std::size(kCosts))];
 
-    if (step % 97 == 96) {
+    if (step % 7 == 6) {
       const auto target = static_cast<ObjectNum>(rng.below(kObjects));
-      EXPECT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
+      ASSERT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
     } else if (real.contains(o)) {
       ASSERT_TRUE(ref.contains(o)) << "step " << step;
-      real.access(o, cost);
-      ref.access(o, cost);
+      // One re-key in three is P2PClientCache::fetch's access(o, 0.0).
+      const double rekey = rng.below(3) == 0 ? 0.0 : cost;
+      real.access(o, rekey);
+      ref.access(o, rekey);
     } else {
       ASSERT_FALSE(ref.contains(o)) << "step " << step;
       const InsertResult got = real.insert(o, cost);
@@ -293,8 +300,19 @@ TEST(EvictionOrder, GreedyDualMatchesSetReference) {
     }
     ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
     ASSERT_EQ(real.inflation(), ref.inflation()) << "step " << step;
+    ASSERT_EQ(real.size(), ref.contents().size()) << "step " << step;
+    for (const ObjectNum live : ref.contents()) {
+      ASSERT_EQ(real.credit(live), ref.credit(live)) << "step " << step << " object " << live;
+    }
   }
   EXPECT_EQ(sorted(real.contents()), sorted(ref.contents()));
+}
+
+TEST(EvictionOrder, GreedyDualMatchesSetReference) {
+  for (const std::size_t capacity : {1U, 64U}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ASSERT_NO_FATAL_FAILURE(drive_greedy_dual(capacity));
+  }
 }
 
 // --- reference cost-benefit cluster: coordinator + per-cache std::set --------
