@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bloom/counting_bloom.hpp"
-#include "common/dense_map.hpp"
 #include "cache/greedy_dual.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
@@ -138,70 +137,6 @@ void BM_RingPlacementTable(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RingPlacementTable)->Arg(10'000)->Arg(100'000)->Unit(benchmark::kMillisecond);
-
-// Group-prefetch attribution bench: the identical random probe stream over a
-// DenseMap / FlatMap, with and without a K-ahead advisory prefetch of the
-// target slot. The delta isolates the memory-latency win the pipelined
-// simulator engine (sim/step_pipeline.hpp) buys on its lookup structures;
-// at universe sizes that fit in L2 the two variants should tie, and the gap
-// should open once the slot array exceeds the LLC.
-constexpr std::size_t kChaseStream = 1 << 16;
-constexpr std::size_t kChaseAhead = 16;
-
-std::vector<ObjectNum> chase_keys(std::uint32_t universe) {
-  std::vector<ObjectNum> keys(kChaseStream);
-  Rng rng(13);
-  for (auto& k : keys) k = static_cast<ObjectNum>(rng.next_below(universe));
-  return keys;
-}
-
-template <typename Map>
-void map_probe_chase(benchmark::State& state, const Map& map,
-                     const std::vector<ObjectNum>& keys, bool prefetch_ahead) {
-  std::uint64_t hits = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (prefetch_ahead && i + kChaseAhead < keys.size()) {
-        map.prefetch(keys[i + kChaseAhead]);
-      }
-      hits += map.contains(keys[i]) ? 1 : 0;
-    }
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(keys.size()));
-}
-
-void dense_map_chase(benchmark::State& state, bool prefetch_ahead) {
-  const auto universe = static_cast<std::uint32_t>(state.range(0));
-  DenseMap<double> map(universe);
-  Rng rng(17);
-  for (std::uint32_t i = 0; i < universe / 2; ++i) {
-    map[static_cast<ObjectNum>(rng.next_below(universe))] = 1.0;
-  }
-  map_probe_chase(state, map, chase_keys(universe), prefetch_ahead);
-}
-
-void BM_DenseMapChase(benchmark::State& state) { dense_map_chase(state, false); }
-void BM_DenseMapChasePrefetch(benchmark::State& state) { dense_map_chase(state, true); }
-BENCHMARK(BM_DenseMapChase)->Arg(100'000)->Arg(4'000'000)->Arg(16'000'000);
-BENCHMARK(BM_DenseMapChasePrefetch)->Arg(100'000)->Arg(4'000'000)->Arg(16'000'000);
-
-void flat_map_chase(benchmark::State& state, bool prefetch_ahead) {
-  const auto universe = static_cast<std::uint32_t>(state.range(0));
-  FlatMap<double> map;
-  map.reserve(universe / 2);
-  Rng rng(17);
-  for (std::uint32_t i = 0; i < universe / 2; ++i) {
-    map[static_cast<ObjectNum>(rng.next_below(universe))] = 1.0;
-  }
-  map_probe_chase(state, map, chase_keys(universe), prefetch_ahead);
-}
-
-void BM_FlatMapChase(benchmark::State& state) { flat_map_chase(state, false); }
-void BM_FlatMapChasePrefetch(benchmark::State& state) { flat_map_chase(state, true); }
-BENCHMARK(BM_FlatMapChase)->Arg(100'000)->Arg(4'000'000)->Arg(16'000'000);
-BENCHMARK(BM_FlatMapChasePrefetch)->Arg(100'000)->Arg(4'000'000)->Arg(16'000'000);
 
 void BM_CountingBloomInsertQuery(benchmark::State& state) {
   bloom::CountingBloomFilter f(100'000, 0.01);

@@ -30,8 +30,6 @@
 
 #include "bench_common.hpp"
 #include "cache/policy.hpp"
-#include "common/dense_map.hpp"
-#include "common/rng.hpp"
 #include "directory/directory.hpp"
 #include "sim/simulator.hpp"
 #include "workload/wctrace.hpp"
@@ -250,108 +248,6 @@ int main() {
                          static_cast<double>(usage.ru_maxrss) / 1024.0);
     }
 #endif
-  }
-
-  // --- pipelined execution ---------------------------------------------------
-  {
-    // The prefetch pipeline pays off when the lookup structures miss cache,
-    // so this section uses a LARGE fixed workload (the 50k-request smoke
-    // workload above is cache-resident and deliberately insensitive): 450k
-    // requests over 250k objects keeps per-cluster DenseMap state well past
-    // typical LLC sizes. Window=1 runs the engine without lookahead; window
-    // 0 resolves to the process default (16 unless WEBCACHE_PIPELINE says
-    // otherwise). The gate is the smaller of the Hier-GD and Squirrel
-    // speedups — both schemes must clear 1.25x on an 8-core runner.
-    workload::ProWGenConfig pwl;
-    pwl.total_requests = 450'000;
-    pwl.distinct_objects = 250'000;
-    pwl.one_timer_fraction = 0.5;
-    pwl.zipf_alpha = 0.7;
-    pwl.lru_stack_fraction = 0.2;
-    pwl.clients = 100;
-    pwl.seed = 2003;
-    const auto t_pgen = Clock::now();
-    const auto ptrace = workload::ProWGen(pwl).generate();
-    const auto pids = directory::build_object_id_table(ptrace.distinct_objects);
-    report.add_section("pipeline_generate", seconds_since(t_pgen));
-
-    const ObjectNum pinf = core::cluster_infinite_cache_size(ptrace, 8);
-    double min_speedup = 0.0;
-    const auto t_pipe = Clock::now();
-    for (const auto scheme : {sim::Scheme::kHierGD, sim::Scheme::kSquirrel}) {
-      sim::SimConfig base;
-      base.scheme = scheme;
-      base.num_proxies = 8;
-      base.clients_per_cluster = 25;
-      base.proxy_capacity = std::max<std::size_t>(1, pinf / 4);
-      base.client_cache_capacity = std::max<std::size_t>(1, pinf / 500);
-      base.object_ids = pids;
-
-      double rps_w1 = 0.0;
-      sim::Metrics at_w1{};
-      for (const unsigned window : {1U, 0U}) {
-        sim::SimConfig cfg = base;
-        cfg.pipeline_window = window;
-        const auto t0 = Clock::now();
-        const auto metrics = sim::run_simulation(cfg, ptrace);
-        const double rps = static_cast<double>(ptrace.size()) / seconds_since(t0);
-        const std::string key = "pipeline_" + std::string(sim::to_string(scheme)) +
-                                (window == 1 ? "_w1" : "_wdef");
-        report.add_throughput(key, rps);
-        std::cout << std::setw(10) << ("# " + key) << std::fixed
-                  << std::setprecision(0) << rps << "\n";
-        if (window == 1) {
-          rps_w1 = rps;
-          at_w1 = metrics;
-        } else {
-          // Prefetch is advisory: any window must produce THE result.
-          if (metrics.requests != at_w1.requests ||
-              metrics.hits_local_p2p != at_w1.hits_local_p2p ||
-              metrics.hits_remote_p2p != at_w1.hits_remote_p2p ||
-              metrics.server_fetches != at_w1.server_fetches ||
-              metrics.total_latency != at_w1.total_latency) {
-            std::cerr << "perf_smoke: pipelined run diverged from window=1 run\n";
-            return 1;
-          }
-          const double speedup = rps_w1 > 0.0 ? rps / rps_w1 : 0.0;
-          min_speedup = min_speedup == 0.0 ? speedup : std::min(min_speedup, speedup);
-        }
-      }
-    }
-    const bool enforce = std::thread::hardware_concurrency() >= 8;
-    report.add_gate("pipeline_speedup", min_speedup, 1.25, enforce);
-    std::cout << std::setw(10) << "# pspeedup" << std::setprecision(2) << min_speedup
-              << (enforce ? "" : " (not enforced: < 8 hardware threads)") << "\n";
-    report.add_section("pipeline_run", seconds_since(t_pipe));
-
-    // Attribution microbench, mirrored from bench/micro_components: the same
-    // random probe stream over a universe-sized DenseMap with and without the
-    // K-ahead advisory prefetch. Informational (machine-dependent, not gated)
-    // — it shows how much of the pipeline win is pure memory-level
-    // parallelism on the dominant lookup structure.
-    {
-      constexpr std::uint32_t kUniverse = 4'000'000;
-      constexpr std::size_t kAhead = 16;
-      DenseMap<double> map(kUniverse);
-      Rng seed_rng(17);
-      for (std::uint32_t i = 0; i < kUniverse / 2; ++i) {
-        map[static_cast<ObjectNum>(seed_rng.next_below(kUniverse))] = 1.0;
-      }
-      std::vector<ObjectNum> keys(1u << 21);
-      Rng key_rng(13);
-      for (auto& k : keys) k = static_cast<ObjectNum>(key_rng.next_below(kUniverse));
-      std::uint64_t hits = 0;
-      for (const bool ahead : {false, true}) {
-        const auto t0 = Clock::now();
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          if (ahead && i + kAhead < keys.size()) map.prefetch(keys[i + kAhead]);
-          hits += map.contains(keys[i]) ? 1 : 0;
-        }
-        const double rps = static_cast<double>(keys.size()) / seconds_since(t0);
-        report.add_throughput(ahead ? "prefetch_chase_on" : "prefetch_chase_off", rps);
-      }
-      if (hits == 0) std::cerr << "# prefetch chase probed an empty map\n";
-    }
   }
 
   const auto path = report.write_json();

@@ -28,7 +28,6 @@ class ArcCache final : public Cache {
 
   [[nodiscard]] std::size_t size() const override { return t1_.size() + t2_.size(); }
   [[nodiscard]] bool contains(ObjectNum object) const override;
-  void prefetch(ObjectNum object) const override { index_.prefetch(object); }
 
   void access(ObjectNum object, double cost) override;
   InsertResult insert(ObjectNum object, double cost) override;

@@ -48,12 +48,6 @@ class Cache {
   [[nodiscard]] bool full() const { return size() >= capacity_; }
   [[nodiscard]] virtual bool contains(ObjectNum object) const = 0;
 
-  /// Advisory hint that `object` is about to be probed (contains/access/
-  /// insert): policies prefetch the index and ordering slots that probe will
-  /// chase. Strictly read-only and never observable in results — the
-  /// pipelined request engine issues it a window of requests ahead.
-  virtual void prefetch(ObjectNum /*object*/) const {}
-
   /// Records a hit on a cached object (recency/frequency/value bookkeeping).
   virtual void access(ObjectNum object, double cost) = 0;
 

@@ -105,10 +105,6 @@ class CostBenefitCache final : public Cache {
   [[nodiscard]] bool contains(ObjectNum object) const override {
     return entries_.contains(object);
   }
-  void prefetch(ObjectNum object) const override {
-    entries_.prefetch(object);
-    order_.prefetch(object);
-  }
 
   /// Values are static (perfect frequencies), so hits need no bookkeeping.
   void access(ObjectNum object, double cost) override;

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "cache/object_index.hpp"
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace webcache::cache {
@@ -48,14 +47,6 @@ class EvictionHeap {
   void reserve_universe(std::size_t universe) { pos_.reserve_universe(universe); }
 
   [[nodiscard]] bool contains(ObjectNum object) const { return pos_.find(object) != nullptr; }
-
-  /// Advisory prefetch of the slots a subsequent contains/set/erase for
-  /// `object` touches first: the position-index entry and the heap root (the
-  /// line every sift and pop reads). Pure hint; never affects victim order.
-  void prefetch(ObjectNum object) const {
-    pos_.prefetch(object);
-    if (!nodes_.empty()) WEBCACHE_PREFETCH(nodes_.data());
-  }
 
   /// Inserts `object` or re-keys it to `priority`.
   void set(ObjectNum object, const Priority& priority) {

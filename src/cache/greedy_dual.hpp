@@ -39,7 +39,6 @@ class GreedyDualCache final : public Cache {
   [[nodiscard]] bool contains(ObjectNum object) const override {
     return index_.find(object) != nullptr;
   }
-  void prefetch(ObjectNum object) const override { index_.prefetch(object); }
 
   /// On a hit, the object's credit resets to `cost` (plus inflation).
   /// Throws std::logic_error when `object` is not cached and

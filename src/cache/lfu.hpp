@@ -42,10 +42,6 @@ class LfuCache final : public Cache {
   [[nodiscard]] bool contains(ObjectNum object) const override {
     return entries_.contains(object);
   }
-  void prefetch(ObjectNum object) const override {
-    entries_.prefetch(object);
-    order_.prefetch(object);
-  }
 
   void access(ObjectNum object, double cost) override;
   InsertResult insert(ObjectNum object, double cost) override;

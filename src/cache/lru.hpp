@@ -19,7 +19,6 @@ class LruCache final : public Cache {
   [[nodiscard]] bool contains(ObjectNum object) const override {
     return index_.contains(object);
   }
-  void prefetch(ObjectNum object) const override { index_.prefetch(object); }
 
   void access(ObjectNum object, double cost) override;
   InsertResult insert(ObjectNum object, double cost) override;

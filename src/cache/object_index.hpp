@@ -53,16 +53,6 @@ class ObjectIndex {
     }
   }
 
-  /// Advisory prefetch of the entry a subsequent find/set/erase for
-  /// `object` reads first. Never observable in results.
-  void prefetch(ObjectNum object) const {
-    if (dense_) {
-      direct_.prefetch(object);
-    } else {
-      hashed_.prefetch(object);
-    }
-  }
-
  private:
   bool dense_ = false;
   FlatMap<std::uint32_t> hashed_;

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace webcache {
@@ -57,13 +56,6 @@ class DenseMap {
 
   [[nodiscard]] bool contains(std::uint32_t key) const {
     return key < slots_.size() && slots_[key].stamp == epoch_;
-  }
-
-  /// Advisory prefetch of `key`'s slot — the line a subsequent contains/
-  /// find/operator[] reads first. No-op when the key is out of range; never
-  /// observable in results.
-  void prefetch(std::uint32_t key) const {
-    if (key < slots_.size()) WEBCACHE_PREFETCH(&slots_[key]);
   }
 
   [[nodiscard]] T* find(std::uint32_t key) {
@@ -145,11 +137,6 @@ class DenseSet {
     return key < stamps_.size() && stamps_[key] == epoch_;
   }
 
-  /// Advisory prefetch of `key`'s stamp (no-op out of range).
-  void prefetch(std::uint32_t key) const {
-    if (key < stamps_.size()) WEBCACHE_PREFETCH(&stamps_[key]);
-  }
-
   /// Returns true if the key was newly inserted.
   bool insert(std::uint32_t key) {
     if (key >= stamps_.size()) stamps_.resize(static_cast<std::size_t>(key) + 1, 0);
@@ -202,13 +189,6 @@ class FlatMap {
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] bool contains(std::uint32_t key) const { return find(key) != nullptr; }
-
-  /// Advisory prefetch of `key`'s ideal bucket — where a probe run starts.
-  /// Probe runs are short (7/8 load ceiling) and contiguous, so the first
-  /// line covers the common case.
-  void prefetch(std::uint32_t key) const {
-    if (!slots_.empty()) WEBCACHE_PREFETCH(&slots_[ideal(key)]);
-  }
 
   [[nodiscard]] const T* find(std::uint32_t key) const {
     if (slots_.empty()) return nullptr;

@@ -113,6 +113,12 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   if (source.empty()) {
     throw std::invalid_argument("run_sweep: empty trace");
   }
+  // A negative percentage would wrap to an unbounded capacity.
+  const auto valid_percent = [](double pct) { return std::isfinite(pct) && pct >= 0.0; };
+  if (!std::ranges::all_of(config.cache_percents, valid_percent) ||
+      !valid_percent(config.client_cache_percent)) {
+    throw std::invalid_argument("run_sweep: cache percentages must be finite and >= 0");
+  }
 
   SweepResult result;
   result.cache_percents = config.cache_percents;
@@ -196,7 +202,6 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     // Failure/churn/loss injection only applies to schemes with addressable
     // client caches.
     if (scheme != sim::Scheme::kHierGD && scheme != sim::Scheme::kSquirrel) {
-      c.client_failures.clear();
       c.churn_events.clear();
       c.p2p_loss_rate = 0.0;
     }
@@ -323,8 +328,7 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   r.metrics = sim::run_simulation(config, source);
   sim::SimConfig nc = config;
   nc.scheme = sim::Scheme::kNC;
-  // NC has no addressable client caches: no failures, churn, or P2P loss.
-  nc.client_failures.clear();
+  // NC has no addressable client caches: no churn or P2P loss.
   nc.churn_events.clear();
   nc.p2p_loss_rate = 0.0;
   nc.checkpoint_hook = {};  // audits target the scheme under test

@@ -88,7 +88,9 @@ struct SweepResult {
 /// `schemes`). Deterministic regardless of thread count. The TraceSource
 /// overload is the primary: workers share one source and replay it through
 /// positional windows, so a compiled (mmap) trace never materializes and the
-/// exports are byte-identical to the in-memory path.
+/// exports are byte-identical to the in-memory path. Throws
+/// std::invalid_argument on an empty trace or size list, or a negative or
+/// non-finite cache percentage.
 [[nodiscard]] SweepResult run_sweep(const workload::TraceSource& source,
                                     const SweepConfig& config);
 [[nodiscard]] SweepResult run_sweep(const workload::Trace& trace, const SweepConfig& config);

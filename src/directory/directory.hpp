@@ -18,7 +18,6 @@
 
 #include "bloom/counting_bloom.hpp"
 #include "common/dense_map.hpp"
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "common/uint128.hpp"
 #include "obs/registry.hpp"
@@ -51,10 +50,6 @@ class LookupDirectory {
   /// May return false positives depending on the representation; never
   /// false negatives (given consistent add/remove).
   [[nodiscard]] virtual bool may_contain(ObjectNum object) const = 0;
-
-  /// Advisory prefetch of the slots a may_contain probe for `object` reads.
-  /// Pure hint: touches no counters, never observable in results.
-  virtual void prefetch(ObjectNum /*object*/) const {}
 
   /// Same membership answer as may_contain, but without touching the
   /// lookup/positive counters — for the invariant auditor, whose probes must
@@ -104,7 +99,6 @@ class ExactDirectory final : public LookupDirectory {
     note_lookup(positive);
     return positive;
   }
-  void prefetch(ObjectNum object) const override { entries_.prefetch(object); }
   [[nodiscard]] bool audit_contains(ObjectNum object) const override {
     return entries_.contains(object);
   }
@@ -132,14 +126,6 @@ class BloomDirectory final : public LookupDirectory {
   void add(ObjectNum object) override;
   void remove(ObjectNum object) override;
   [[nodiscard]] bool may_contain(ObjectNum object) const override;
-  /// Prefetches the object-id entry the filter hashes are derived from (the
-  /// filter's counter words depend on those hashes, so only the first link
-  /// of the chain can be hinted ahead of time).
-  void prefetch(ObjectNum object) const override {
-    if (object_ids_ && object < object_ids_->size()) {
-      WEBCACHE_PREFETCH(&(*object_ids_)[object]);
-    }
-  }
   [[nodiscard]] bool audit_contains(ObjectNum object) const override;
   [[nodiscard]] std::size_t entry_count() const override { return entries_; }
   [[nodiscard]] std::size_t memory_bytes() const override { return filter_.memory_bytes(); }

@@ -29,7 +29,6 @@
 #include "cache/cache.hpp"
 #include "cache/policy.hpp"
 #include "common/dense_map.hpp"
-#include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "common/uint128.hpp"
 #include "net/message_stats.hpp"
@@ -112,16 +111,6 @@ class P2PClientCache {
 
   /// Ground truth membership (exact directories mirror this; tests check).
   [[nodiscard]] bool contains(ObjectNum object) const { return location_.contains(object); }
-
-  /// Advisory prefetch of the per-object routing state a fetch/store for
-  /// `object` reads first: the location-index slot and the SHA-1 objectId
-  /// entry the overlay routes on. Pure hint; no counters, no result drift.
-  void prefetch(ObjectNum object) const {
-    location_.prefetch(object);
-    if (object_ids_ && object < object_ids_->size()) {
-      WEBCACHE_PREFETCH(&(*object_ids_)[object]);
-    }
-  }
 
   /// Whether a given client machine is up (fault-injection support).
   [[nodiscard]] bool client_alive(ClientNum client) const {

@@ -42,10 +42,8 @@
 #include <vector>
 
 #include "common/cluster_bitset.hpp"
-#include "common/prefetch.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
-#include "sim/step_pipeline.hpp"
 
 namespace webcache::sim {
 
@@ -61,17 +59,13 @@ struct ShardedRunEngine {
   const unsigned P;
   const unsigned S;
   const std::uint64_t total;
-  /// One pipeline per shard (drive_filtered reuses a scratch batch buffer;
-  /// each worker thread owns exactly its shard's instance).
-  std::vector<StepPipeline> pipelines;
 
   explicit ShardedRunEngine(Simulator& simulator)
       : sim(simulator),
         st(*simulator.sharded_),
         P(simulator.config_.num_proxies),
         S(st.shards),
-        total(simulator.source_->size()),
-        pipelines(st.shards, StepPipeline(simulator.pipeline_window_)) {}
+        total(simulator.source_->size()) {}
 
   [[nodiscard]] const ClusterBitset& mask_of(const std::vector<ClusterBitset>& digest,
                                              ObjectNum object) const {
@@ -485,34 +479,20 @@ struct ShardedRunEngine {
           std::min<std::uint64_t>(end - pos, static_cast<std::uint64_t>(chunk)));
       const auto win = sim.source_->window(pos, want);
       if (win.empty()) break;  // defensive: a well-formed source never starves
-      // Pipeline this shard's slice of the chunk: batch the positions it
-      // owns, prefetch their digest words and local index slots, then
-      // execute in the same order the plain loop would.
-      pipelines[shard].drive_filtered(
-          win, pos,
-          [&](std::uint64_t t) { return static_cast<unsigned>(t % P) % S == shard; },
-          [&](const Request& request, std::uint64_t t) {
-            const ObjectNum object = request.object;
-            if (st.use_primary && object < st.digest_primary.size()) {
-              WEBCACHE_PREFETCH(&st.digest_primary[object]);
-            }
-            if (st.use_secondary && object < st.digest_secondary.size()) {
-              WEBCACHE_PREFETCH(&st.digest_secondary[object]);
-            }
-            if (st.use_dir && object < st.digest_dir.size()) {
-              WEBCACHE_PREFETCH(&st.digest_dir[object]);
-            }
-            sim.prefetch_request(request, static_cast<unsigned>(t % P));
-          },
-          [&](const Request& request, std::uint64_t t) {
-            const auto cluster = static_cast<unsigned>(t % P);
-            Lane& lane = st.lanes[cluster];
-            advance_churn(cluster, t);
-            if (browser_lookup(lane, request, cluster)) return;
-            if (step(t, request, cluster, shard)) {
-              browser_fill(cluster, request.client, request.object);
-            }
-          });
+      // This shard's slice of the chunk: the positions of its own clusters,
+      // in trace order.
+      for (std::size_t i = 0; i < win.size(); ++i) {
+        const std::uint64_t t = pos + i;
+        const auto cluster = static_cast<unsigned>(t % P);
+        if (cluster % S != shard) continue;
+        const Request& request = win[i];
+        Lane& lane = st.lanes[cluster];
+        advance_churn(cluster, t);
+        if (browser_lookup(lane, request, cluster)) continue;
+        if (step(t, request, cluster, shard)) {
+          browser_fill(cluster, request.client, request.object);
+        }
+      }
       pos += win.size();
     }
   }

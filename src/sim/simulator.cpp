@@ -5,9 +5,7 @@
 #include <stdexcept>
 
 #include "common/cluster_bitset.hpp"
-#include "common/prefetch.hpp"
 #include "sim/sharded.hpp"
-#include "sim/step_pipeline.hpp"
 
 namespace webcache::sim {
 
@@ -53,7 +51,6 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
       inst_(*registry_, config_.latencies),
       msg_(*registry_, "net.") {
   const ObjectNum universe = source_->distinct_objects();
-  pipeline_window_ = resolve_pipeline_window(config_.pipeline_window);
   registry_->set_snapshot_interval(config_.snapshot_interval);
   if (config_.trace_capacity > 0) registry_->enable_tracing(config_.trace_capacity);
   if (config_.num_proxies == 0) {
@@ -154,8 +151,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
 
   const bool addressable_clients =
       config_.scheme == Scheme::kHierGD || config_.scheme == Scheme::kSquirrel;
-  if ((!config_.client_failures.empty() || !config_.churn_events.empty()) &&
-      !addressable_clients) {
+  if (!config_.churn_events.empty() && !addressable_clients) {
     throw std::invalid_argument(
         "Simulator: client failures need individually addressable client caches "
         "(Hier-GD or Squirrel)");
@@ -164,15 +160,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     throw std::invalid_argument(
         "Simulator: P2P message loss needs a P2P tier (Hier-GD or Squirrel)");
   }
-  // Legacy one-shot failures become crash events on the same engine; the
-  // stable sort keeps the authored order among same-time events.
-  std::vector<fault::ChurnEvent> events;
-  events.reserve(config_.client_failures.size() + config_.churn_events.size());
-  for (const auto& f : config_.client_failures) {
-    events.push_back({f.time, f.proxy, f.client, fault::ChurnAction::kCrash});
-  }
-  events.insert(events.end(), config_.churn_events.begin(), config_.churn_events.end());
-  churn_ = fault::ChurnEngine(std::move(events));
+  churn_ = fault::ChurnEngine(config_.churn_events);
   // Private loss stream forked off the run seed: enabling loss perturbs no
   // other draw, and the run stays a pure function of its configuration.
   loss_ = fault::LossModel(config_.p2p_loss_rate,
@@ -311,23 +299,10 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tier_tracker = std::make_unique<cache::LruCache>(config_.proxy_capacity);
         break;
       case Scheme::kHierGD: {
-        // proxy_policy (when set) supersedes the legacy hier_proxy_policy
-        // ablation enum; both default to the paper's greedy-dual.
         proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
                                      config_.lfu_mode);
         if (proxy.gd == nullptr) {
-          switch (config_.hier_proxy_policy) {
-            case HierProxyPolicy::kGreedyDual:
-              proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
-              break;
-            case HierProxyPolicy::kLru:
-              proxy.gd = std::make_unique<cache::LruCache>(config_.proxy_capacity);
-              break;
-            case HierProxyPolicy::kLfu:
-              proxy.gd = std::make_unique<cache::LfuCache>(config_.proxy_capacity,
-                                                           config_.lfu_mode);
-              break;
-          }
+          proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
         }
         p2p::P2PConfig pc;
         pc.clients = config_.clients_per_cluster;
@@ -569,33 +544,24 @@ Metrics Simulator::run() {
   // window, an mmap source pages sequentially and releases consumed chunks.
   const std::size_t chunk =
       config_.replay_chunk > 0 ? config_.replay_chunk : workload::default_replay_chunk();
-  // Pipelined replay: address-generate (routing + advisory prefetches) a
-  // window of requests ahead of executing them, so the independent index
-  // probes of consecutive requests overlap their cache misses. Execution
-  // order and results are identical for every window (pipeline_test pins
-  // the exports byte-for-byte).
-  const StepPipeline pipeline(pipeline_window_);
   for (std::uint64_t base = 0; base < total;) {
     const auto win = source_->window(base, chunk);
     if (win.empty()) break;  // defensive: a well-formed source never starves
-    pipeline.drive(
-        win, base,
-        [this](const Request& request, std::uint64_t t) {
-          prefetch_request(request, static_cast<unsigned>(t % config_.num_proxies));
-        },
-        [&](const Request& request, std::uint64_t t) {
-          churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
-          now_ = t;
-          const auto proxy_index = static_cast<unsigned>(t % config_.num_proxies);
-          if (!browser_lookup(request, proxy_index)) {
-            step(request, proxy_index);
-            browser_fill(request, proxy_index);
-          }
-          if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
-            config_.checkpoint_hook(*this, t + 1);
-            checked_at_end = t + 1 == total;
-          }
-        });
+    for (std::size_t i = 0; i < win.size(); ++i) {
+      const std::uint64_t t = base + i;
+      const Request& request = win[i];
+      churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
+      now_ = t;
+      const auto proxy_index = static_cast<unsigned>(t % config_.num_proxies);
+      if (!browser_lookup(request, proxy_index)) {
+        step(request, proxy_index);
+        browser_fill(request, proxy_index);
+      }
+      if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
+        config_.checkpoint_hook(*this, t + 1);
+        checked_at_end = t + 1 == total;
+      }
+    }
     base += win.size();
     source_->discard_consumed(base);
   }
@@ -647,44 +613,6 @@ void Simulator::step(const Request& request, unsigned proxy_index) {
       break;
     case Scheme::kSquirrel:
       step_squirrel(request, proxy_index);
-      break;
-  }
-}
-
-void Simulator::prefetch_request(const Request& request, unsigned proxy_index) const {
-  const Proxy& local = proxies_[proxy_index];
-  const ObjectNum object = request.object;
-  // The browser front end probes first, so its index slot is hinted too.
-  if (!local.browsers.empty()) {
-    local.browsers[request.client % config_.clients_per_cluster]->prefetch(object);
-  }
-  // The cooperative lookup's first read after a local miss is the residency
-  // word — one cache line covering every proxy's membership bit.
-  if (residency_enabled_) {
-    if (object < res_primary_.size()) WEBCACHE_PREFETCH(&res_primary_[object]);
-    if (object < res_secondary_.size()) WEBCACHE_PREFETCH(&res_secondary_[object]);
-  }
-  switch (config_.scheme) {
-    case Scheme::kNC:
-    case Scheme::kSC:
-    case Scheme::kFC:
-      local.cache->prefetch(object);
-      break;
-    case Scheme::kNC_EC:
-    case Scheme::kSC_EC:
-      local.tiered->prefetch(object);
-      break;
-    case Scheme::kFC_EC:
-      local.unified->prefetch(object);
-      local.tier_tracker->prefetch(object);
-      break;
-    case Scheme::kHierGD:
-      local.gd->prefetch(object);
-      local.fetch_cost.prefetch(object);
-      local.dir->prefetch(object);
-      break;
-    case Scheme::kSquirrel:
-      local.p2p->prefetch(object);
       break;
   }
 }

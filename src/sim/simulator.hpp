@@ -54,22 +54,6 @@ class Simulator;
 
 enum class DirectoryKind { kExact, kBloom };
 
-/// A scheduled client-machine crash (fault-injection): at trace time `time`,
-/// client `client` of proxy `proxy` fails. Under Hier-GD its share of the
-/// P2P client cache is lost and the proxy's directory goes stale until the
-/// failed lookups correct it; under the idealized schemes client storage is
-/// pooled, so failures there only shrink capacity when modelled explicitly.
-struct ClientFailure {
-  std::uint64_t time = 0;
-  unsigned proxy = 0;
-  ClientNum client = 0;
-};
-
-/// Replacement policy at Hier-GD's proxy tier. Greedy-dual is the paper's
-/// algorithm; LRU/LFU exist for the policy ablation (the client-cache tier
-/// always runs greedy-dual).
-enum class HierProxyPolicy { kGreedyDual, kLru, kLfu };
-
 struct SimConfig {
   Scheme scheme = Scheme::kNC;
   unsigned num_proxies = 2;
@@ -98,14 +82,11 @@ struct SimConfig {
   /// assumption 3); setting this > 0 instead charges the measured hops,
   /// which makes the client-cluster-size experiments latency-honest.
   double p2p_hop_latency = 0.0;
-  /// Hier-GD proxy-tier policy (ablation; the paper uses greedy-dual).
-  /// Superseded by `proxy_policy` when that is not kDefault.
-  HierProxyPolicy hier_proxy_policy = HierProxyPolicy::kGreedyDual;
   /// Proxy-tier replacement/admission policy override (CLI --proxy-policy,
   /// env WEBCACHE_POLICY). kDefault keeps each scheme's paper policy: LFU at
-  /// NC/SC and the *-EC tier 1, greedy-dual (per hier_proxy_policy) at
-  /// Hier-GD. FC/FC-EC reject any override — the clairvoyant cost-benefit
-  /// coordinator IS those schemes (std::invalid_argument).
+  /// NC/SC and the *-EC tier 1, greedy-dual at Hier-GD. FC/FC-EC reject any
+  /// override — the clairvoyant cost-benefit coordinator IS those schemes
+  /// (std::invalid_argument).
   cache::PolicyKind proxy_policy = cache::PolicyKind::kDefault;
   /// Client-tier policy override (CLI --client-policy): tier 2 of
   /// NC-EC/SC-EC (default LFU) and the per-client cooperative caches of
@@ -117,15 +98,12 @@ struct SimConfig {
   /// interpreted as the post-browser-cache request stream, which is the
   /// paper's evaluation setup.
   std::size_t browser_cache_capacity = 0;
-  /// Scheduled client crashes, applied in trace order (Hier-GD only; the
-  /// other schemes have no individually addressable client caches).
-  /// Superseded by `churn_events` (a crash-only schedule); both feed the
-  /// same ChurnEngine and may be combined.
-  std::vector<ClientFailure> client_failures{};
-  /// Full churn schedule (crashes, delayed rejoins, fresh joins, periodic
+  /// Churn schedule (crashes, delayed rejoins, fresh joins, periodic
   /// repair passes), executed by the fault::ChurnEngine at the scheduled
-  /// trace positions. Like client_failures, requires individually
-  /// addressable client caches (Hier-GD or Squirrel).
+  /// trace positions. Requires individually addressable client caches
+  /// (Hier-GD or Squirrel); a crash loses the client's share of the P2P
+  /// cache and leaves the proxy's directory stale until failed lookups
+  /// correct it.
   std::vector<fault::ChurnEvent> churn_events{};
   /// Probability in [0, 1) that any single P2P transfer (lookup, destage,
   /// push) is lost and must be retried after a timeout — each loss costs the
@@ -173,14 +151,6 @@ struct SimConfig {
   /// sequence is identical for any chunking). 0 = the process default
   /// (workload::default_replay_chunk, WEBCACHE_REPLAY_CHUNK overridable).
   std::size_t replay_chunk = 0;
-  /// Pipelined execution window: how many requests the run loop
-  /// address-generates (routing, index/slot resolution, advisory
-  /// prefetches) ahead of executing them. 0 = the process default
-  /// (sim::default_pipeline_window: WEBCACHE_PIPELINE, 16 when unset);
-  /// 1 disables the pipeline. Purely a throughput knob — prefetches are
-  /// advisory and address generation is read-only, so results are
-  /// byte-identical for every value (pipeline_test pins this).
-  unsigned pipeline_window = 0;
   /// Intra-run sharding: number of worker shards one simulation is
   /// partitioned across. 0 (the default) selects the classic sequential
   /// engine, bit-for-bit unchanged. Any value >= 1 selects the sharded
@@ -277,7 +247,7 @@ class Simulator {
     // FC-EC
     std::unique_ptr<cache::CostBenefitCache> unified;
     std::unique_ptr<cache::LruCache> tier_tracker;
-    // Hier-GD (greedy-dual by default; see HierProxyPolicy)
+    // Hier-GD (greedy-dual unless SimConfig::proxy_policy overrides it)
     std::unique_ptr<cache::Cache> gd;
     std::unique_ptr<p2p::P2PClientCache> p2p;
     std::unique_ptr<directory::LookupDirectory> dir;
@@ -289,11 +259,6 @@ class Simulator {
   };
 
   void step(const Request& request, unsigned proxy_index);
-  /// Address-generation half of the pipeline: issues advisory prefetches on
-  /// every index slot step() will chase for this request (policy indexes,
-  /// heap position entries, directory slots, residency words, browser
-  /// caches). Read-only; never observable in results.
-  void prefetch_request(const Request& request, unsigned proxy_index) const;
   /// Browser-cache front end: returns true when the request was absorbed.
   bool browser_lookup(const Request& request, unsigned proxy_index);
   void browser_fill(const Request& request, unsigned proxy_index);
@@ -409,7 +374,7 @@ class Simulator {
   std::unique_ptr<cache::CostBenefitCoordinator> coordinator_;
   std::shared_ptr<const std::vector<Uint128>> object_ids_;
   std::vector<Proxy> proxies_;
-  fault::ChurnEngine churn_;  ///< merged client_failures + churn_events
+  fault::ChurnEngine churn_;  ///< executes SimConfig::churn_events
   fault::LossModel loss_;
   /// Wasted latency from P2P losses since the last account_raw; flushed into
   /// the request in flight (losses only occur on its own transfers).
@@ -418,7 +383,6 @@ class Simulator {
   Instruments inst_;
   net::MessageCounters msg_;  ///< simulator-level protocol messages ("net.*")
   std::uint64_t now_ = 0;     ///< trace position of the request in flight
-  unsigned pipeline_window_ = 1;  ///< resolved SimConfig::pipeline_window
   bool ran_ = false;
   bool residency_enabled_ = false;
   std::vector<std::uint64_t> res_primary_;

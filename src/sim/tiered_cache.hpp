@@ -34,14 +34,6 @@ class TieredCache {
     return locate(object) != Where::kMiss;
   }
 
-  /// Advisory prefetch of both tiers' index slots and the cost entry —
-  /// everything locate/access/admit will chase for `object`.
-  void prefetch(ObjectNum object) const {
-    tier1_->prefetch(object);
-    tier2_->prefetch(object);
-    cost_.prefetch(object);
-  }
-
   /// Serves a local request for a cached object: tier-1 hits refresh in
   /// place, tier-2 hits promote into tier 1 (destaging tier 1's evictee
   /// down). Returns where the object was found. `cost` is the object's

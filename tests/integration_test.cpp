@@ -3,6 +3,7 @@
 // sweeps, and trace-file round trips through the simulator.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/experiment.hpp"
@@ -232,6 +233,28 @@ TEST(Integration, EmptyInputsRejected) {
   const auto trace = paper_like_trace(10'000, 500);
   cfg.cache_percents.clear();
   EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument);
+}
+
+// A negative percentage must not wrap to an unbounded std::size_t capacity and
+// silently run an infinite cache.
+TEST(Integration, NegativeCachePercentRejected) {
+  const auto trace = paper_like_trace(10'000, 500);
+  core::SweepConfig cfg;
+  cfg.schemes = {sim::Scheme::kSC};
+  cfg.cache_percents = {20.0, -10.0};
+  EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument);
+}
+
+TEST(Integration, NonFiniteClientCachePercentRejected) {
+  const auto trace = paper_like_trace(10'000, 500);
+  core::SweepConfig cfg;
+  cfg.schemes = {sim::Scheme::kSC};
+  cfg.cache_percents = {20.0};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg.client_cache_percent = bad;
+    EXPECT_THROW((void)core::run_sweep(trace, cfg), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

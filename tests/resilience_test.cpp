@@ -88,11 +88,11 @@ TEST(BrowserCache, LatencyIdentityIncludesZeroCostBrowserHits) {
 
 // --- client failures --------------------------------------------------------
 
-std::vector<ClientFailure> spread_failures(std::uint64_t trace_len, unsigned proxies,
-                                           ClientNum clients, unsigned count) {
-  std::vector<ClientFailure> failures;
+std::vector<fault::ChurnEvent> spread_failures(std::uint64_t trace_len, unsigned proxies,
+                                               ClientNum clients, unsigned count) {
+  std::vector<fault::ChurnEvent> failures;
   for (unsigned i = 0; i < count; ++i) {
-    failures.push_back(ClientFailure{
+    failures.push_back(fault::ChurnEvent{
         trace_len / 4 + i * (trace_len / (2 * count)),
         i % proxies,
         static_cast<ClientNum>((i * 7) % clients),
@@ -104,14 +104,14 @@ std::vector<ClientFailure> spread_failures(std::uint64_t trace_len, unsigned pro
 TEST(FailureInjection, OnlyValidForHierGd) {
   const auto trace = test_trace(5'000, 500);
   auto cfg = base_config(Scheme::kSC);
-  cfg.client_failures = {{100, 0, 1}};
+  cfg.churn_events = {{100, 0, 1}};
   EXPECT_THROW(Simulator(cfg, trace), std::invalid_argument);
 }
 
 TEST(FailureInjection, RunsToCompletionAndStaysConsistent) {
   const auto trace = test_trace();
   auto cfg = base_config(Scheme::kHierGD);
-  cfg.client_failures =
+  cfg.churn_events =
       spread_failures(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 10);
   const auto m = run_simulation(cfg, trace);
   EXPECT_EQ(m.requests, trace.size());
@@ -123,7 +123,7 @@ TEST(FailureInjection, StaleDirectoryEntriesSurfaceAsFalsePositives) {
   auto cfg = base_config(Scheme::kHierGD);
   // Fail a third of each cluster halfway through: directory entries for the
   // lost objects go stale and are discovered (and repaired) on lookup.
-  cfg.client_failures =
+  cfg.churn_events =
       spread_failures(trace.size(), cfg.num_proxies, cfg.clients_per_cluster, 16);
   const auto m = run_simulation(cfg, trace);
   EXPECT_GT(m.messages.directory_false_positives, 0u);
@@ -136,7 +136,7 @@ TEST(FailureInjection, DegradesGracefully) {
   const auto m_healthy = run_simulation(healthy, trace);
 
   auto faulty = base_config(Scheme::kHierGD);
-  faulty.client_failures =
+  faulty.churn_events =
       spread_failures(trace.size(), faulty.num_proxies, faulty.clients_per_cluster, 10);
   const auto m_faulty = run_simulation(faulty, trace);
 
@@ -150,7 +150,7 @@ TEST(FailureInjection, DegradesGracefully) {
 TEST(FailureInjection, UnknownProxyRejected) {
   const auto trace = test_trace(5'000, 500);
   auto cfg = base_config(Scheme::kHierGD);
-  cfg.client_failures = {{10, 99, 0}};
+  cfg.churn_events = {{10, 99, 0}};
   Simulator sim(cfg, trace);
   EXPECT_THROW((void)sim.run(), std::invalid_argument);
 }

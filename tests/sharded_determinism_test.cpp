@@ -4,7 +4,9 @@
 // streamed from a compiled .wct with a small replay chunk — and a sweep's
 // write_metrics_json must not depend on shards x threads. Unsupported
 // configurations (FC/FC-EC, snapshots, tracer, audit hooks, single proxy)
-// must fall back to the sequential engine bit-exactly.
+// must fall back to the sequential engine bit-exactly. Also the regression
+// gate for the 256-cluster cooperation digests (ClusterBitset): cooperative
+// sharded runs must work above 64 proxies and stay shard-count independent.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cluster_bitset.hpp"
 #include "core/experiment.hpp"
 #include "fault/churn_schedule.hpp"
 #include "obs/registry.hpp"
@@ -191,6 +194,68 @@ TEST(ShardedDeterminism, SweepMetricsExportIsShardAndThreadCountIndependent) {
       }
     }
   }
+}
+
+// --- ClusterBitset: the 256-cluster cooperation digests ----------------------
+
+TEST(ClusterBitset, RingScanMatchesSingleWordSemanticsBelow64) {
+  // Ring order from local+1 upward with wraparound, never returning local —
+  // the exact contract of the old 64-bit scan.
+  ClusterBitset mask;
+  mask.set(3);
+  mask.set(10);
+  EXPECT_EQ(first_holder_in_ring(mask, 5), 10);
+  EXPECT_EQ(first_holder_in_ring(mask, 10), 3);  // wraps past the top
+  EXPECT_EQ(first_holder_in_ring(mask, 3), 10);
+  mask.reset(10);
+  EXPECT_EQ(first_holder_in_ring(mask, 3), -1);  // only the local bit left
+  EXPECT_EQ(first_holder_in_ring(ClusterBitset{}, 0), -1);
+}
+
+TEST(ClusterBitset, RingScanCrossesWordBoundaries) {
+  ClusterBitset mask;
+  mask.set(2);    // word 0
+  mask.set(70);   // word 1
+  mask.set(200);  // word 3
+  EXPECT_EQ(first_holder_in_ring(mask, 5), 70);    // higher word first
+  EXPECT_EQ(first_holder_in_ring(mask, 70), 200);  // next word up
+  EXPECT_EQ(first_holder_in_ring(mask, 200), 2);   // wraps to word 0
+  EXPECT_EQ(first_holder_in_ring(mask, 255), 2);
+  EXPECT_EQ(first_holder_in_ring(mask, 0), 2);     // later bit in own word
+}
+
+TEST(ManyProxies, ShardingIsSupportedUpTo256Clusters) {
+  auto cfg = shard_config(sim::Scheme::kSC);
+  cfg.num_proxies = 72;  // above the old 64-bit digest limit
+  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
+  cfg.num_proxies = 256;
+  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
+  cfg.num_proxies = 257;  // beyond the fixed ClusterBitset width
+  EXPECT_FALSE(sim::Simulator::sharding_supported(cfg));
+
+  auto hier = shard_config(sim::Scheme::kHierGD);
+  hier.num_proxies = 72;
+  EXPECT_TRUE(sim::Simulator::sharding_supported(hier));
+}
+
+TEST(ManyProxies, CooperativeExportsAreShardCountIndependentAt72Proxies) {
+  const auto trace = shard_trace();
+  auto cfg = shard_config(sim::Scheme::kSC);
+  cfg.num_proxies = 72;
+  cfg.proxy_capacity = 40;  // smaller per-proxy share over the same universe
+  cfg.sim_shards = 1;
+  const std::string one = export_of(cfg, trace);
+  for (const unsigned shards : {2U, 8U}) {
+    cfg.sim_shards = shards;
+    EXPECT_EQ(one, export_of(cfg, trace)) << "shards=" << shards;
+  }
+  // The sequential engine handles > 64 cooperating proxies via its fallback
+  // probe loops; it must still serve every request.
+  cfg.sim_shards = 0;
+  cfg.registry = std::make_shared<obs::Registry>();
+  const auto metrics = sim::run_simulation(cfg, trace);
+  EXPECT_EQ(metrics.requests, trace.size());
+  EXPECT_EQ(metrics.total_hits() + metrics.server_fetches, metrics.requests);
 }
 
 }  // namespace

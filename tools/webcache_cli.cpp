@@ -41,11 +41,6 @@
 //                           N >= 1; 0 = classic sequential engine). Default
 //                           from WEBCACHE_SIM_SHARDS. See README
 //                           "Sharded runs" for the determinism contract.
-//   --pipeline-window K     batched lookahead of the replay hot loop: K
-//                           requests address-generate (routing + advisory
-//                           prefetches) ahead of execution. Byte-identical
-//                           results for every K; 1 disables, 0 defers to
-//                           WEBCACHE_PIPELINE (default 16).
 // Observability flags (schema "webcache-metrics/1", see README):
 //   --metrics-out FILE      full registry export; .csv extension selects the
 //                           flat CSV form, anything else writes JSON
@@ -77,18 +72,22 @@
 //   WEBCACHE_POLICY      default for --proxy-policy/--client-policy as
 //                        "<proxy>[,<client>]" (e.g. "w-tinylfu" or
 //                        "arc,lru"); flags win over the environment.
-//   WEBCACHE_PIPELINE    default for --pipeline-window: ON (=16, the
-//                        default), OFF (=1, no lookahead) or a window in
-//                        [1, 1024]. Purely a throughput knob.
+//
+// Integer flags take plain non-negative integers that fit their field;
+// percentages must be finite and >= 0. Anything else is a usage error.
 //
 // Exit code 0 on success, 2 on usage errors.
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -132,6 +131,21 @@ using namespace webcache;
   std::exit(2);
 }
 
+/// Parses all of `text` as a number; std::nullopt on junk or trailing text.
+std::optional<double> parse_number(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
+}
+
+/// Percentages must be finite and >= 0: a negative one would wrap to an
+/// unbounded capacity.
+bool valid_percent(double pct) { return std::isfinite(pct) && pct >= 0.0; }
+
 /// Minimal flag parser: --key value pairs plus boolean --key switches.
 class Flags {
  public:
@@ -158,15 +172,33 @@ class Flags {
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      usage("flag --" + key + " needs a number, got '" + it->second + "'");
-    }
+    const auto value = parse_number(it->second);
+    if (!value) usage("flag --" + key + " needs a number, got '" + it->second + "'");
+    return *value;
   }
 
-  [[nodiscard]] std::uint64_t integer(const std::string& key, std::uint64_t fallback) const {
-    return static_cast<std::uint64_t>(num(key, static_cast<double>(fallback)));
+  [[nodiscard]] double percent(const std::string& key, double fallback) const {
+    const double value = num(key, fallback);
+    if (!valid_percent(value)) {
+      usage("flag --" + key + " needs a finite percentage >= 0, got '" + str(key, "") + "'");
+    }
+    return value;
+  }
+
+  /// An integer that must fit `T` exactly: negative, fractional, non-finite
+  /// and out-of-range values are usage errors, never silently converted.
+  template <typename T = std::uint64_t>
+  [[nodiscard]] T integer(const std::string& key, std::type_identity_t<T> fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size()) {
+      usage("flag --" + key + " needs an integer in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "], got '" + text + "'");
+    }
+    return value;
   }
 
   void reject_unknown(const std::vector<std::string>& known) const {
@@ -188,7 +220,7 @@ const std::vector<std::string> kWorkloadFlags = {
 const std::vector<std::string> kClusterFlags = {
     "proxies", "cache-pct", "client-cache-pct", "directory", "bloom-fpr",
     "no-diversion", "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "shards",
-    "proxy-policy", "client-policy", "pipeline-window",
+    "proxy-policy", "client-policy",
 };
 const std::vector<std::string> kChurnFlags = {
     "churn-crashes", "churn-recover-after", "churn-joins", "churn-repair-every",
@@ -198,13 +230,13 @@ const std::vector<std::string> kChurnFlags = {
 workload::ProWGenConfig workload_from(const Flags& flags) {
   workload::ProWGenConfig cfg;
   cfg.total_requests = flags.integer("requests", 200'000);
-  cfg.distinct_objects = static_cast<ObjectNum>(flags.integer("objects", 10'000));
+  cfg.distinct_objects = flags.integer<ObjectNum>("objects", 10'000);
   cfg.zipf_alpha = flags.num("alpha", cfg.zipf_alpha);
   cfg.one_timer_fraction = flags.num("one-timers", cfg.one_timer_fraction);
   cfg.lru_stack_fraction = flags.num("stack", cfg.lru_stack_fraction);
   cfg.temporal_amplifier = flags.num("amplifier", cfg.temporal_amplifier);
   cfg.recency_bias = flags.num("recency-bias", cfg.recency_bias);
-  cfg.clients = static_cast<ClientNum>(flags.integer("clients", cfg.clients));
+  cfg.clients = flags.integer<ClientNum>("clients", cfg.clients);
   cfg.seed = flags.integer("seed", cfg.seed);
   return cfg;
 }
@@ -237,14 +269,14 @@ std::shared_ptr<const workload::TraceSource> source_from(const Flags& flags) {
 
 sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& trace) {
   sim::SimConfig cfg;
-  cfg.num_proxies = static_cast<unsigned>(flags.integer("proxies", 2));
-  cfg.clients_per_cluster = static_cast<ClientNum>(flags.integer("clients", 100));
+  cfg.num_proxies = flags.integer<unsigned>("proxies", 2);
+  cfg.clients_per_cluster = flags.integer<ClientNum>("clients", 100);
   cfg.latencies = net::LatencyModel::from_ratios(
       flags.num("ts-tc", 10.0), flags.num("ts-tl", 20.0), flags.num("tp2p-tl", 1.4));
 
   const auto infinite = core::cluster_infinite_cache_size(trace, cfg.num_proxies);
-  const double cache_pct = flags.num("cache-pct", 30.0);
-  const double client_pct = flags.num("client-cache-pct", 0.1);
+  const double cache_pct = flags.percent("cache-pct", 30.0);
+  const double client_pct = flags.percent("client-cache-pct", 0.1);
   cfg.proxy_capacity = std::max<std::size_t>(
       1, static_cast<std::size_t>(cache_pct / 100.0 * static_cast<double>(infinite)));
   cfg.client_cache_capacity = std::max<std::size_t>(
@@ -258,12 +290,8 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   }
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
-  cfg.browser_cache_capacity = flags.integer("browser-cache", 0);
-  cfg.sim_shards =
-      static_cast<unsigned>(flags.integer("shards", core::sim_shards_from_env()));
-  // 0 defers to the process default (WEBCACHE_PIPELINE, 16 when unset);
-  // results are byte-identical for every value — this is a throughput knob.
-  cfg.pipeline_window = static_cast<unsigned>(flags.integer("pipeline-window", 0));
+  cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
+  cfg.sim_shards = flags.integer<unsigned>("shards", core::sim_shards_from_env());
 
   // Policy overrides: flags beat WEBCACHE_POLICY beats each scheme's default.
   const auto env_policies = core::policies_from_env();
@@ -399,9 +427,9 @@ int cmd_analyze(const Flags& flags) {
 void apply_churn_flags(const Flags& flags, sim::SimConfig& cfg,
                        std::uint64_t trace_length) {
   fault::ChurnSpec spec;
-  spec.crashes = static_cast<ClientNum>(flags.integer("churn-crashes", 0));
+  spec.crashes = flags.integer<ClientNum>("churn-crashes", 0);
   spec.recover_after = flags.integer("churn-recover-after", 0);
-  spec.joins = static_cast<ClientNum>(flags.integer("churn-joins", 0));
+  spec.joins = flags.integer<ClientNum>("churn-joins", 0);
   spec.repair_every = flags.integer("churn-repair-every", 0);
   spec.start = flags.integer("churn-start", trace_length / 4);
   spec.seed = flags.integer("churn-seed", spec.seed);
@@ -436,7 +464,7 @@ int cmd_simulate(const Flags& flags) {
   cfg.snapshot_interval = flags.integer("snapshot-interval", 0);
   apply_churn_flags(flags, cfg, source->size());
   if (flags.has("trace-out")) {
-    cfg.trace_capacity = flags.integer("trace-capacity", 1'000'000);
+    cfg.trace_capacity = flags.integer<std::size_t>("trace-capacity", 1'000'000);
   }
   const auto run = core::run_single(*source, cfg);
   std::cout << "scheme: " << sim::to_string(*scheme) << "\n"
@@ -478,7 +506,7 @@ int cmd_sweep(const Flags& flags) {
 
   core::SweepConfig sweep;
   sweep.base = cluster_from(flags, *source);
-  sweep.client_cache_percent = flags.num("client-cache-pct", 0.1);
+  sweep.client_cache_percent = flags.percent("client-cache-pct", 0.1);
   sweep.collect_observability = flags.has("metrics-out");
   sweep.snapshot_interval = flags.integer("snapshot-interval", 0);
   if (const char* env = std::getenv("WEBCACHE_THREADS")) {
@@ -507,11 +535,11 @@ int cmd_sweep(const Flags& flags) {
     std::istringstream list(flags.str("cache-pcts", ""));
     std::string token;
     while (std::getline(list, token, ',')) {
-      try {
-        sweep.cache_percents.push_back(std::stod(token));
-      } catch (const std::exception&) {
-        usage("bad --cache-pcts entry: " + token);
+      const auto pct = parse_number(token);
+      if (!pct || !valid_percent(*pct)) {
+        usage("flag --cache-pcts entry needs a finite percentage >= 0, got '" + token + "'");
       }
+      sweep.cache_percents.push_back(*pct);
     }
   }
 
