@@ -63,30 +63,26 @@ struct Checker {
     }
   }
 
-  /// The cluster-residency bitmasks must mirror the actual caches exactly;
-  /// a drifted mask silently reroutes cooperative lookups.
+  /// The cooperation index must mirror the actual caches exactly; a drifted
+  /// set silently reroutes cooperative lookups.
   void check_residency(const sim::Simulator& sim) {
-    if (!sim.residency_index_enabled()) return;
     const auto& config = sim.config();
-    const ObjectNum universe = sim.residency_universe();
-    std::vector<std::uint64_t> primary(universe, 0);
-    std::vector<std::uint64_t> secondary(universe, 0);
-    const auto mark = [&](std::vector<std::uint64_t>& masks,
-                          const std::vector<ObjectNum>& objects, unsigned p) {
+    if (!sim::proxies_cooperate(config.scheme)) return;  // no index to check
+    const ObjectNum universe = sim.universe();
+    const unsigned proxies = config.num_proxies;
+    sim::ClusterSets primary(proxies, universe);
+    sim::ClusterSets secondary(proxies, universe);
+    const auto mark = [&](sim::ClusterSets& sets, const std::vector<ObjectNum>& objects,
+                          unsigned p) {
       for (const auto object : objects) {
         expect(object < universe, "residency: proxy " + std::to_string(p) +
                                       " caches object " + std::to_string(object) +
                                       " outside the trace universe");
-        if (object < universe) masks[object] |= std::uint64_t{1} << p;
+        if (object < universe) sets.set(object, p);
       }
     };
-    for (unsigned p = 0; p < config.num_proxies; ++p) {
+    for (unsigned p = 0; p < proxies; ++p) {
       switch (config.scheme) {
-        case sim::Scheme::kSC:
-        case sim::Scheme::kFC:
-        case sim::Scheme::kHierGD:
-          mark(primary, sim.proxy_cache_of(p)->contents(), p);
-          break;
         case sim::Scheme::kSC_EC:
           mark(primary, sim.tiered_of(p)->tier1().contents(), p);
           mark(secondary, sim.tiered_of(p)->tier2().contents(), p);
@@ -95,16 +91,24 @@ struct Checker {
           mark(primary, sim.tier_tracker_of(p)->contents(), p);
           mark(secondary, sim.unified_of(p)->contents(), p);
           break;
-        default:
-          return;  // non-cooperative schemes carry no index
+        default:  // SC, FC, Hier-GD
+          mark(primary, sim.proxy_cache_of(p)->contents(), p);
+          break;
       }
     }
+    const auto same = [&](const sim::ClusterSets& live, const sim::ClusterSets& expected,
+                          ObjectNum object) {
+      for (unsigned p = 0; p < proxies; ++p) {
+        if (live.test(object, p) != expected.test(object, p)) return false;
+      }
+      return true;
+    };
     for (ObjectNum object = 0; object < universe; ++object) {
-      expect(sim.residency_primary(object) == primary[object],
-             "residency: primary mask of object " + std::to_string(object) +
+      expect(same(sim.residency(sim::Simulator::kPrimary), primary, object),
+             "residency: primary set of object " + std::to_string(object) +
                  " disagrees with cache contents");
-      expect(sim.residency_secondary(object) == secondary[object],
-             "residency: secondary mask of object " + std::to_string(object) +
+      expect(same(sim.residency(sim::Simulator::kSecondary), secondary, object),
+             "residency: secondary set of object " + std::to_string(object) +
                  " disagrees with cache contents");
     }
   }
@@ -177,7 +181,7 @@ struct Checker {
       // by the objects ever lost. Without crashes the mirror is exact.
       std::unordered_set<ObjectNum> resident_set(residents.begin(), residents.end());
       std::uint64_t ghosts = 0;
-      for (ObjectNum object = 0; object < sim.residency_universe(); ++object) {
+      for (ObjectNum object = 0; object < sim.universe(); ++object) {
         if (dir->audit_contains(object) && !resident_set.contains(object)) ++ghosts;
       }
       const std::uint64_t lost = sim.registry().counter_value("fault.objects_lost");

@@ -90,6 +90,22 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
   return histograms_.find(name);
 }
 
+void Registry::merge(const Registry& other) {
+  for (std::size_t i = 0; i < other.counters_.names.size(); ++i) {
+    counter(other.counters_.names[i]).inc(other.counters_.store[i].value());
+  }
+  for (std::size_t i = 0; i < other.gauges_.names.size(); ++i) {
+    gauge(other.gauges_.names[i]).add(other.gauges_.store[i].value());
+  }
+  for (std::size_t i = 0; i < other.stats_.names.size(); ++i) {
+    stat(other.stats_.names[i]).merge(other.stats_.store[i]);
+  }
+  for (std::size_t i = 0; i < other.histograms_.names.size(); ++i) {
+    const Histogram& h = other.histograms_.store[i];
+    histogram(other.histograms_.names[i], h.lo(), h.hi(), h.buckets()).merge(h);
+  }
+}
+
 void Registry::take_snapshot() {
   Snapshot snap;
   snap.at = ticks_;

@@ -120,13 +120,18 @@ class Registry {
     return counters_.names;
   }
   [[nodiscard]] const std::vector<std::string>& gauge_names() const { return gauges_.names; }
-  /// Stat/histogram names in registration order — the sharded engine's merge
-  /// walks per-shard registries by index range and replays instruments into
-  /// the canonical registry in construction order.
+  /// Stat/histogram names in registration order.
   [[nodiscard]] const std::vector<std::string>& stat_names() const { return stats_.names; }
   [[nodiscard]] const std::vector<std::string>& histogram_names() const {
     return histograms_.names;
   }
+
+  /// Adds every instrument of `other` into the same-named one here, creating
+  /// it on first sight in `other`'s registration order: counters and gauges
+  /// add, stats and histograms pool. The sharded engine folds its
+  /// per-cluster registries this way; instrument names must not collide
+  /// across the registries merged unless summing them is intended.
+  void merge(const Registry& other);
 
   // --- interval snapshots --------------------------------------------------
   /// Enables snapshots every `every_n` ticks (0 disables). The producer calls

@@ -3,28 +3,24 @@
 // One simulation is partitioned by CLUSTER: cluster c belongs to worker
 // shard c mod S (S = min(sim_shards, num_proxies)), and request t belongs to
 // cluster t mod P exactly as in the sequential engine. Each cluster owns a
-// "lane": its outcome accumulators, its churn/loss substreams, its digest
-// change log and the index ranges of its component instruments inside its
-// shard's private registry. Cross-cluster interactions never touch another
-// cluster's live state directly; they consult epoch-start cooperation
-// digests and enqueue position-keyed deferred ops that the owning shard
-// applies in trace order at the epoch barrier. Everything here is therefore
-// a pure function of (config, trace) — never of the shard count, thread
-// scheduling, or replay chunking.
+// "lane": a private registry its outcomes and components count into, its
+// churn/loss substreams and its digest change log. Cross-cluster
+// interactions never touch another cluster's live state directly; they
+// consult epoch-start cooperation digests and enqueue position-keyed
+// RemoteOps that the owning shard applies in trace order at the epoch
+// barrier. Everything here is therefore a pure function of (config, trace) —
+// never of the shard count, thread scheduling, or replay chunking.
 //
-// This header is internal to src/sim (simulator.cpp constructs the state,
-// sharded_run.cpp drives it); it is not part of the public surface.
+// This header is internal to src/sim (simulator.cpp runs the steps,
+// sharded_run.cpp drives the epochs); it is not part of the public surface.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/cluster_bitset.hpp"
-#include "common/stats.hpp"
 #include "fault/churn_engine.hpp"
 #include "fault/loss_model.hpp"
-#include "net/latency_model.hpp"
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 
@@ -33,124 +29,58 @@ namespace webcache::sim {
 /// Digest refresh period used when SimConfig::shard_epoch is 0.
 inline constexpr std::uint64_t kDefaultShardEpoch = 8192;
 
+/// One request's touch of another cluster's state. kProxyAccess,
+/// kTieredRefresh and kGdAccess refresh the holder's copy; kPushFetch also
+/// carries the requester's in-flight surcharges and receives the fetch's
+/// outcome for finish_push.
+struct Simulator::RemoteOp {
+  enum class Kind : std::uint8_t { kProxyAccess, kTieredRefresh, kGdAccess, kPushFetch };
+  std::uint64_t pos = 0;     ///< trace position (globally unique -> total order)
+  ObjectNum object = 0;
+  std::uint32_t source = 0;  ///< requesting cluster
+  std::uint32_t target = 0;  ///< cluster whose state the op touches
+  Kind kind = Kind::kProxyAccess;
+  ClientNum raw_client = 0;  ///< kPushFetch: the request's raw client id
+  double waste = 0.0;        ///< kPushFetch: requester waste so far
+  double loss_waste = 0.0;   ///< kPushFetch: requester loss penalties so far
+  double hop_latency = 0.0;  ///< kPushFetch: requester hop charges so far
+  bool hit = false;          ///< kPushFetch outcome (written by apply_remote)
+  unsigned hops = 0;         ///< kPushFetch outcome (written by apply_remote)
+};
+
 struct Simulator::ShardedState {
-  /// Which cooperation digest a residency delta targets. Meanings per scheme
-  /// mirror the sequential residency index (res_primary_/res_secondary_);
-  /// kDir is Hier-GD's advertised-directory digest (one bit per cluster
-  /// whose lookup directory registered the object).
-  enum class DigestArray : std::uint8_t { kPrimary, kSecondary, kDir };
+  ShardedState(const SimConfig& config, const std::vector<fault::ChurnEvent>& schedule);
 
   struct DigestDelta {
     ObjectNum object = 0;
-    DigestArray array = DigestArray::kPrimary;
+    CoopSet set = kPrimary;
     bool present = false;
   };
 
-  /// Cross-cluster interactions, enqueued during phase 1 and applied by the
-  /// target cluster's shard in trace-position order during phase 2a.
-  /// kProxyAccess/kTieredRefresh/kGdAccess are fire-and-forget refreshes of
-  /// the advertised copy; kPushFetch additionally carries the requester's
-  /// in-flight accounting and receives its outcome (phase 2b completes the
-  /// request on the requester's shard).
-  enum class OpKind : std::uint8_t { kProxyAccess, kTieredRefresh, kGdAccess, kPushFetch };
-
-  struct DeferredOp {
-    std::uint64_t pos = 0;       ///< trace position (globally unique -> total order)
-    ObjectNum object = 0;
-    std::uint32_t source = 0;    ///< requesting cluster
-    std::uint32_t target = 0;    ///< cluster whose state the op touches
-    OpKind kind = OpKind::kProxyAccess;
-    ClientNum raw_client = 0;    ///< kPushFetch: the request's raw client id
-    double waste = 0.0;          ///< kPushFetch: requester waste so far
-    double loss_waste = 0.0;     ///< kPushFetch: requester loss penalties so far
-    double hop_latency = 0.0;    ///< kPushFetch: requester hop charges so far
-    bool hit = false;            ///< kPushFetch outcome (written in phase 2a)
-    unsigned hops = 0;           ///< kPushFetch outcome (written in phase 2a)
-  };
-
-  /// Per-CLUSTER accumulation lane. Only the owning shard writes a lane
-  /// during a phase (phase 2a writes the TARGET cluster's lane, which the
-  /// target's shard owns), so lanes need no synchronization beyond the
-  /// epoch barriers; the alignment keeps neighbouring lanes off one cache
-  /// line. The fold replays lanes into the canonical instruments in
-  /// cluster-ascending order.
+  /// Per-CLUSTER lane. Only the shard that owns the cluster writes it during
+  /// a phase (phase 2a writes the TARGET cluster's lane, which the target's
+  /// shard owns), so lanes need no synchronization beyond the epoch
+  /// barriers; the alignment keeps neighbouring lanes off one cache line.
   struct alignas(64) Lane {
-    explicit Lane(const net::LatencyModel& latencies)
-        // Same shapes as Simulator::Instruments' histograms so the merge is
-        // bucket-exact.
-        : latency_hist(0.0, 4.0 * latencies.server(), 40), hops_hist(0.0, 16.0, 16) {}
-
-    // sim.* outcome counters
-    std::uint64_t requests = 0;
-    std::uint64_t hits_browser = 0;
-    std::uint64_t hits_local_proxy = 0;
-    std::uint64_t hits_local_p2p = 0;
-    std::uint64_t hits_remote_proxy = 0;
-    std::uint64_t hits_remote_p2p = 0;
-    std::uint64_t server_fetches = 0;
-    // fault.* counters
-    std::uint64_t fault_crashes = 0;
-    std::uint64_t fault_rejoins = 0;
-    std::uint64_t fault_joins = 0;
-    std::uint64_t fault_repairs = 0;
-    std::uint64_t fault_objects_lost = 0;
-    double total_latency = 0.0;
-    double wasted_p2p_latency = 0.0;
-    double hop_latency_total = 0.0;
-    RunningStat p2p_hops;
-    Histogram latency_hist;
-    Histogram hops_hist;
-    // Simulator-level protocol messages (net.*) attributed to this cluster
-    // (hop observations and push/destage bookkeeping land on the REQUESTING
-    // or destaging cluster, exactly where the sequential engine counts them).
-    std::uint64_t destage_piggybacked = 0;
-    std::uint64_t destage_bytes = 0;
-    std::uint64_t directory_adds = 0;
-    std::uint64_t directory_removes = 0;
-    std::uint64_t push_requests = 0;
-    std::uint64_t push_transfers = 0;
-    std::uint64_t directory_true_positives = 0;
-    std::uint64_t directory_false_positives = 0;
-    std::uint64_t p2p_messages_lost = 0;
-    std::uint64_t p2p_retries = 0;
+    explicit Lane(const net::LatencyModel& latencies) : out(registry, latencies) {}
+    /// The cluster's outcomes and components count here; the run's end
+    /// merges lanes into the canonical registry in cluster order.
+    obs::Registry registry;
+    Outcomes out;
     /// This cluster's slice of the globally sorted churn schedule.
     fault::ChurnEngine churn;
     /// Per-(seed, cluster) loss substream, so loss draws are a function of
     /// the cluster's own transfer sequence only.
     fault::LossModel loss;
     /// Digest changes this cluster produced this epoch; applied to the
-    /// shared digests single-threaded at the epoch barrier.
+    /// digests single-threaded at the epoch barrier.
     std::vector<DigestDelta> log;
-    /// Instrument index ranges of this cluster's components inside its shard
-    /// registry: counters [c0,c1), gauges [g0,g1), stats [s0,s1), histograms
-    /// [h0,h1). The fold walks them cluster-ascending to reproduce the
-    /// sequential constructor's registration order byte-for-byte.
-    std::size_t c0 = 0, c1 = 0;
-    std::size_t g0 = 0, g1 = 0;
-    std::size_t s0 = 0, s1 = 0;
-    std::size_t h0 = 0, h1 = 0;
   };
 
   unsigned shards = 1;  ///< effective worker count = min(sim_shards, num_proxies)
   std::uint64_t epoch_len = kDefaultShardEpoch;
-  /// Private per-shard registries; cluster c's components bind into
-  /// shard_registries[c % shards], so no registry is shared across threads.
-  std::vector<std::unique_ptr<obs::Registry>> shard_registries;
-  std::vector<Lane> lanes;                      ///< one per cluster
-  std::vector<std::vector<DeferredOp>> outbox;  ///< one per shard, position-ordered
-  // Epoch-start cooperation digests: bit c of digest_*[o] means cluster c
-  // advertised object o at the top of the epoch. Same per-scheme meaning as
-  // the sequential residency index; digest_dir is the exact set of keys each
-  // Hier-GD directory registered (Bloom false positives still apply to LOCAL
-  // directory lookups — the digest gates only cross-cluster decisions).
-  // Fixed 256-bit ClusterBitsets, so cooperative sharded runs scale to 256
-  // clusters (sharding_supported gates on ClusterBitset::kMaxClusters).
-  std::vector<ClusterBitset> digest_primary;
-  std::vector<ClusterBitset> digest_secondary;
-  std::vector<ClusterBitset> digest_dir;
-  bool use_primary = false;
-  bool use_secondary = false;
-  bool use_dir = false;
+  std::vector<std::unique_ptr<Lane>> lanes;   ///< one per cluster
+  std::vector<std::vector<RemoteOp>> outbox;  ///< one per shard, position-ordered
 };
 
 }  // namespace webcache::sim

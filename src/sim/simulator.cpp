@@ -1,39 +1,38 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
-#include "common/cluster_bitset.hpp"
 #include "sim/sharded.hpp"
 
 namespace webcache::sim {
 
 using net::ServedFrom;
 
-Simulator::Instruments::Instruments(obs::Registry& registry,
-                                    const net::LatencyModel& latencies)
-    : requests(registry.counter("sim.requests")),
-      hits_browser(registry.counter("sim.hits_browser")),
-      hits_local_proxy(registry.counter("sim.hits_local_proxy")),
-      hits_local_p2p(registry.counter("sim.hits_local_p2p")),
-      hits_remote_proxy(registry.counter("sim.hits_remote_proxy")),
-      hits_remote_p2p(registry.counter("sim.hits_remote_p2p")),
-      server_fetches(registry.counter("sim.server_fetches")),
-      fault_crashes(registry.counter("fault.crashes")),
-      fault_rejoins(registry.counter("fault.rejoins")),
-      fault_joins(registry.counter("fault.joins")),
-      fault_repairs(registry.counter("fault.repairs")),
-      fault_objects_lost(registry.counter("fault.objects_lost")),
-      total_latency(registry.gauge("sim.total_latency")),
-      wasted_p2p_latency(registry.gauge("sim.wasted_p2p_latency")),
-      p2p_hop_latency_total(registry.gauge("sim.p2p_hop_latency_total")),
-      p2p_hops(registry.stat("sim.p2p_hops")),
+Simulator::Outcomes::Outcomes(obs::Registry& reg, const net::LatencyModel& latencies)
+    : registry(reg),
+      requests(reg.counter("sim.requests")),
+      hits_browser(reg.counter("sim.hits_browser")),
+      hits_local_proxy(reg.counter("sim.hits_local_proxy")),
+      hits_local_p2p(reg.counter("sim.hits_local_p2p")),
+      hits_remote_proxy(reg.counter("sim.hits_remote_proxy")),
+      hits_remote_p2p(reg.counter("sim.hits_remote_p2p")),
+      server_fetches(reg.counter("sim.server_fetches")),
+      fault_crashes(reg.counter("fault.crashes")),
+      fault_rejoins(reg.counter("fault.rejoins")),
+      fault_joins(reg.counter("fault.joins")),
+      fault_repairs(reg.counter("fault.repairs")),
+      fault_objects_lost(reg.counter("fault.objects_lost")),
+      total_latency(reg.gauge("sim.total_latency")),
+      wasted_p2p_latency(reg.gauge("sim.wasted_p2p_latency")),
+      p2p_hop_latency_total(reg.gauge("sim.p2p_hop_latency_total")),
+      p2p_hops(reg.stat("sim.p2p_hops")),
       // A request costs at most ~Ts plus waste surcharges; 4*Ts with 40
       // buckets resolves the Tl/Tc/Tp2p/Ts levels cleanly.
-      latency_hist(registry.histogram("sim.request_latency", 0.0,
+      latency_hist(reg.histogram("sim.request_latency", 0.0,
                                       4.0 * latencies.server(), 40)),
-      hops_hist(registry.histogram("sim.p2p_hops", 0.0, 16.0, 16)) {}
+      hops_hist(reg.histogram("sim.p2p_hops", 0.0, 16.0, 16)),
+      msg(reg, "net.") {}
 
 Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
     : Simulator(std::move(config), nullptr, &source) {}
@@ -48,8 +47,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
       owned_source_(std::move(owned)),
       source_(external != nullptr ? external : owned_source_.get()),
       registry_(config_.registry ? config_.registry : std::make_shared<obs::Registry>()),
-      inst_(*registry_, config_.latencies),
-      msg_(*registry_, "net.") {
+      out_(*registry_, config_.latencies) {
   const ObjectNum universe = source_->distinct_objects();
   registry_->set_snapshot_interval(config_.snapshot_interval);
   if (config_.trace_capacity > 0) registry_->enable_tracing(config_.trace_capacity);
@@ -95,46 +93,6 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         config_.latencies.server(), config_.latencies.proxy_to_proxy());
   }
 
-  // Intra-run sharding: any sim_shards >= 1 on a supported shape selects the
-  // sharded engine. Clusters then bind their instruments into per-shard
-  // registries and cooperate through epoch-start digests instead of the
-  // live residency index; unsupported shapes keep the sequential engine at
-  // any sim_shards value (see SimConfig::sim_shards).
-  if (config_.sim_shards > 0 && sharding_supported(config_)) {
-    sharded_ = std::make_unique<ShardedState>();
-    ShardedState& st = *sharded_;
-    st.shards = std::min(config_.sim_shards, config_.num_proxies);
-    st.epoch_len = config_.shard_epoch > 0 ? config_.shard_epoch : kDefaultShardEpoch;
-    st.shard_registries.reserve(st.shards);
-    for (unsigned s = 0; s < st.shards; ++s) {
-      st.shard_registries.push_back(std::make_unique<obs::Registry>());
-    }
-    st.lanes.reserve(config_.num_proxies);
-    for (unsigned c = 0; c < config_.num_proxies; ++c) {
-      st.lanes.emplace_back(config_.latencies);
-    }
-    st.outbox.resize(st.shards);
-    st.use_primary = proxies_cooperate(config_.scheme);
-    st.use_secondary = config_.scheme == Scheme::kSC_EC;
-    st.use_dir = config_.scheme == Scheme::kHierGD;
-    if (st.use_primary) st.digest_primary.assign(universe, ClusterBitset{});
-    if (st.use_secondary) st.digest_secondary.assign(universe, ClusterBitset{});
-    if (st.use_dir) st.digest_dir.assign(universe, ClusterBitset{});
-  }
-
-  // The residency index accelerates the cooperative remote-lookup scans; one
-  // bit per proxy caps the fast path at 64 proxies (beyond that the
-  // historical per-proxy probe loops take over). The sharded engine replaces
-  // it with the epoch digests above.
-  residency_enabled_ =
-      !sharded_ && proxies_cooperate(config_.scheme) && config_.num_proxies <= 64;
-  if (residency_enabled_) {
-    res_primary_.assign(universe, 0);
-    if (config_.scheme == Scheme::kSC_EC || config_.scheme == Scheme::kFC_EC) {
-      res_secondary_.assign(universe, 0);
-    }
-  }
-
   if (config_.scheme == Scheme::kHierGD || config_.scheme == Scheme::kSquirrel) {
     // Ring placement is a pure function of the object universe, so run_sweep
     // shares one precomputed table across schemes and jobs (like trace_stats).
@@ -166,24 +124,23 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
   loss_ = fault::LossModel(config_.p2p_loss_rate,
                            SplitMix64(config_.seed ^ 0x4c4f5353ULL).next());
 
-  if (sharded_) {
-    // Per-cluster slices of the globally sorted schedule (the stable filter
-    // preserves same-cluster order) and per-(seed, cluster) loss substreams,
-    // so each lane's draws depend only on its own event/transfer sequence.
-    std::vector<std::vector<fault::ChurnEvent>> per_cluster(config_.num_proxies);
-    for (const auto& event : churn_.events()) {
-      if (event.proxy >= config_.num_proxies) {
-        throw std::invalid_argument("Simulator: failure event references unknown proxy");
-      }
-      per_cluster[event.proxy].push_back(event);
+  // Intra-run sharding: any sim_shards >= 1 on a supported shape selects the
+  // sharded engine, whose clusters count into per-cluster lanes and
+  // cooperate through epoch-start digests; unsupported shapes keep the
+  // sequential engine at any sim_shards value (see SimConfig::sim_shards).
+  if (config_.sim_shards > 0 && sharding_supported(config_)) {
+    sharded_ = std::make_unique<ShardedState>(config_, churn_.events());
+  }
+
+  // The cooperation index (the sharded engine's digests): one ClusterSets
+  // per role the scheme reads (see CoopSet).
+  if (proxies_cooperate(config_.scheme)) {
+    coop_[kPrimary] = ClusterSets(config_.num_proxies, universe);
+    if (config_.scheme == Scheme::kSC_EC || config_.scheme == Scheme::kFC_EC) {
+      coop_[kSecondary] = ClusterSets(config_.num_proxies, universe);
     }
-    for (unsigned c = 0; c < config_.num_proxies; ++c) {
-      ShardedState::Lane& lane = sharded_->lanes[c];
-      lane.churn = fault::ChurnEngine(std::move(per_cluster[c]));
-      lane.loss = fault::LossModel(
-          config_.p2p_loss_rate,
-          SplitMix64(config_.seed ^ 0x4c4f5353ULL ^ (0x9e3779b97f4a7c15ULL * (c + 1)))
-              .next());
+    if (sharded_ && config_.scheme == Scheme::kHierGD) {
+      coop_[kDir] = ClusterSets(config_.num_proxies, universe);
     }
   }
 
@@ -192,20 +149,13 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     Proxy& proxy = proxies_[p];
     const std::string proxy_prefix = "proxy" + std::to_string(p) + ".";
     const std::string cluster_prefix = "cluster" + std::to_string(p) + ".";
-    // Sharded runs bind each cluster's instruments into its shard's private
-    // registry (no cross-thread sharing on the hot path); the post-run fold
-    // replays them into the canonical registry in cluster order. The index
-    // ranges recorded around the construction identify exactly this
-    // cluster's block inside the shard registry.
-    obs::Registry& reg =
-        sharded_ ? *sharded_->shard_registries[p % sharded_->shards] : *registry_;
-    ShardedState::Lane* lane = sharded_ ? &sharded_->lanes[p] : nullptr;
-    if (lane != nullptr) {
-      lane->c0 = reg.counter_names().size();
-      lane->g0 = reg.gauge_names().size();
-      lane->s0 = reg.stat_names().size();
-      lane->h0 = reg.histogram_names().size();
-    }
+    // Sharded runs bind each cluster's instruments into its lane's private
+    // registry (no cross-thread sharing on the hot path); the run's end
+    // merges the lanes into the canonical registry in cluster order.
+    ShardedState::Lane* lane = sharded_ ? sharded_->lanes[p].get() : nullptr;
+    obs::Registry& reg = lane != nullptr ? lane->registry : *registry_;
+    proxy.out = lane != nullptr ? &lane->out : &out_;
+    proxy.loss = lane != nullptr ? &lane->loss : &loss_;
     if (config_.browser_cache_capacity > 0) {
       proxy.browsers.reserve(config_.clients_per_cluster);
       for (ClientNum c = 0; c < config_.clients_per_cluster; ++c) {
@@ -246,48 +196,11 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
         proxy.tiered->reserve_universe(universe);
         proxy.tiered->bind_observability(reg, proxy_prefix + "tiered.");
-        if (residency_enabled_) {
-          proxy.tiered->set_transition_hook(
-              [this, p](ObjectNum object, TieredCache::Where now) {
-                switch (now) {
-                  case TieredCache::Where::kTier1:
-                    residency_set(res_primary_, object, p);
-                    residency_clear(res_secondary_, object, p);
-                    break;
-                  case TieredCache::Where::kTier2:
-                    residency_set(res_secondary_, object, p);
-                    residency_clear(res_primary_, object, p);
-                    break;
-                  case TieredCache::Where::kMiss:
-                    residency_clear(res_primary_, object, p);
-                    residency_clear(res_secondary_, object, p);
-                    break;
-                }
-              });
-        } else if (sharded_ && config_.scheme == Scheme::kSC_EC) {
-          // Sharded SC-EC: tier transitions feed the cluster's digest change
-          // log instead of the live residency index; the deltas apply to the
-          // shared digests at the epoch barrier. Only this cluster's shard
-          // fires the hook (refreshes never change membership), so the log
-          // stays single-writer.
-          proxy.tiered->set_transition_hook(
-              [lane](ObjectNum object, TieredCache::Where now) {
-                using DA = ShardedState::DigestArray;
-                switch (now) {
-                  case TieredCache::Where::kTier1:
-                    lane->log.push_back({object, DA::kPrimary, true});
-                    lane->log.push_back({object, DA::kSecondary, false});
-                    break;
-                  case TieredCache::Where::kTier2:
-                    lane->log.push_back({object, DA::kSecondary, true});
-                    lane->log.push_back({object, DA::kPrimary, false});
-                    break;
-                  case TieredCache::Where::kMiss:
-                    lane->log.push_back({object, DA::kPrimary, false});
-                    lane->log.push_back({object, DA::kSecondary, false});
-                    break;
-                }
-              });
+        if (config_.scheme == Scheme::kSC_EC) {
+          proxy.tiered->set_transition_hook([this, p](ObjectNum object, TieredCache::Where now) {
+            mark(kPrimary, object, p, now == TieredCache::Where::kTier1);
+            mark(kSecondary, object, p, now == TieredCache::Where::kTier2);
+          });
         }
         break;
       }
@@ -341,12 +254,6 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       }
     }
-    if (lane != nullptr) {
-      lane->c1 = reg.counter_names().size();
-      lane->g1 = reg.gauge_names().size();
-      lane->s1 = reg.stat_names().size();
-      lane->h1 = reg.histogram_names().size();
-    }
   }
 }
 
@@ -360,26 +267,10 @@ bool Simulator::sharding_supported(const SimConfig& config) {
   if (config.snapshot_interval > 0 || config.trace_capacity > 0) return false;
   if (config.checkpoint_hook) return false;
   // A single cluster has nothing to parallelize over.
-  if (config.num_proxies < 2) return false;
-  // The cooperation digests are fixed 256-bit ClusterBitsets.
-  if (proxies_cooperate(config.scheme) && config.num_proxies > ClusterBitset::kMaxClusters) {
-    return false;
-  }
-  return true;
+  return config.num_proxies >= 2;
 }
 
 Simulator::~Simulator() = default;
-
-int Simulator::first_remote_holder(std::uint64_t mask, unsigned local) const {
-  mask &= ~(std::uint64_t{1} << local);  // ring scan excludes the local proxy
-  if (mask == 0) return -1;
-  // Ring order from local+1 upward, wrapping past the top proxy to 0.
-  const std::uint64_t later = local + 1 >= 64 ? 0 : mask >> (local + 1);
-  if (later != 0) {
-    return static_cast<int>(local + 1 + static_cast<unsigned>(std::countr_zero(later)));
-  }
-  return std::countr_zero(mask);
-}
 
 const p2p::P2PClientCache* Simulator::p2p_of(unsigned proxy) const {
   return proxy < proxies_.size() ? proxies_[proxy].p2p.get() : nullptr;
@@ -417,8 +308,8 @@ const DenseMap<double>* Simulator::fetch_costs_of(unsigned proxy) const {
   return proxy < proxies_.size() ? &proxies_[proxy].fetch_cost : nullptr;
 }
 
-ClientNum Simulator::client_of(const Request& request, const Proxy& proxy) const {
-  ClientNum c = request.client % config_.clients_per_cluster;
+ClientNum Simulator::client_of(ClientNum raw, const Proxy& proxy) const {
+  const ClientNum c = raw % config_.clients_per_cluster;
   if (proxy.p2p && !proxy.p2p->client_alive(c)) {
     // After fault injection a client may be gone; its user retries through a
     // neighbour's machine.
@@ -431,57 +322,41 @@ ClientNum Simulator::client_of(const Request& request, const Proxy& proxy) const
   return c;
 }
 
-void Simulator::account(ServedFrom where, double wasted_latency, double hop_latency) {
-  account_raw(where,
-              config_.latencies.request_latency(where) + wasted_latency + hop_latency,
-              wasted_latency, hop_latency);
+double Simulator::credit_of(const Proxy& proxy, ObjectNum object) const {
+  const double* stored = proxy.fetch_cost.find(object);
+  return stored != nullptr ? *stored : config_.latencies.fetch_cost(ServedFrom::kOriginServer);
 }
 
-void Simulator::account_raw(ServedFrom where, double latency, double wasted_latency,
-                            double hop_latency) {
-  // Timeouts from injected P2P losses belong to the request in flight: fold
-  // them into its latency as waste and clear the queue.
-  if (pending_loss_waste_ != 0.0) {
-    latency += pending_loss_waste_;
-    wasted_latency += pending_loss_waste_;
-    pending_loss_waste_ = 0.0;
-  }
-  inst_.requests.inc();
+void Simulator::account(Outcomes& out, ServedFrom where, double base, double waste, double hop,
+                        double loss_waste) {
+  const double latency = base + waste + hop + loss_waste;
+  const double wasted = waste + loss_waste;
+  out.requests.inc();
   switch (where) {
-    case ServedFrom::kBrowser: inst_.hits_browser.inc(); break;
-    case ServedFrom::kLocalProxy: inst_.hits_local_proxy.inc(); break;
-    case ServedFrom::kLocalP2P: inst_.hits_local_p2p.inc(); break;
-    case ServedFrom::kRemoteProxy: inst_.hits_remote_proxy.inc(); break;
-    case ServedFrom::kRemoteP2P: inst_.hits_remote_p2p.inc(); break;
-    case ServedFrom::kOriginServer: inst_.server_fetches.inc(); break;
+    case ServedFrom::kBrowser: out.hits_browser.inc(); break;
+    case ServedFrom::kLocalProxy: out.hits_local_proxy.inc(); break;
+    case ServedFrom::kLocalP2P: out.hits_local_p2p.inc(); break;
+    case ServedFrom::kRemoteProxy: out.hits_remote_proxy.inc(); break;
+    case ServedFrom::kRemoteP2P: out.hits_remote_p2p.inc(); break;
+    case ServedFrom::kOriginServer: out.server_fetches.inc(); break;
   }
-  inst_.total_latency.add(latency);
-  inst_.wasted_p2p_latency.add(wasted_latency);
-  inst_.p2p_hop_latency_total.add(hop_latency);
-  inst_.latency_hist.add(latency);
+  out.total_latency.add(latency);
+  out.wasted_p2p_latency.add(wasted);
+  out.p2p_hop_latency_total.add(hop);
+  out.latency_hist.add(latency);
   // Optional layers: the tracer records the request-level event, tick()
   // advances the snapshot clock. Both compile to nothing under
   // WEBCACHE_OBS_NO_TRACE and cost one predictable branch otherwise.
-  registry_->record(now_, static_cast<std::uint32_t>(where), latency, wasted_latency);
-  registry_->tick();
+  out.registry.record(now_, static_cast<std::uint32_t>(where), latency, wasted);
+  out.registry.tick();
 }
 
-bool Simulator::browser_lookup(const Request& request, unsigned proxy_index) {
-  Proxy& proxy = proxies_[proxy_index];
-  if (proxy.browsers.empty()) return false;
-  auto& browser = *proxy.browsers[request.client % config_.clients_per_cluster];
-  if (!browser.contains(request.object)) return false;
-  browser.access(request.object, 0.0);
-  account(ServedFrom::kBrowser, 0.0);
-  return true;
-}
-
-void Simulator::browser_fill(const Request& request, unsigned proxy_index) {
-  Proxy& proxy = proxies_[proxy_index];
+void Simulator::browser_fill(unsigned cluster, ClientNum raw_client, ObjectNum object) {
+  Proxy& proxy = proxies_[cluster];
   if (proxy.browsers.empty()) return;
-  auto& browser = *proxy.browsers[request.client % config_.clients_per_cluster];
-  if (!browser.contains(request.object)) {
-    browser.insert(request.object, 0.0);  // private cache; evictions vanish
+  auto& browser = *proxy.browsers[raw_client % config_.clients_per_cluster];
+  if (!browser.contains(object)) {
+    browser.insert(object, 0.0);  // private cache; evictions vanish
   }
 }
 
@@ -490,6 +365,7 @@ void Simulator::apply_churn(const fault::ChurnEvent& event) {
     throw std::invalid_argument("Simulator: failure event references unknown proxy");
   }
   Proxy& proxy = proxies_[event.proxy];
+  Outcomes& out = *proxy.out;
   switch (event.action) {
     case fault::ChurnAction::kCrash: {
       const ClientNum target = event.client % proxy.p2p->cluster_size();
@@ -502,32 +378,32 @@ void Simulator::apply_churn(const fault::ChurnEvent& event) {
       // proxy's directory is NOT told (that is the point of the experiment)
       // — it discovers the losses through failed lookups.
       const auto lost = proxy.p2p->fail_client(target);
-      inst_.fault_crashes.inc();
-      inst_.fault_objects_lost.inc(lost.size());
+      out.fault_crashes.inc();
+      out.fault_objects_lost.inc(lost.size());
       break;
     }
     case fault::ChurnAction::kRejoin: {
       const ClientNum target = event.client % proxy.p2p->cluster_size();
-      if (proxy.p2p->revive_client(target)) inst_.fault_rejoins.inc();
+      if (proxy.p2p->revive_client(target)) out.fault_rejoins.inc();
       break;
     }
     case fault::ChurnAction::kJoin:
       (void)proxy.p2p->add_client();
-      inst_.fault_joins.inc();
+      out.fault_joins.inc();
       break;
     case fault::ChurnAction::kRepair:
       proxy.p2p->repair();
-      inst_.fault_repairs.inc();
+      out.fault_repairs.inc();
       break;
   }
 }
 
-void Simulator::maybe_lose_p2p_message() {
-  if (!loss_.enabled()) return;
-  if (loss_.lose_message()) {
-    msg_.p2p_messages_lost.inc();
-    msg_.p2p_retries.inc();
-    pending_loss_waste_ += config_.latencies.loss_retry_penalty();
+void Simulator::maybe_lose_p2p_message(Proxy& proxy, double& loss_waste) {
+  if (!proxy.loss->enabled()) return;
+  if (proxy.loss->lose_message()) {
+    proxy.out->msg.p2p_messages_lost.inc();
+    proxy.out->msg.p2p_retries.inc();
+    loss_waste += config_.latencies.loss_retry_penalty();
   }
 }
 
@@ -552,11 +428,7 @@ Metrics Simulator::run() {
       const Request& request = win[i];
       churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
       now_ = t;
-      const auto proxy_index = static_cast<unsigned>(t % config_.num_proxies);
-      if (!browser_lookup(request, proxy_index)) {
-        step(request, proxy_index);
-        browser_fill(request, proxy_index);
-      }
+      serve(t, request, static_cast<unsigned>(t % config_.num_proxies));
       if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
         config_.checkpoint_hook(*this, t + 1);
         checked_at_end = t + 1 == total;
@@ -574,177 +446,215 @@ Metrics Simulator::run() {
 
 Metrics Simulator::metrics_view() const {
   Metrics m;
-  m.requests = inst_.requests.value();
-  m.hits_browser = inst_.hits_browser.value();
-  m.hits_local_proxy = inst_.hits_local_proxy.value();
-  m.hits_local_p2p = inst_.hits_local_p2p.value();
-  m.hits_remote_proxy = inst_.hits_remote_proxy.value();
-  m.hits_remote_p2p = inst_.hits_remote_p2p.value();
-  m.server_fetches = inst_.server_fetches.value();
-  m.total_latency = inst_.total_latency.value();
-  m.wasted_p2p_latency = inst_.wasted_p2p_latency.value();
-  m.p2p_hop_latency_total = inst_.p2p_hop_latency_total.value();
-  m.p2p_hops = inst_.p2p_hops;
+  m.requests = out_.requests.value();
+  m.hits_browser = out_.hits_browser.value();
+  m.hits_local_proxy = out_.hits_local_proxy.value();
+  m.hits_local_p2p = out_.hits_local_p2p.value();
+  m.hits_remote_proxy = out_.hits_remote_proxy.value();
+  m.hits_remote_p2p = out_.hits_remote_p2p.value();
+  m.server_fetches = out_.server_fetches.value();
+  m.total_latency = out_.total_latency.value();
+  m.wasted_p2p_latency = out_.wasted_p2p_latency.value();
+  m.p2p_hop_latency_total = out_.p2p_hop_latency_total.value();
+  m.p2p_hops = out_.p2p_hops;
   // Simulator-level protocol messages plus each cluster's P2P substrate
   // traffic; the increment sets are disjoint, so the merge is a plain sum.
-  m.messages = msg_.view();
+  m.messages = out_.msg.view();
   for (const auto& proxy : proxies_) {
     if (proxy.p2p) m.messages.merge(proxy.p2p->messages());
   }
   return m;
 }
 
-void Simulator::step(const Request& request, unsigned proxy_index) {
+void Simulator::serve(std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& proxy = proxies_[cluster];
+  if (!proxy.browsers.empty()) {
+    auto& browser = *proxy.browsers[request.client % config_.clients_per_cluster];
+    if (browser.contains(request.object)) {
+      browser.access(request.object, 0.0);
+      account(*proxy.out, ServedFrom::kBrowser,
+              config_.latencies.request_latency(ServedFrom::kBrowser));
+      return;
+    }
+  }
   switch (config_.scheme) {
     case Scheme::kNC:
     case Scheme::kSC:
     case Scheme::kFC:
-      step_basic(request, proxy_index);
+      step_basic(t, request, cluster);
       break;
     case Scheme::kNC_EC:
     case Scheme::kSC_EC:
-      step_tiered_ec(request, proxy_index);
+      step_tiered_ec(t, request, cluster);
       break;
     case Scheme::kFC_EC:
-      step_fc_ec(request, proxy_index);
+      step_fc_ec(request, cluster);
       break;
     case Scheme::kHierGD:
-      step_hier_gd(request, proxy_index);
+      if (!step_hier_gd(t, request, cluster)) return;
       break;
     case Scheme::kSquirrel:
-      step_squirrel(request, proxy_index);
+      step_squirrel(request, cluster);
       break;
+  }
+  browser_fill(cluster, request.client, request.object);
+}
+
+// --- engine seams ----------------------------------------------------------------
+
+void Simulator::mark(CoopSet set, ObjectNum object, unsigned cluster, bool present) {
+  if (sharded_) {
+    sharded_->lanes[cluster]->log.push_back({object, set, present});
+  } else if (set != kDir) {
+    if (present) {
+      coop_[set].set(object, cluster);
+    } else {
+      coop_[set].reset(object, cluster);
+    }
+  }
+}
+
+bool Simulator::remote(RemoteOp& op) {
+  if (sharded_) {
+    sharded_->outbox[op.source % sharded_->shards].push_back(op);
+    return false;
+  }
+  apply_remote(op);
+  return true;
+}
+
+void Simulator::apply_remote(RemoteOp& op) {
+  Proxy& holder = proxies_[op.target];
+  const double refetch = config_.latencies.fetch_cost(ServedFrom::kOriginServer);
+  // A sharded requester read an epoch-start digest: the advertised copy may
+  // have left since, and the refresh is then a no-op (the requester's
+  // outcome stands).
+  switch (op.kind) {
+    case RemoteOp::Kind::kProxyAccess:
+      if (holder.cache->contains(op.object)) holder.cache->access(op.object, refetch);
+      break;
+    case RemoteOp::Kind::kTieredRefresh:
+      if (holder.tiered->locate(op.object) != TieredCache::Where::kMiss) {
+        holder.tiered->refresh(op.object, refetch);
+      }
+      break;
+    case RemoteOp::Kind::kGdAccess:
+      if (holder.gd->contains(op.object)) {
+        holder.gd->access(op.object, credit_of(holder, op.object));
+      }
+      break;
+    case RemoteOp::Kind::kPushFetch: {
+      const auto fetched = holder.p2p->fetch(op.object, client_of(op.raw_client, holder),
+                                             /*remove_on_hit=*/false);
+      op.hit = fetched.hit;
+      op.hops = fetched.hops;
+      if (!fetched.hit && config_.directory == DirectoryKind::kExact) {
+        holder.dir->remove(op.object);
+        mark(kDir, op.object, op.target, false);
+      }
+      break;
+    }
   }
 }
 
 // --- NC / SC / FC ------------------------------------------------------------
 
-void Simulator::step_basic(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_basic(std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
+  const auto& lat = config_.latencies;
 
   // Clairvoyant bookkeeping: this request is no longer in the future.
   if (coordinator_) coordinator_->consume(object);
 
   if (local.cache->contains(object)) {
-    local.cache->access(object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-    account(ServedFrom::kLocalProxy, 0.0);
+    local.cache->access(object, lat.fetch_cost(ServedFrom::kOriginServer));
+    account(*local.out, ServedFrom::kLocalProxy, lat.request_latency(ServedFrom::kLocalProxy));
     return;
   }
 
   ServedFrom served = ServedFrom::kOriginServer;
-  if (proxies_cooperate(config_.scheme)) {
-    if (residency_enabled_) {
-      const int holder = first_remote_holder(residency_mask(res_primary_, object),
-                                             proxy_index);
-      if (holder >= 0) {
-        proxies_[static_cast<unsigned>(holder)].cache->access(
-            object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-        served = ServedFrom::kRemoteProxy;
-      }
-    } else {
-      for (unsigned q = 1; q < config_.num_proxies; ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        if (remote.cache->contains(object)) {
-          remote.cache->access(object,
-                               config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-          served = ServedFrom::kRemoteProxy;
-          break;
-        }
-      }
-    }
+  if (const int holder = coop_[kPrimary].first_in_ring(object, cluster); holder >= 0) {
+    RemoteOp op{.pos = t,
+                .object = object,
+                .source = cluster,
+                .target = static_cast<std::uint32_t>(holder),
+                .kind = RemoteOp::Kind::kProxyAccess};
+    (void)remote(op);
+    served = ServedFrom::kRemoteProxy;
   }
 
   // SC always copies what it fetched; FC's cost-benefit policy may decline.
-  const auto ins = local.cache->insert(object, config_.latencies.fetch_cost(served));
-  if (residency_enabled_ && ins.inserted) {
-    residency_set(res_primary_, object, proxy_index);
-    if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
+  const auto ins = local.cache->insert(object, lat.fetch_cost(served));
+  if (proxies_cooperate(config_.scheme) && ins.inserted) {
+    mark(kPrimary, object, cluster, true);
+    if (ins.evicted) mark(kPrimary, *ins.evicted, cluster, false);
   }
-  account(served, 0.0);
+  account(*local.out, served, lat.request_latency(served));
 }
 
 // --- NC-EC / SC-EC ------------------------------------------------------------
 
-void Simulator::step_tiered_ec(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_tiered_ec(std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
-  const double refetch = config_.latencies.fetch_cost(ServedFrom::kOriginServer);
+  const auto& lat = config_.latencies;
 
   const auto where = local.tiered->locate(object);
   if (where != TieredCache::Where::kMiss) {
-    local.tiered->access(object, refetch);
-    account(where == TieredCache::Where::kTier1 ? ServedFrom::kLocalProxy
-                                                : ServedFrom::kLocalP2P,
-            0.0);
+    local.tiered->access(object, lat.fetch_cost(ServedFrom::kOriginServer));
+    const ServedFrom from = where == TieredCache::Where::kTier1 ? ServedFrom::kLocalProxy
+                                                               : ServedFrom::kLocalP2P;
+    account(*local.out, from, lat.request_latency(from));
     return;
   }
 
+  // SC-EC: prefer a remote proxy hit (Tc) over a remote P2P hit (Tc + Tp2p),
+  // where the remote cluster's client cache pushes the object up through its
+  // own proxy. Either way the holder refreshes its copy in place.
   ServedFrom served = ServedFrom::kOriginServer;
-  if (config_.scheme == Scheme::kSC_EC) {
-    // Prefer a remote proxy hit (Tc) over a remote P2P hit (Tc + Tp2p).
-    Proxy* tier2_holder = nullptr;
-    if (residency_enabled_) {
-      const int t1 = first_remote_holder(residency_mask(res_primary_, object), proxy_index);
-      if (t1 >= 0) {
-        proxies_[static_cast<unsigned>(t1)].tiered->refresh(object, refetch);
-        served = ServedFrom::kRemoteProxy;
-      } else {
-        const int t2 =
-            first_remote_holder(residency_mask(res_secondary_, object), proxy_index);
-        if (t2 >= 0) tier2_holder = &proxies_[static_cast<unsigned>(t2)];
-      }
-    } else {
-      for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-           ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        switch (remote.tiered->locate(object)) {
-          case TieredCache::Where::kTier1:
-            remote.tiered->refresh(object, refetch);
-            served = ServedFrom::kRemoteProxy;
-            break;
-          case TieredCache::Where::kTier2:
-            if (tier2_holder == nullptr) tier2_holder = &remote;
-            break;
-          case TieredCache::Where::kMiss:
-            break;
-        }
-      }
-    }
-    if (served == ServedFrom::kOriginServer && tier2_holder != nullptr) {
-      // Push protocol: the remote cluster's client cache pushes the object
-      // up through its own proxy.
-      tier2_holder->tiered->refresh(object, refetch);
-      served = ServedFrom::kRemoteP2P;
-      msg_.push_requests.inc();
-      msg_.push_transfers.inc();
-    }
+  int holder = coop_[kPrimary].first_in_ring(object, cluster);
+  if (holder >= 0) {
+    served = ServedFrom::kRemoteProxy;
+  } else if ((holder = coop_[kSecondary].first_in_ring(object, cluster)) >= 0) {
+    served = ServedFrom::kRemoteP2P;
+    local.out->msg.push_requests.inc();
+    local.out->msg.push_transfers.inc();
+  }
+  if (holder >= 0) {
+    RemoteOp op{.pos = t,
+                .object = object,
+                .source = cluster,
+                .target = static_cast<std::uint32_t>(holder),
+                .kind = RemoteOp::Kind::kTieredRefresh};
+    (void)remote(op);
   }
 
-  local.tiered->admit(object, config_.latencies.fetch_cost(served));
-  account(served, 0.0);
+  local.tiered->admit(object, lat.fetch_cost(served));  // the transition hook marks
+  account(*local.out, served, lat.request_latency(served));
 }
 
 // --- FC-EC ---------------------------------------------------------------------
 
-void Simulator::track_tier1(unsigned proxy_index, ObjectNum object) {
-  Proxy& proxy = proxies_[proxy_index];
+void Simulator::track_tier1(unsigned cluster, ObjectNum object) {
+  Proxy& proxy = proxies_[cluster];
   if (proxy.tier_tracker->contains(object)) {
     proxy.tier_tracker->access(object, 0.0);
-  } else {
-    const auto ins = proxy.tier_tracker->insert(object, 0.0);
-    if (residency_enabled_ && ins.inserted) {
-      residency_set(res_primary_, object, proxy_index);
-      // The tracker's LRU evictee demotes to tier-2 residence (it is still
-      // in the unified cache, i.e. still in res_secondary_).
-      if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
-    }
+    return;
+  }
+  const auto ins = proxy.tier_tracker->insert(object, 0.0);
+  if (ins.inserted) {
+    mark(kPrimary, object, cluster, true);
+    // The tracker's LRU evictee demotes to tier-2 residence (it is still in
+    // the unified cache, i.e. still in kSecondary).
+    if (ins.evicted) mark(kPrimary, *ins.evicted, cluster, false);
   }
 }
 
-void Simulator::step_fc_ec(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+void Simulator::step_fc_ec(const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
+  const auto& lat = config_.latencies;
 
   // Clairvoyant bookkeeping: this request is no longer in the future.
   coordinator_->consume(object);
@@ -752,246 +662,245 @@ void Simulator::step_fc_ec(const Request& request, unsigned proxy_index) {
   if (local.unified->contains(object)) {
     const bool tier1 = local.tier_tracker->contains(object);
     local.unified->access(object, 0.0);
-    track_tier1(proxy_index, object);  // tier-2 hits promote into proxy residence
-    account(tier1 ? ServedFrom::kLocalProxy : ServedFrom::kLocalP2P, 0.0);
+    track_tier1(cluster, object);  // tier-2 hits promote into proxy residence
+    const ServedFrom from = tier1 ? ServedFrom::kLocalProxy : ServedFrom::kLocalP2P;
+    account(*local.out, from, lat.request_latency(from));
     return;
   }
 
+  // Tracker membership is a subset of unified membership, so kPrimary alone
+  // identifies remote tier-1 holders. The unified-cache scan runs only when
+  // no remote cluster tracks the object, so every remote holder it finds is
+  // a tier-2 one.
   ServedFrom served = ServedFrom::kOriginServer;
-  Proxy* tier2_holder = nullptr;
-  if (residency_enabled_) {
-    // Tracker membership is a subset of unified membership, so res_primary_
-    // alone identifies remote tier-1 holders.
-    const int t1 = first_remote_holder(residency_mask(res_primary_, object), proxy_index);
-    if (t1 >= 0) {
-      proxies_[static_cast<unsigned>(t1)].unified->access(object, 0.0);
-      served = ServedFrom::kRemoteProxy;
-    } else {
-      const int t2 = first_remote_holder(
-          residency_mask(res_secondary_, object) & ~residency_mask(res_primary_, object),
-          proxy_index);
-      if (t2 >= 0) tier2_holder = &proxies_[static_cast<unsigned>(t2)];
-    }
-  } else {
-    for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-         ++q) {
-      Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-      if (!remote.unified->contains(object)) continue;
-      if (remote.tier_tracker->contains(object)) {
-        remote.unified->access(object, 0.0);
-        served = ServedFrom::kRemoteProxy;
-      } else if (tier2_holder == nullptr) {
-        tier2_holder = &remote;
-      }
-    }
-  }
-  if (served == ServedFrom::kOriginServer && tier2_holder != nullptr) {
-    tier2_holder->unified->access(object, 0.0);
+  int holder = coop_[kPrimary].first_in_ring(object, cluster);
+  if (holder >= 0) {
+    served = ServedFrom::kRemoteProxy;
+  } else if ((holder = coop_[kSecondary].first_in_ring(object, cluster)) >= 0) {
     served = ServedFrom::kRemoteP2P;
-    msg_.push_requests.inc();
-    msg_.push_transfers.inc();
+    local.out->msg.push_requests.inc();
+    local.out->msg.push_transfers.inc();
   }
+  if (holder >= 0) proxies_[static_cast<unsigned>(holder)].unified->access(object, 0.0);
 
-  const auto ins = local.unified->insert(object, config_.latencies.fetch_cost(served));
+  const auto ins = local.unified->insert(object, lat.fetch_cost(served));
   if (ins.inserted) {
-    if (residency_enabled_) {
-      residency_set(res_secondary_, object, proxy_index);
-      if (ins.evicted) residency_clear(res_secondary_, *ins.evicted, proxy_index);
-    }
-    track_tier1(proxy_index, object);
+    mark(kSecondary, object, cluster, true);
+    if (ins.evicted) mark(kSecondary, *ins.evicted, cluster, false);
+    track_tier1(cluster, object);
     if (ins.evicted) {
       local.tier_tracker->erase(*ins.evicted);
-      if (residency_enabled_) residency_clear(res_primary_, *ins.evicted, proxy_index);
+      mark(kPrimary, *ins.evicted, cluster, false);
     }
   }
-  account(served, 0.0);
+  account(*local.out, served, lat.request_latency(served));
 }
 
 // --- Hier-GD ---------------------------------------------------------------------
 
-void Simulator::destage_hier_gd(Proxy& proxy, ObjectNum victim, ClientNum via_client) {
+void Simulator::destage_hier_gd(unsigned cluster, ObjectNum victim, ClientNum via_client,
+                                double& loss_waste) {
+  Proxy& proxy = proxies_[cluster];
+  Outcomes& out = *proxy.out;
   // Piggybacked on the HTTP response already going to via_client (Sec. 4.4).
-  msg_.destage_piggybacked.inc();
-  msg_.destage_bytes.inc();  // unit-size objects
+  out.msg.destage_piggybacked.inc();
+  out.msg.destage_bytes.inc();  // unit-size objects
 
-  const double* stored = proxy.fetch_cost.find(victim);
-  const double credit =
-      stored != nullptr ? *stored : config_.latencies.fetch_cost(ServedFrom::kOriginServer);
-  maybe_lose_p2p_message();  // the destage transfer itself may time out
+  const double credit = credit_of(proxy, victim);
+  maybe_lose_p2p_message(proxy, loss_waste);  // the destage transfer itself may time out
   const auto outcome = proxy.p2p->store(victim, credit, via_client);
-  inst_.p2p_hops.add(static_cast<double>(outcome.hops));
-  inst_.hops_hist.add(static_cast<double>(outcome.hops));
+  out.p2p_hops.add(static_cast<double>(outcome.hops));
+  out.hops_hist.add(static_cast<double>(outcome.hops));
 
   if (outcome.stored && !outcome.already_present) {
     proxy.dir->add(victim);
-    msg_.directory_adds.inc();
+    out.msg.directory_adds.inc();
+    mark(kDir, victim, cluster, true);
   }
   if (outcome.displaced) {
     proxy.dir->remove(*outcome.displaced);
-    msg_.directory_removes.inc();
+    out.msg.directory_removes.inc();
+    mark(kDir, *outcome.displaced, cluster, false);
   }
 }
 
-void Simulator::admit_hier_gd(unsigned proxy_index, ObjectNum object, double cost,
-                              ClientNum via_client) {
-  Proxy& proxy = proxies_[proxy_index];
+void Simulator::admit_hier_gd(unsigned cluster, ObjectNum object, double cost,
+                              ClientNum via_client, double& loss_waste) {
+  Proxy& proxy = proxies_[cluster];
+  // A sharded push completing in phase 2b can find the object already
+  // admitted by a later same-epoch request of its cluster (a local P2P hit);
+  // in trace order the push came first and that request was a plain hit.
+  // Honour the cache contract (insert() is only for uncached objects) by
+  // refreshing instead.
+  if (proxy.gd->contains(object)) {
+    const double* stored = proxy.fetch_cost.find(object);
+    proxy.gd->access(object, stored != nullptr ? *stored : cost);
+    return;
+  }
   proxy.fetch_cost[object] = cost;
   const auto ins = proxy.gd->insert(object, cost);
-  if (residency_enabled_ && ins.inserted) {
-    residency_set(res_primary_, object, proxy_index);
-    if (ins.evicted) residency_clear(res_primary_, *ins.evicted, proxy_index);
-  }
-  if (ins.inserted && ins.evicted) {
-    destage_hier_gd(proxy, *ins.evicted, via_client);
+  if (!ins.inserted) return;
+  mark(kPrimary, object, cluster, true);
+  if (ins.evicted) {
+    mark(kPrimary, *ins.evicted, cluster, false);
+    destage_hier_gd(cluster, *ins.evicted, via_client, loss_waste);
   }
 }
 
-void Simulator::step_hier_gd(const Request& request, unsigned proxy_index) {
-  Proxy& local = proxies_[proxy_index];
+bool Simulator::step_hier_gd(std::uint64_t t, const Request& request, unsigned cluster) {
+  Proxy& local = proxies_[cluster];
+  Outcomes& out = *local.out;
   const ObjectNum object = request.object;
-  const ClientNum client = client_of(request, local);
+  const auto& lat = config_.latencies;
+  const ClientNum client = client_of(request.client, local);
 
   // Local proxy cache.
   if (local.gd->contains(object)) {
-    const double* stored = local.fetch_cost.find(object);
-    local.gd->access(object, stored != nullptr
-                                 ? *stored
-                                 : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-    account(ServedFrom::kLocalProxy, 0.0);
-    return;
+    local.gd->access(object, credit_of(local, object));
+    account(out, ServedFrom::kLocalProxy, lat.request_latency(ServedFrom::kLocalProxy));
+    return true;
   }
 
   double waste = 0.0;
+  double loss_waste = 0.0;
   double hop_latency = 0.0;
 
   // Local P2P client cache, gated by the lookup directory.
   if (local.dir->may_contain(object)) {
-    maybe_lose_p2p_message();
+    maybe_lose_p2p_message(local, loss_waste);
     const auto fetched = local.p2p->fetch(object, client, /*remove_on_hit=*/true);
-    inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-    inst_.hops_hist.add(static_cast<double>(fetched.hops));
+    out.p2p_hops.add(static_cast<double>(fetched.hops));
+    out.hops_hist.add(static_cast<double>(fetched.hops));
     hop_latency += config_.p2p_hop_latency * fetched.hops;
     if (fetched.hit) {
-      msg_.directory_true_positives.inc();
+      out.msg.directory_true_positives.inc();
       local.dir->remove(object);
-      msg_.directory_removes.inc();
+      out.msg.directory_removes.inc();
+      mark(kDir, object, cluster, false);
       // Promote into the proxy; the proxy's eviction destages back down.
-      admit_hier_gd(proxy_index, object,
-                    config_.latencies.fetch_cost(ServedFrom::kLocalP2P), client);
-      account(ServedFrom::kLocalP2P, 0.0, hop_latency);
-      return;
+      admit_hier_gd(cluster, object, lat.fetch_cost(ServedFrom::kLocalP2P), client, loss_waste);
+      account(out, ServedFrom::kLocalP2P, lat.request_latency(ServedFrom::kLocalP2P), 0.0,
+              hop_latency, loss_waste);
+      return true;
     }
     // False positive (Bloom directory, or staleness after client failures):
     // the overlay round trip was wasted.
-    msg_.directory_false_positives.inc();
-    waste += config_.latencies.p2p_fetch();
+    out.msg.directory_false_positives.inc();
+    waste += lat.p2p_fetch();
     // An exact directory learns the truth from the failed lookup. A
     // counting-Bloom directory must NOT erase a key it never inserted —
     // that would corrupt shared counters into false negatives.
-    if (config_.directory == DirectoryKind::kExact) local.dir->remove(object);
+    if (config_.directory == DirectoryKind::kExact) {
+      local.dir->remove(object);
+      mark(kDir, object, cluster, false);
+    }
   }
 
   // Cooperating proxies: their caches first (cheaper), then their P2P
   // client caches via the push protocol (Sec. 4.5).
   ServedFrom served = ServedFrom::kOriginServer;
-  Proxy* push_holder = nullptr;
-  ClientNum push_client = 0;
-  if (residency_enabled_) {
-    const int holder = first_remote_holder(residency_mask(res_primary_, object),
-                                           proxy_index);
-    if (holder >= 0) {
-      Proxy& remote = proxies_[static_cast<unsigned>(holder)];
-      const double* stored = remote.fetch_cost.find(object);
-      remote.gd->access(object,
-                        stored != nullptr
-                            ? *stored
-                            : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-      served = ServedFrom::kRemoteProxy;
-    } else {
-      // No remote proxy holds it: the push candidate is the first cluster in
-      // ring order whose directory answers positively (exactly what the
-      // historical full scan selected when every gd probe missed).
-      for (unsigned q = 1; q < config_.num_proxies; ++q) {
-        Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-        if (remote.dir->may_contain(object)) {
-          push_holder = &remote;
-          push_client = client_of(request, remote);
-          break;
-        }
-      }
-    }
+  if (const int holder = coop_[kPrimary].first_in_ring(object, cluster); holder >= 0) {
+    RemoteOp op{.pos = t,
+                .object = object,
+                .source = cluster,
+                .target = static_cast<std::uint32_t>(holder),
+                .kind = RemoteOp::Kind::kGdAccess};
+    (void)remote(op);
+    served = ServedFrom::kRemoteProxy;
   } else {
-    for (unsigned q = 1; q < config_.num_proxies && served == ServedFrom::kOriginServer;
-         ++q) {
-      Proxy& remote = proxies_[(proxy_index + q) % config_.num_proxies];
-      if (remote.gd->contains(object)) {
-        const double* stored = remote.fetch_cost.find(object);
-        remote.gd->access(object,
-                          stored != nullptr
-                              ? *stored
-                              : config_.latencies.fetch_cost(ServedFrom::kOriginServer));
-        served = ServedFrom::kRemoteProxy;
-      } else if (push_holder == nullptr && remote.dir->may_contain(object)) {
-        push_holder = &remote;
-        push_client = client_of(request, remote);
+    // The push candidate is the first cluster in ring order whose directory
+    // has the object. The sharded engine reads the directory digest; the
+    // sequential engine asks each remote directory in turn, which counts
+    // its lookups and sees a Bloom directory's false positives.
+    int push_to = -1;
+    if (sharded_) {
+      push_to = coop_[kDir].first_in_ring(object, cluster);
+    } else {
+      for (unsigned q = 1; q < config_.num_proxies && push_to < 0; ++q) {
+        const unsigned r = (cluster + q) % config_.num_proxies;
+        if (proxies_[r].dir->may_contain(object)) push_to = static_cast<int>(r);
       }
     }
-  }
-
-  if (served == ServedFrom::kOriginServer && push_holder != nullptr) {
-    msg_.push_requests.inc();
-    maybe_lose_p2p_message();
-    const auto fetched = push_holder->p2p->fetch(object, push_client, /*remove_on_hit=*/false);
-    inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-    inst_.hops_hist.add(static_cast<double>(fetched.hops));
-    hop_latency += config_.p2p_hop_latency * fetched.hops;
-    if (fetched.hit) {
-      msg_.push_transfers.inc();
-      msg_.directory_true_positives.inc();
-      served = ServedFrom::kRemoteP2P;
-    } else {
-      msg_.directory_false_positives.inc();
-      waste += config_.latencies.proxy_to_proxy() + config_.latencies.p2p_fetch();
-      if (config_.directory == DirectoryKind::kExact) push_holder->dir->remove(object);
+    if (push_to >= 0) {
+      out.msg.push_requests.inc();
+      maybe_lose_p2p_message(local, loss_waste);
+      RemoteOp op{.pos = t,
+                  .object = object,
+                  .source = cluster,
+                  .target = static_cast<std::uint32_t>(push_to),
+                  .kind = RemoteOp::Kind::kPushFetch,
+                  .raw_client = request.client,
+                  .waste = waste,
+                  .loss_waste = loss_waste,
+                  .hop_latency = hop_latency};
+      if (!remote(op)) return false;  // phase 2b completes the request
+      finish_push(op);
+      return true;
     }
   }
 
-  admit_hier_gd(proxy_index, object, config_.latencies.fetch_cost(served), client);
-  account(served, waste, hop_latency);
+  admit_hier_gd(cluster, object, lat.fetch_cost(served), client, loss_waste);
+  account(out, served, lat.request_latency(served), waste, hop_latency, loss_waste);
+  return true;
+}
+
+void Simulator::finish_push(const RemoteOp& op) {
+  Proxy& local = proxies_[op.source];
+  Outcomes& out = *local.out;
+  const auto& lat = config_.latencies;
+  out.p2p_hops.add(static_cast<double>(op.hops));
+  out.hops_hist.add(static_cast<double>(op.hops));
+  const double hop_latency = op.hop_latency + config_.p2p_hop_latency * op.hops;
+
+  double waste = op.waste;
+  ServedFrom served = ServedFrom::kOriginServer;
+  if (op.hit) {
+    out.msg.push_transfers.inc();
+    out.msg.directory_true_positives.inc();
+    served = ServedFrom::kRemoteP2P;
+  } else {
+    out.msg.directory_false_positives.inc();
+    waste += lat.proxy_to_proxy() + lat.p2p_fetch();
+  }
+
+  double loss_waste = op.loss_waste;
+  admit_hier_gd(op.source, op.object, lat.fetch_cost(served), client_of(op.raw_client, local),
+                loss_waste);
+  account(out, served, lat.request_latency(served), waste, hop_latency, loss_waste);
 }
 
 // --- Squirrel (extension) -------------------------------------------------------
 
-void Simulator::step_squirrel(const Request& request, unsigned proxy_index) {
-  Proxy& org = proxies_[proxy_index];
+void Simulator::step_squirrel(const Request& request, unsigned cluster) {
+  Proxy& org = proxies_[cluster];
+  Outcomes& out = *org.out;
   const ObjectNum object = request.object;
-  const ClientNum client = client_of(request, org);
+  const auto& lat = config_.latencies;
+  const ClientNum client = client_of(request.client, org);
 
   // The requesting client routes straight to the object's home node. A home
   // hit serves at LAN cost; on a miss the home node fetches from the origin
   // server, caches the object (home-store model) and forwards it.
-  maybe_lose_p2p_message();
+  double loss_waste = 0.0;
+  maybe_lose_p2p_message(org, loss_waste);
   const auto fetched = org.p2p->fetch(object, client, /*remove_on_hit=*/false);
-  inst_.p2p_hops.add(static_cast<double>(fetched.hops));
-  inst_.hops_hist.add(static_cast<double>(fetched.hops));
+  out.p2p_hops.add(static_cast<double>(fetched.hops));
+  out.hops_hist.add(static_cast<double>(fetched.hops));
   const double hop_latency = config_.p2p_hop_latency * fetched.hops;
 
   if (fetched.hit) {
-    account_raw(ServedFrom::kLocalP2P, config_.latencies.p2p_fetch() + hop_latency,
-                /*wasted_latency=*/0.0, hop_latency);
+    account(out, ServedFrom::kLocalP2P, lat.p2p_fetch(), 0.0, hop_latency, loss_waste);
     return;
   }
   // The home-store leg may also time out; draw it before accounting so its
-  // retry penalty lands on this request, not the next one.
-  maybe_lose_p2p_message();
-  account_raw(ServedFrom::kOriginServer,
-              config_.latencies.p2p_fetch() + config_.latencies.server() + hop_latency,
-              /*wasted_latency=*/0.0, hop_latency);
+  // retry penalty lands on this request.
+  maybe_lose_p2p_message(org, loss_waste);
+  account(out, ServedFrom::kOriginServer, lat.p2p_fetch() + lat.server(), 0.0, hop_latency,
+          loss_waste);
   // The home node stores the object with its refetch cost as the credit.
   // (store() routes again from the client; the message count conservatively
   // includes both legs.)
-  (void)org.p2p->store(object, config_.latencies.fetch_cost(net::ServedFrom::kOriginServer),
-                       client);
+  (void)org.p2p->store(object, lat.fetch_cost(ServedFrom::kOriginServer), client);
 }
 
 Metrics run_simulation(const SimConfig& config, const workload::Trace& trace) {

@@ -22,7 +22,7 @@
 //                 and the push protocol for remote access.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,6 +41,7 @@
 #include "net/latency_model.hpp"
 #include "obs/registry.hpp"
 #include "p2p/p2p_client_cache.hpp"
+#include "sim/cluster_sets.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scheme.hpp"
 #include "sim/tiered_cache.hpp"
@@ -164,9 +165,8 @@ struct SimConfig {
   /// engine because remote lookups consult epoch-start digests (see README
   /// "Sharded runs"). Configurations whose semantics are inherently global
   /// — FC/FC-EC (clairvoyant coordinator), interval snapshots, the event
-  /// tracer, checkpoint/audit hooks, a single proxy, or cooperative runs
-  /// with > 256 proxies (the cooperation digests are fixed 256-bit
-  /// ClusterBitsets) — fall back to the sequential engine at any value.
+  /// tracer, checkpoint/audit hooks, or a single proxy — fall back to the
+  /// sequential engine at any value.
   unsigned sim_shards = 0;
   /// Digest refresh period of the sharded engine, in trace positions
   /// (0 = default, 8192). A semantic parameter of the sharded engine:
@@ -218,18 +218,20 @@ class Simulator {
   [[nodiscard]] const cache::LruCache* tier_tracker_of(unsigned proxy) const;
   [[nodiscard]] const cache::LruCache* browser_of(unsigned proxy, ClientNum client) const;
   [[nodiscard]] const DenseMap<double>* fetch_costs_of(unsigned proxy) const;
-  [[nodiscard]] bool residency_index_enabled() const { return residency_enabled_; }
-  [[nodiscard]] std::uint64_t residency_primary(ObjectNum object) const {
-    return residency_mask(res_primary_, object);
-  }
-  [[nodiscard]] std::uint64_t residency_secondary(ObjectNum object) const {
-    return residency_mask(res_secondary_, object);
-  }
-  /// Upper bound (exclusive) on object ids with possibly non-zero residency.
-  [[nodiscard]] ObjectNum residency_universe() const {
-    return static_cast<ObjectNum>(std::max(res_primary_.size(), res_secondary_.size()));
-  }
-  [[nodiscard]] const fault::ChurnEngine& churn() const { return churn_; }
+  /// Distinct objects of the trace (object ids run below it).
+  [[nodiscard]] ObjectNum universe() const { return source_->distinct_objects(); }
+
+  /// The cooperation index's sets; what each holds is per scheme:
+  ///   SC / FC    kPrimary = proxy cache membership
+  ///   SC-EC      kPrimary = tier 1 (proxy), kSecondary = tier 2 (P2P)
+  ///   FC-EC      kPrimary = tier tracker, kSecondary = unified cache
+  ///   Hier-GD    kPrimary = proxy cache membership, kDir = clusters whose
+  ///              lookup directory registered the object (sharded engine only)
+  /// Non-cooperative schemes leave every set empty.
+  enum CoopSet : std::uint8_t { kPrimary, kSecondary, kDir };
+  /// Live in the sequential engine; the epoch-start digests in the sharded
+  /// engine.
+  [[nodiscard]] const ClusterSets& residency(CoopSet set) const { return coop_[set]; }
 
   /// True when `config` actually runs the sharded engine at sim_shards >= 1;
   /// false means any sim_shards value falls back to the sequential engine
@@ -239,96 +241,12 @@ class Simulator {
  private:
   friend struct ShardedRunEngine;  ///< the sharded run loop (sharded_run.cpp)
 
-  struct Proxy {
-    // NC / SC / FC
-    std::unique_ptr<cache::Cache> cache;
-    // NC-EC / SC-EC
-    std::unique_ptr<TieredCache> tiered;
-    // FC-EC
-    std::unique_ptr<cache::CostBenefitCache> unified;
-    std::unique_ptr<cache::LruCache> tier_tracker;
-    // Hier-GD (greedy-dual unless SimConfig::proxy_policy overrides it)
-    std::unique_ptr<cache::Cache> gd;
-    std::unique_ptr<p2p::P2PClientCache> p2p;
-    std::unique_ptr<directory::LookupDirectory> dir;
-    /// Last-paid retrieval cost per object (greedy-dual credits),
-    /// direct-indexed by the dense object id (sized to the trace universe).
-    DenseMap<double> fetch_cost;
-    /// Private browser caches, one per client (empty unless enabled).
-    std::vector<std::unique_ptr<cache::LruCache>> browsers;
-  };
-
-  void step(const Request& request, unsigned proxy_index);
-  /// Browser-cache front end: returns true when the request was absorbed.
-  bool browser_lookup(const Request& request, unsigned proxy_index);
-  void browser_fill(const Request& request, unsigned proxy_index);
-  /// Executes one due churn event (the ChurnEngine's dispatcher).
-  void apply_churn(const fault::ChurnEvent& event);
-  /// Draws one P2P transfer against the loss model; a loss queues an extra
-  /// Tp2p of wasted latency that account_raw folds into the current request.
-  void maybe_lose_p2p_message();
-  void step_basic(const Request& request, unsigned proxy_index);
-  void step_tiered_ec(const Request& request, unsigned proxy_index);
-  void step_fc_ec(const Request& request, unsigned proxy_index);
-  void step_hier_gd(const Request& request, unsigned proxy_index);
-  void step_squirrel(const Request& request, unsigned proxy_index);
-
-  // --- cluster residency index -------------------------------------------
-  // object → bitmask of proxies holding it, maintained from the step
-  // functions' insert/evict/erase results (plus the TieredCache transition
-  // hook), so the remote-lookup scans become one array read + a ring-ordered
-  // bit scan instead of per-proxy hash probes. Enabled for cooperating
-  // schemes with <= 64 proxies; the historical per-proxy probe loops remain
-  // as the fallback above that. What each mask means is per scheme:
-  //   SC / FC    res_primary_ = proxy cache membership
-  //   SC-EC      res_primary_ = tier 1 (proxy), res_secondary_ = tier 2 (P2P)
-  //   FC-EC      res_primary_ = tier tracker, res_secondary_ = unified cache
-  //              (tracker ⊆ unified; tier-2 candidates = unified & ~tracker)
-  //   Hier-GD    res_primary_ = proxy greedy-dual cache membership
-  [[nodiscard]] std::uint64_t residency_mask(const std::vector<std::uint64_t>& masks,
-                                             ObjectNum object) const {
-    return object < masks.size() ? masks[object] : 0;
-  }
-  void residency_set(std::vector<std::uint64_t>& masks, ObjectNum object, unsigned proxy) {
-    if (object >= masks.size()) masks.resize(object + 1, 0);
-    masks[object] |= std::uint64_t{1} << proxy;
-  }
-  void residency_clear(std::vector<std::uint64_t>& masks, ObjectNum object, unsigned proxy) {
-    if (object < masks.size()) masks[object] &= ~(std::uint64_t{1} << proxy);
-  }
-  /// First cooperating proxy in ring order (local+1, local+2, ... mod P)
-  /// whose bit is set; -1 when none. This is exactly the proxy the
-  /// historical scan loops selected.
-  [[nodiscard]] int first_remote_holder(std::uint64_t mask, unsigned local) const;
-
-  /// Records one served request: outcome counters + latency (+ waste and
-  /// per-hop charges). The latency charged is the model's request_latency
-  /// for `where` plus the waste and hop surcharges.
-  void account(net::ServedFrom where, double wasted_latency, double hop_latency = 0.0);
-  /// Same, but with an explicitly computed total latency (Squirrel's
-  /// proxy-less cost model differs from LatencyModel::request_latency).
-  void account_raw(net::ServedFrom where, double latency, double wasted_latency,
-                   double hop_latency);
-
-  /// Hier-GD: destages a proxy eviction into the P2P cache, piggybacked on
-  /// the response to `via_client`, and maintains the lookup directory.
-  void destage_hier_gd(Proxy& proxy, ObjectNum victim, ClientNum via_client);
-
-  /// Hier-GD: admits a fetched object into the proxy's greedy-dual cache.
-  void admit_hier_gd(unsigned proxy_index, ObjectNum object, double cost,
-                     ClientNum via_client);
-
-  /// Marks an object as recently proxy-resident for FC-EC attribution.
-  void track_tier1(unsigned proxy_index, ObjectNum object);
-
-  [[nodiscard]] ClientNum client_of(const Request& request, const Proxy& proxy) const;
-
-  /// The simulator's own request-outcome instruments ("sim.*"). Bound once
-  /// at construction; every served request costs a handful of
-  /// pointer-indirect increments, same order as the struct-member
-  /// increments they replaced.
-  struct Instruments {
-    Instruments(obs::Registry& registry, const net::LatencyModel& latencies);
+  /// Request outcomes ("sim.*", "fault.*") and simulator-level protocol
+  /// messages ("net.*"), bound once into one registry; every served request
+  /// costs a handful of pointer-indirect increments.
+  struct Outcomes {
+    Outcomes(obs::Registry& reg, const net::LatencyModel& latencies);
+    obs::Registry& registry;
     obs::Counter& requests;
     obs::Counter& hits_browser;
     obs::Counter& hits_local_proxy;
@@ -347,7 +265,90 @@ class Simulator {
     RunningStat& p2p_hops;
     Histogram& latency_hist;  ///< per-request total latency distribution
     Histogram& hops_hist;     ///< Pastry hops per P2P operation
+    net::MessageCounters msg;
   };
+
+  /// A request's touch of another cluster (defined in sim/sharded.hpp).
+  struct RemoteOp;
+
+  struct Proxy {
+    // NC / SC / FC
+    std::unique_ptr<cache::Cache> cache;
+    // NC-EC / SC-EC
+    std::unique_ptr<TieredCache> tiered;
+    // FC-EC
+    std::unique_ptr<cache::CostBenefitCache> unified;
+    std::unique_ptr<cache::LruCache> tier_tracker;
+    // Hier-GD (greedy-dual unless SimConfig::proxy_policy overrides it)
+    std::unique_ptr<cache::Cache> gd;
+    std::unique_ptr<p2p::P2PClientCache> p2p;
+    std::unique_ptr<directory::LookupDirectory> dir;
+    /// Last-paid retrieval cost per object (greedy-dual credits),
+    /// direct-indexed by the dense object id (sized to the trace universe).
+    DenseMap<double> fetch_cost;
+    /// Private browser caches, one per client (empty unless enabled).
+    std::vector<std::unique_ptr<cache::LruCache>> browsers;
+    /// Where this cluster's outcomes and loss draws go: the run's own in the
+    /// sequential engine, the cluster's lane in the sharded engine.
+    Outcomes* out = nullptr;
+    fault::LossModel* loss = nullptr;
+  };
+
+  /// Serves request `t` at `cluster`: the browser-cache front end, then the
+  /// scheme's step. A request whose completion the sharded engine deferred
+  /// (a Hier-GD push) gets its browser fill when phase 2b completes it.
+  void serve(std::uint64_t t, const Request& request, unsigned cluster);
+  void browser_fill(unsigned cluster, ClientNum raw_client, ObjectNum object);
+  /// Executes one due churn event (the ChurnEngine's dispatcher).
+  void apply_churn(const fault::ChurnEvent& event);
+  /// Draws one P2P transfer against the cluster's loss model; a loss adds an
+  /// extra Tp2p of wasted latency to the request-local `loss_waste`.
+  void maybe_lose_p2p_message(Proxy& proxy, double& loss_waste);
+  void step_basic(std::uint64_t t, const Request& request, unsigned cluster);
+  void step_tiered_ec(std::uint64_t t, const Request& request, unsigned cluster);
+  void step_fc_ec(const Request& request, unsigned cluster);
+  bool step_hier_gd(std::uint64_t t, const Request& request, unsigned cluster);
+  void step_squirrel(const Request& request, unsigned cluster);
+
+  // --- engine seams: the only places a step asks which engine runs ---------
+  /// Records that `cluster` gained (`present`) or lost `object` in `set`:
+  /// written through now in the sequential engine (which keeps no kDir), or
+  /// logged for the epoch barrier in the sharded engine.
+  void mark(CoopSet set, ObjectNum object, unsigned cluster, bool present);
+  /// A touch of another cluster's state. The sequential engine applies it
+  /// now and returns true; the sharded engine queues it for phase 2a and
+  /// returns false.
+  bool remote(RemoteOp& op);
+  /// Applies `op` to its target cluster; a push fetch records its outcome
+  /// in the op.
+  void apply_remote(RemoteOp& op);
+  /// Completes a Hier-GD push request once its remote fetch has applied:
+  /// accounting plus the local admit/destage chain (not the browser fill).
+  void finish_push(const RemoteOp& op);
+
+  /// Records one served request. `base` is the latency of where it was
+  /// served; waste, hop and loss surcharges add to it in that order.
+  void account(Outcomes& out, net::ServedFrom where, double base, double waste = 0.0,
+               double hop = 0.0, double loss_waste = 0.0);
+
+  /// Hier-GD: destages a proxy eviction into the P2P cache, piggybacked on
+  /// the response to `via_client`, and maintains the lookup directory.
+  void destage_hier_gd(unsigned cluster, ObjectNum victim, ClientNum via_client,
+                       double& loss_waste);
+
+  /// Hier-GD: admits a fetched object into the proxy's greedy-dual cache.
+  void admit_hier_gd(unsigned cluster, ObjectNum object, double cost, ClientNum via_client,
+                     double& loss_waste);
+
+  /// Hier-GD: the object's last-paid retrieval cost at `proxy`.
+  [[nodiscard]] double credit_of(const Proxy& proxy, ObjectNum object) const;
+
+  /// Marks an object as recently proxy-resident for FC-EC attribution.
+  void track_tier1(unsigned cluster, ObjectNum object);
+
+  /// The live client that issues a request from `raw` (the trace's client
+  /// id): its own machine, or the next live neighbour after churn.
+  [[nodiscard]] ClientNum client_of(ClientNum raw, const Proxy& proxy) const;
 
   /// Primary constructor: exactly one of `owned` / `external` is set; the
   /// public constructors forward here.
@@ -355,18 +356,16 @@ class Simulator {
             const workload::TraceSource* external);
 
   // --- intra-run sharding (sim/sharded_run.cpp) ----------------------------
-  /// All sharded-engine state: per-cluster lanes (accumulators, churn/loss
-  /// substreams, digest change logs, instrument index ranges), per-shard
-  /// registries, cooperation digests and the deferred-op outboxes. Null when
-  /// the sequential engine runs.
+  /// The sharded engine's state: per-cluster lanes (registry, outcomes,
+  /// churn/loss substreams, digest change log) and the per-shard outboxes.
+  /// Null when the sequential engine runs.
   struct ShardedState;
   /// The sharded run loop: per epoch, phase 1 (parallel local replay against
   /// epoch-start digests), phase 2a (apply inbound cross-cluster ops in trace
   /// order), phase 2b (complete own deferred requests), then a single-threaded
-  /// digest/outbox flush; finally folds every lane and shard registry into
-  /// the canonical registry in cluster order.
+  /// digest/outbox flush; finally merges every lane's registry into the
+  /// canonical one in cluster order.
   Metrics run_sharded();
-  void sharded_fold();
 
   SimConfig config_;
   std::unique_ptr<const workload::TraceSource> owned_source_;  ///< Trace-ctor adapter
@@ -376,17 +375,11 @@ class Simulator {
   std::vector<Proxy> proxies_;
   fault::ChurnEngine churn_;  ///< executes SimConfig::churn_events
   fault::LossModel loss_;
-  /// Wasted latency from P2P losses since the last account_raw; flushed into
-  /// the request in flight (losses only occur on its own transfers).
-  double pending_loss_waste_ = 0.0;
   std::shared_ptr<obs::Registry> registry_;  // never null after construction
-  Instruments inst_;
-  net::MessageCounters msg_;  ///< simulator-level protocol messages ("net.*")
-  std::uint64_t now_ = 0;     ///< trace position of the request in flight
+  Outcomes out_;
+  std::uint64_t now_ = 0;  ///< trace position of the request in flight
   bool ran_ = false;
-  bool residency_enabled_ = false;
-  std::vector<std::uint64_t> res_primary_;
-  std::vector<std::uint64_t> res_secondary_;
+  std::array<ClusterSets, 3> coop_;        ///< indexed by CoopSet
   std::unique_ptr<ShardedState> sharded_;  ///< non-null = sharded engine runs
 };
 

@@ -241,6 +241,28 @@ TEST(InvariantAudit, ReportsRealCheckCoverage) {
   EXPECT_GT(report.checks, 1'000u);  // walks caches, overlay, directory, ledger
 }
 
+// The residency and ghost-entry checks must not switch off once the proxy
+// count outgrows one 64-bit word: more proxies can only add checks.
+TEST(InvariantAudit, CoverageDoesNotShrinkAbove64Proxies) {
+  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
+  const auto trace = churn_trace(10'000, 3'000);
+  for (const auto scheme : {sim::Scheme::kSC, sim::Scheme::kFC_EC, sim::Scheme::kHierGD}) {
+    std::uint64_t checks[2] = {0, 0};
+    for (const unsigned proxies : {64U, 65U}) {
+      auto cfg = base_config(scheme);
+      cfg.num_proxies = proxies;
+      cfg.proxy_capacity = 20;
+      cfg.clients_per_cluster = 10;
+      sim::Simulator sim(cfg, trace);
+      (void)sim.run();
+      const auto report = fault::audit(sim, trace.size());
+      EXPECT_TRUE(report.ok()) << sim::to_string(scheme) << ": " << report.violations.front();
+      checks[proxies - 64] = report.checks;
+    }
+    EXPECT_GE(checks[1], checks[0]) << sim::to_string(scheme);
+  }
+}
+
 // --- differential oracles ---------------------------------------------------
 
 // Crashing clients can only lose cached bytes; a crash-only schedule must

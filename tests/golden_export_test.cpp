@@ -1,12 +1,11 @@
-// Golden exports for the greedy-dual schemes.
+// Golden exports for every scheme on both engines.
 //
 // Every other export test compares two runs of the current build with each
 // other (1 vs N shards, streamed vs in-memory), so a change that moves the
 // simulator's victim order in every engine at once would pass them all.
 // These tests pin the FNV-1a 64 digest of each "webcache-metrics/1" body to a
-// constant instead: any change to Hier-GD's or Squirrel's simulated outcome —
-// a greedy-dual victim, an inflation value, a directory or Pastry count —
-// changes the digest.
+// constant instead: any change to a scheme's simulated outcome — a victim,
+// an inflation value, a directory or Pastry count — changes the digest.
 //
 // The trace is built from integer Rng draws only (no ProWGen, whose std::pow
 // calls may round differently across compilers and libms), so the constants
@@ -18,6 +17,7 @@
 #include <ios>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fault/churn_schedule.hpp"
@@ -77,12 +77,8 @@ TEST(GoldenExports, HierGdSequentialEngine) {
   expect_digest(golden_config(sim::Scheme::kHierGD), golden_trace(), 0x840dd815910e31c5ULL);
 }
 
-TEST(GoldenExports, HierGdShardedEngineWithChurnLossAndBrowsers) {
-  const auto trace = golden_trace();
-  auto cfg = golden_config(sim::Scheme::kHierGD);
-  cfg.sim_shards = 2;
-  cfg.shard_epoch = 1'024;
-  cfg.browser_cache_capacity = 2;
+/// Crashes, rejoins, joins, repair passes and 2% P2P message loss.
+sim::SimConfig with_churn_and_loss(sim::SimConfig cfg, std::uint64_t requests) {
   cfg.p2p_loss_rate = 0.02;
   fault::ChurnSpec spec;
   spec.start = 4'000;
@@ -91,13 +87,95 @@ TEST(GoldenExports, HierGdShardedEngineWithChurnLossAndBrowsers) {
   spec.joins = 2;
   spec.repair_every = 5'000;
   cfg.churn_events =
-      fault::make_schedule(spec, trace.size(), cfg.num_proxies, cfg.clients_per_cluster);
+      fault::make_schedule(spec, requests, cfg.num_proxies, cfg.clients_per_cluster);
+  return cfg;
+}
+
+sim::SimConfig sharded(sim::SimConfig cfg) {
+  cfg.sim_shards = 2;
+  cfg.shard_epoch = 1'024;
+  return cfg;
+}
+
+TEST(GoldenExports, HierGdShardedEngineWithChurnLossAndBrowsers) {
+  const auto trace = golden_trace();
+  auto cfg = with_churn_and_loss(sharded(golden_config(sim::Scheme::kHierGD)), trace.size());
+  cfg.browser_cache_capacity = 2;
   ASSERT_TRUE(sim::Simulator::sharding_supported(cfg));
   expect_digest(cfg, trace, 0xb0509167c46c8ad9ULL);
 }
 
 TEST(GoldenExports, Squirrel) {
   expect_digest(golden_config(sim::Scheme::kSquirrel), golden_trace(), 0x03e3e2c31ce3a56bULL);
+}
+
+struct GoldenCase {
+  const char* name;
+  sim::SimConfig config;
+  std::uint64_t digest;
+};
+
+void expect_digests(const std::vector<GoldenCase>& cases) {
+  const auto trace = golden_trace();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    if (c.config.sim_shards > 0) {
+      ASSERT_TRUE(sim::Simulator::sharding_supported(c.config));
+    }
+    expect_digest(c.config, trace, c.digest);
+  }
+}
+
+TEST(GoldenExports, SequentialEngineEveryScheme) {
+  using sim::Scheme;
+  auto bloom = golden_config(Scheme::kHierGD);
+  bloom.directory = sim::DirectoryKind::kBloom;
+  // Browsers, churn, loss and per-hop charges all at once: the request-local
+  // loss-waste path and the latency association it must keep.
+  auto faulty = with_churn_and_loss(golden_config(Scheme::kHierGD), golden_trace().size());
+  faulty.browser_cache_capacity = 2;
+  faulty.p2p_hop_latency = 0.2;
+  expect_digests({
+      {"NC", golden_config(Scheme::kNC), 0xca3c7314e799e1bfULL},
+      {"SC", golden_config(Scheme::kSC), 0xaa8404c36cc46a56ULL},
+      {"FC", golden_config(Scheme::kFC), 0x41da9cb7c3110413ULL},
+      {"NC-EC", golden_config(Scheme::kNC_EC), 0x3edff3c275201f16ULL},
+      {"SC-EC", golden_config(Scheme::kSC_EC), 0xdee819ac5feae345ULL},
+      {"FC-EC", golden_config(Scheme::kFC_EC), 0x9d646370c3a87d63ULL},
+      {"Hier-GD bloom", bloom, 0x514c4d08deb852c4ULL},
+      {"Hier-GD churn+loss+browsers+hops", faulty, 0xb3fad021d63e99e2ULL},
+  });
+}
+
+TEST(GoldenExports, ShardedEngineEveryScheme) {
+  using sim::Scheme;
+  expect_digests({
+      {"NC", sharded(golden_config(Scheme::kNC)), 0xca3c7314e799e1bfULL},
+      {"SC", sharded(golden_config(Scheme::kSC)), 0xb77aad0396f18a24ULL},
+      {"NC-EC", sharded(golden_config(Scheme::kNC_EC)), 0x31f43d8a133ce0beULL},
+      {"SC-EC", sharded(golden_config(Scheme::kSC_EC)), 0x3b586c46d7e8d7a6ULL},
+      {"Squirrel churn+loss",
+       with_churn_and_loss(sharded(golden_config(Scheme::kSquirrel)), golden_trace().size()),
+       0x1bc269469544e00fULL},
+  });
+}
+
+/// More cooperating proxies than one 64-bit word has bits.
+sim::SimConfig at_72_proxies(sim::Scheme scheme) {
+  auto cfg = golden_config(scheme);
+  cfg.num_proxies = 72;
+  cfg.proxy_capacity = 20;
+  return cfg;
+}
+
+TEST(GoldenExports, SequentialEngineAbove64Proxies) {
+  using sim::Scheme;
+  expect_digests({
+      {"SC", at_72_proxies(Scheme::kSC), 0x40f834e94bac8604ULL},
+      {"SC-EC", at_72_proxies(Scheme::kSC_EC), 0xf2bc411638cab882ULL},
+      {"FC", at_72_proxies(Scheme::kFC), 0xe116d74d20b424b3ULL},
+      {"FC-EC", at_72_proxies(Scheme::kFC_EC), 0x6643db7dd49da86bULL},
+  });
 }
 
 }  // namespace

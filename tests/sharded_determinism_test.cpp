@@ -4,11 +4,14 @@
 // streamed from a compiled .wct with a small replay chunk — and a sweep's
 // write_metrics_json must not depend on shards x threads. Unsupported
 // configurations (FC/FC-EC, snapshots, tracer, audit hooks, single proxy)
-// must fall back to the sequential engine bit-exactly. Also the regression
-// gate for the 256-cluster cooperation digests (ClusterBitset): cooperative
-// sharded runs must work above 64 proxies and stay shard-count independent.
+// must fall back to the sequential engine bit-exactly. At shard_epoch = 1 the
+// sharded engine must match the sequential one outright. Also the regression
+// gate for the cooperation digests (ClusterSets): cooperative sharded runs
+// must work above 64 and 256 proxies and stay shard-count independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -16,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cluster_bitset.hpp"
 #include "core/experiment.hpp"
 #include "fault/churn_schedule.hpp"
 #include "obs/registry.hpp"
@@ -45,6 +47,17 @@ sim::SimConfig shard_config(sim::Scheme scheme) {
   cfg.client_cache_capacity = 4;
   cfg.shard_epoch = 1024;  // several epochs over 30k requests
   return cfg;
+}
+
+/// Crashes, rejoins, joins and repair passes across the trace.
+std::vector<fault::ChurnEvent> churn_schedule(const sim::SimConfig& cfg, std::uint64_t requests) {
+  fault::ChurnSpec spec;
+  spec.start = 5'000;
+  spec.crashes = 4;
+  spec.recover_after = 4'000;
+  spec.joins = 2;
+  spec.repair_every = 7'000;
+  return fault::make_schedule(spec, requests, cfg.num_proxies, cfg.clients_per_cluster);
 }
 
 /// Runs `cfg` over `trace` and returns the full registry JSON export.
@@ -89,14 +102,7 @@ TEST(ShardedDeterminism, ChurnAndLossRunsAreShardCountIndependent) {
   const auto trace = shard_trace();
   for (const auto scheme : {sim::Scheme::kHierGD, sim::Scheme::kSquirrel}) {
     auto cfg = shard_config(scheme);
-    fault::ChurnSpec spec;
-    spec.start = 5'000;
-    spec.crashes = 4;
-    spec.recover_after = 4'000;
-    spec.joins = 2;
-    spec.repair_every = 7'000;
-    cfg.churn_events = fault::make_schedule(spec, trace.size(), cfg.num_proxies,
-                                            cfg.clients_per_cluster);
+    cfg.churn_events = churn_schedule(cfg, trace.size());
     cfg.p2p_loss_rate = 0.02;
     cfg.sim_shards = 1;
     const std::string one = export_of(cfg, trace);
@@ -196,46 +202,156 @@ TEST(ShardedDeterminism, SweepMetricsExportIsShardAndThreadCountIndependent) {
   }
 }
 
-// --- ClusterBitset: the 256-cluster cooperation digests ----------------------
+/// Runs `cfg` over `trace` into a fresh registry and returns it.
+std::shared_ptr<obs::Registry> registry_of(sim::SimConfig cfg, const workload::Trace& trace) {
+  cfg.registry = std::make_shared<obs::Registry>();
+  (void)sim::run_simulation(cfg, trace);
+  return cfg.registry;
+}
 
-TEST(ClusterBitset, RingScanMatchesSingleWordSemanticsBelow64) {
+std::vector<std::string> sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Same instrument names, counters, stat counts and histogram buckets;
+/// gauges equal up to summation order. `skip_dir_probes` excludes the
+/// clusterN.dir.lookups/dir.positives counters.
+void expect_same_outcomes(const obs::Registry& a, const obs::Registry& b, bool skip_dir_probes) {
+  ASSERT_EQ(sorted(a.counter_names()), sorted(b.counter_names()));
+  for (const auto& name : a.counter_names()) {
+    if (skip_dir_probes && (name.ends_with(".dir.lookups") || name.ends_with(".dir.positives"))) {
+      continue;
+    }
+    EXPECT_EQ(a.counter_value(name), b.counter_value(name)) << name;
+  }
+  ASSERT_EQ(sorted(a.gauge_names()), sorted(b.gauge_names()));
+  for (const auto& name : a.gauge_names()) {
+    const double x = a.gauge_value(name);
+    const double y = b.gauge_value(name);
+    EXPECT_LE(std::abs(x - y), 1e-9 * std::max(std::abs(x), std::abs(y))) << name;
+  }
+  ASSERT_EQ(sorted(a.stat_names()), sorted(b.stat_names()));
+  for (const auto& name : a.stat_names()) {
+    EXPECT_EQ(a.find_stat(name)->count(), b.find_stat(name)->count()) << name;
+  }
+  ASSERT_EQ(sorted(a.histogram_names()), sorted(b.histogram_names()));
+  for (const auto& name : a.histogram_names()) {
+    const Histogram& x = *a.find_histogram(name);
+    const Histogram& y = *b.find_histogram(name);
+    ASSERT_EQ(x.buckets(), y.buckets()) << name;
+    for (std::size_t i = 0; i < x.buckets(); ++i) {
+      EXPECT_EQ(x.bucket_count(i), y.bucket_count(i)) << name << " bucket " << i;
+    }
+  }
+}
+
+// At shard_epoch = 1 every digest is current when a request reads it, so the
+// sharded engine runs the sequential engine's algorithm request by request.
+// What departs at other settings is, by design:
+//   * epoch staleness: at shard_epoch > 1 a digest lags the live caches by up
+//     to one epoch;
+//   * per-cluster loss substreams: p2p_loss_rate > 0 draws from one stream
+//     per cluster instead of one per run (so these runs have no loss);
+//   * the Hier-GD push scan: the sequential engine asks each remote lookup
+//     directory in ring order (counting clusterN.dir.lookups/positives and
+//     seeing Bloom false positives), the sharded engine reads the exact
+//     directory digest. Those two counters are the only ones excluded.
+TEST(ShardedDeterminism, EpochOneMatchesSequentialEngine) {
+  const auto trace = shard_trace();
+  int configurations = 0;
+  for (const auto scheme : {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kNC_EC,
+                            sim::Scheme::kSC_EC, sim::Scheme::kHierGD, sim::Scheme::kSquirrel}) {
+    const bool addressable = scheme == sim::Scheme::kHierGD || scheme == sim::Scheme::kSquirrel;
+    for (const unsigned proxies : {4U, 72U}) {
+      for (const int variant : {0, 1, 2}) {  // plain, browsers, churn
+        if (variant == 2 && !addressable) continue;
+        auto cfg = shard_config(scheme);
+        cfg.num_proxies = proxies;
+        if (proxies > 64) cfg.proxy_capacity = 40;
+        if (variant == 1) cfg.browser_cache_capacity = 2;
+        if (variant == 2) cfg.churn_events = churn_schedule(cfg, trace.size());
+        SCOPED_TRACE(std::string(sim::to_string(scheme)) + " proxies=" +
+                     std::to_string(proxies) + " variant=" + std::to_string(variant));
+        const auto sequential = registry_of(cfg, trace);
+        cfg.sim_shards = 1;
+        cfg.shard_epoch = 1;
+        ASSERT_TRUE(sim::Simulator::sharding_supported(cfg));
+        expect_same_outcomes(*sequential, *registry_of(cfg, trace),
+                             scheme == sim::Scheme::kHierGD);
+        ++configurations;
+      }
+    }
+  }
+  EXPECT_EQ(configurations, 28);
+}
+
+// --- ClusterSets: the cooperation index and digests ---------------------------
+
+TEST(ClusterSets, RingScanMatchesSingleWordSemanticsBelow64) {
   // Ring order from local+1 upward with wraparound, never returning local —
   // the exact contract of the old 64-bit scan.
-  ClusterBitset mask;
-  mask.set(3);
-  mask.set(10);
-  EXPECT_EQ(first_holder_in_ring(mask, 5), 10);
-  EXPECT_EQ(first_holder_in_ring(mask, 10), 3);  // wraps past the top
-  EXPECT_EQ(first_holder_in_ring(mask, 3), 10);
-  mask.reset(10);
-  EXPECT_EQ(first_holder_in_ring(mask, 3), -1);  // only the local bit left
-  EXPECT_EQ(first_holder_in_ring(ClusterBitset{}, 0), -1);
+  sim::ClusterSets sets(16, 4);
+  sets.set(2, 3);
+  sets.set(2, 10);
+  EXPECT_EQ(sets.first_in_ring(2, 5), 10);
+  EXPECT_EQ(sets.first_in_ring(2, 10), 3);  // wraps past the top
+  EXPECT_EQ(sets.first_in_ring(2, 3), 10);
+  sets.reset(2, 10);
+  EXPECT_FALSE(sets.test(2, 10));
+  EXPECT_TRUE(sets.test(2, 3));
+  EXPECT_EQ(sets.first_in_ring(2, 3), -1);  // only the local bit left
+  EXPECT_EQ(sets.first_in_ring(0, 0), -1);  // other objects are untouched
+  EXPECT_EQ(sets.first_in_ring(9, 0), -1);  // beyond the universe: empty
+  EXPECT_EQ(sim::ClusterSets{}.first_in_ring(0, 0), -1);
 }
 
-TEST(ClusterBitset, RingScanCrossesWordBoundaries) {
-  ClusterBitset mask;
-  mask.set(2);    // word 0
-  mask.set(70);   // word 1
-  mask.set(200);  // word 3
-  EXPECT_EQ(first_holder_in_ring(mask, 5), 70);    // higher word first
-  EXPECT_EQ(first_holder_in_ring(mask, 70), 200);  // next word up
-  EXPECT_EQ(first_holder_in_ring(mask, 200), 2);   // wraps to word 0
-  EXPECT_EQ(first_holder_in_ring(mask, 255), 2);
-  EXPECT_EQ(first_holder_in_ring(mask, 0), 2);     // later bit in own word
+TEST(ClusterSets, RingScanCrossesWordBoundaries) {
+  sim::ClusterSets sets(300, 2);
+  sets.set(1, 2);    // word 0
+  sets.set(1, 70);   // word 1
+  sets.set(1, 200);  // word 3
+  EXPECT_EQ(sets.first_in_ring(1, 5), 70);    // higher word first
+  EXPECT_EQ(sets.first_in_ring(1, 70), 200);  // next word up
+  EXPECT_EQ(sets.first_in_ring(1, 200), 2);   // wraps to word 0
+  EXPECT_EQ(sets.first_in_ring(1, 255), 2);
+  EXPECT_EQ(sets.first_in_ring(1, 0), 2);     // later bit in own word
+  EXPECT_EQ(sets.first_in_ring(0, 5), -1);    // rows do not bleed into each other
+  // Above 256 clusters: a fifth word, scanned before the wrap.
+  sets.set(1, 290);
+  EXPECT_EQ(sets.first_in_ring(1, 200), 290);
+  EXPECT_EQ(sets.first_in_ring(1, 290), 2);
+  EXPECT_EQ(sets.first_in_ring(1, 299), 2);
+  sets.reset(1, 2);
+  sets.reset(1, 70);
+  sets.reset(1, 200);
+  EXPECT_EQ(sets.first_in_ring(1, 0), 290);
+  EXPECT_EQ(sets.first_in_ring(1, 290), -1);
 }
 
-TEST(ManyProxies, ShardingIsSupportedUpTo256Clusters) {
+TEST(ManyProxies, ShardingIsSupportedAtAnyProxyCount) {
   auto cfg = shard_config(sim::Scheme::kSC);
-  cfg.num_proxies = 72;  // above the old 64-bit digest limit
-  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
-  cfg.num_proxies = 256;
-  EXPECT_TRUE(sim::Simulator::sharding_supported(cfg));
-  cfg.num_proxies = 257;  // beyond the fixed ClusterBitset width
-  EXPECT_FALSE(sim::Simulator::sharding_supported(cfg));
-
+  for (const unsigned proxies : {72U, 256U, 257U, 300U}) {
+    cfg.num_proxies = proxies;
+    EXPECT_TRUE(sim::Simulator::sharding_supported(cfg)) << proxies;
+  }
   auto hier = shard_config(sim::Scheme::kHierGD);
   hier.num_proxies = 72;
   EXPECT_TRUE(sim::Simulator::sharding_supported(hier));
+
+  // Above 256 cooperating proxies the sharded engine runs (no fallback) and
+  // its exports stay shard-count independent.
+  const auto trace = shard_trace();
+  cfg.num_proxies = 300;
+  cfg.proxy_capacity = 20;
+  cfg.sim_shards = 1;
+  const std::string one = export_of(cfg, trace);
+  for (const unsigned shards : {2U, 13U}) {
+    cfg.sim_shards = shards;
+    EXPECT_EQ(one, export_of(cfg, trace)) << "shards=" << shards;
+  }
+  cfg.sim_shards = 0;
+  EXPECT_NE(one, export_of(cfg, trace)) << "300 proxies fell back to the sequential engine";
 }
 
 TEST(ManyProxies, CooperativeExportsAreShardCountIndependentAt72Proxies) {
@@ -249,8 +365,8 @@ TEST(ManyProxies, CooperativeExportsAreShardCountIndependentAt72Proxies) {
     cfg.sim_shards = shards;
     EXPECT_EQ(one, export_of(cfg, trace)) << "shards=" << shards;
   }
-  // The sequential engine handles > 64 cooperating proxies via its fallback
-  // probe loops; it must still serve every request.
+  // The sequential engine's index spans two words here; it must still serve
+  // every request.
   cfg.sim_shards = 0;
   cfg.registry = std::make_shared<obs::Registry>();
   const auto metrics = sim::run_simulation(cfg, trace);
