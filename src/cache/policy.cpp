@@ -3,6 +3,7 @@
 #include "cache/admission.hpp"
 #include "cache/arc.hpp"
 #include "cache/greedy_dual.hpp"
+#include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "cache/w_tinylfu.hpp"
 
@@ -36,11 +37,11 @@ std::string policy_names() {
   return "default, lru, lfu, gd, tinylfu-lru, w-tinylfu, arc";
 }
 
-std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity, LfuMode lfu_mode) {
+std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity) {
   switch (kind) {
     case PolicyKind::kDefault: return nullptr;
     case PolicyKind::kLru: return std::make_unique<LruCache>(capacity);
-    case PolicyKind::kLfu: return std::make_unique<LfuCache>(capacity, lfu_mode);
+    case PolicyKind::kLfu: return std::make_unique<LfuCache>(capacity);
     case PolicyKind::kGreedyDual: return std::make_unique<GreedyDualCache>(capacity);
     case PolicyKind::kTinyLfuLru:
       return std::make_unique<AdmittedCache>(std::make_unique<LruCache>(capacity));

@@ -2,8 +2,7 @@
 // scheme swap its proxy-tier or client-tier cache for one of the modern
 // policies (TinyLFU admission, W-TinyLFU, ARC) without new wiring per
 // combination. SimConfig carries two PolicyKind fields; the CLI parses them
-// from --proxy-policy/--client-policy and the WEBCACHE_POLICY environment
-// variable.
+// from --proxy-policy/--client-policy.
 #pragma once
 
 #include <memory>
@@ -12,7 +11,6 @@
 #include <string_view>
 
 #include "cache/cache.hpp"
-#include "cache/lfu.hpp"
 
 namespace webcache::cache {
 
@@ -41,10 +39,8 @@ enum class PolicyKind {
 /// and --help text.
 [[nodiscard]] std::string policy_names();
 
-/// Constructs the selected policy at `capacity`. kDefault returns nullptr —
-/// the caller supplies its scheme's own default. `lfu_mode` only affects
-/// kLfu.
-[[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity,
-                                                LfuMode lfu_mode = LfuMode::kDynamicAging);
+/// Constructs the selected policy at `capacity` (kLfu is LFU-DA). kDefault
+/// returns nullptr — the caller supplies its scheme's own default.
+[[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity);
 
 }  // namespace webcache::cache

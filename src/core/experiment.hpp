@@ -7,7 +7,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -26,13 +25,6 @@ namespace webcache::core {
 /// intra-run sharding across the whole tool surface (see README "Sharded
 /// runs").
 [[nodiscard]] unsigned sim_shards_from_env();
-
-/// Default {proxy_policy, client_policy} overrides, from WEBCACHE_POLICY
-/// ("<proxy>[,<client>]", names per cache::policy_from_string; unparseable
-/// names warn to stderr and fall back to kDefault). The CLI seeds its
-/// configs from this, so one environment variable re-policies a whole
-/// scripted experiment without touching its flag lists.
-[[nodiscard]] std::pair<cache::PolicyKind, cache::PolicyKind> policies_from_env();
 
 /// The "infinite cache size" of one client cluster's request stream: the
 /// number of distinct objects requested more than once by the clients of a

@@ -106,9 +106,9 @@ void Registry::merge(const Registry& other) {
   }
 }
 
-void Registry::take_snapshot() {
+void Registry::snapshot(std::uint64_t at) {
   Snapshot snap;
-  snap.at = ticks_;
+  snap.at = at;
   snap.counters.reserve(counters_.store.size());
   for (const Counter& c : counters_.store) snap.counters.push_back(c.value());
   snap.gauges.reserve(gauges_.store.size());
@@ -116,14 +116,12 @@ void Registry::take_snapshot() {
   snapshots_.push_back(std::move(snap));
 }
 
-#ifndef WEBCACHE_OBS_NO_TRACE
 void Registry::enable_tracing(std::size_t capacity) {
   trace_capacity_ = capacity;
   trace_ring_.clear();
   trace_ring_.reserve(std::min<std::size_t>(capacity, 1u << 16));
   trace_next_ = 0;
 }
-#endif
 
 std::vector<TraceEvent> Registry::trace_events() const {
   std::vector<TraceEvent> out;

@@ -19,15 +19,14 @@
 // increment — the same order as the struct-member increments they replace.
 //
 // Two *optional* collection layers ride on top, both off by default:
-//   * interval snapshots — every N units (the simulator ticks once per
-//     request) the registry captures all counter and gauge values, yielding
-//     hit-ratio / latency / false-positive curves over simulated time;
+//   * interval snapshots — the producer calls snapshot(at) on its own clock
+//     (the simulator's replay loop: every N requests) and the registry
+//     captures all counter and gauge values, yielding hit-ratio / latency /
+//     false-positive curves over simulated time;
 //   * a ring-buffer event tracer — fixed-capacity buffer of request-level
 //     records (time, where served, latency, wasted latency).
-// When the CMake option WEBCACHE_OBS_TRACE is OFF the macro
-// WEBCACHE_OBS_NO_TRACE compiles both layers down to nothing (verified by
-// perf_smoke staying inside the check_perf.py band); when compiled in but
-// not enabled at runtime, each costs a single predictable branch per request.
+// When not enabled at runtime, the tracer costs one predictable branch per
+// request; snapshots touch the registry only when one is due.
 //
 // Exports (schema "webcache-metrics/1", documented in README.md):
 //   write_json       — full registry as one JSON document;
@@ -85,7 +84,7 @@ struct TraceEvent {
   double aux = 0.0;        ///< secondary measurement (wasted latency)
 };
 
-/// One interval snapshot: all counter/gauge values after `at` ticks.
+/// One interval snapshot: all counter/gauge values at producer time `at`.
 struct Snapshot {
   std::uint64_t at = 0;
   std::vector<std::uint64_t> counters;  ///< registration order
@@ -134,22 +133,13 @@ class Registry {
   void merge(const Registry& other);
 
   // --- interval snapshots --------------------------------------------------
-  /// Enables snapshots every `every_n` ticks (0 disables). The producer calls
-  /// tick() once per unit of simulated progress (the simulator: per request).
+  /// The period the producer snapshots at, exported as the document's
+  /// "interval" (0 = off). The registry keeps no clock of its own.
   void set_snapshot_interval(std::uint64_t every_n) { snapshot_interval_ = every_n; }
   [[nodiscard]] std::uint64_t snapshot_interval() const { return snapshot_interval_; }
+  /// Captures every counter and gauge value now, stamped with `at`.
+  void snapshot(std::uint64_t at);
   [[nodiscard]] const std::vector<Snapshot>& snapshots() const { return snapshots_; }
-
-#ifdef WEBCACHE_OBS_NO_TRACE
-  void tick() {}
-  static constexpr bool tracing_enabled() { return false; }
-  void enable_tracing(std::size_t) {}
-  void record(std::uint64_t, std::uint32_t, double, double) {}
-#else
-  void tick() {
-    ++ticks_;
-    if (snapshot_interval_ != 0 && ticks_ % snapshot_interval_ == 0) take_snapshot();
-  }
 
   // --- ring-buffer event tracer --------------------------------------------
   [[nodiscard]] bool tracing_enabled() const { return trace_capacity_ != 0; }
@@ -165,7 +155,6 @@ class Registry {
     }
     ++trace_next_;
   }
-#endif
 
   /// Traced events in chronological order (unwinds the ring).
   [[nodiscard]] std::vector<TraceEvent> trace_events() const;
@@ -187,8 +176,6 @@ class Registry {
   void write_trace_csv(std::ostream& out) const;
 
  private:
-  void take_snapshot();
-
   template <typename T>
   struct Table {
     std::deque<T> store;
@@ -216,7 +203,6 @@ class Registry {
   Table<Histogram> histograms_;
 
   std::uint64_t snapshot_interval_ = 0;
-  std::uint64_t ticks_ = 0;
   std::vector<Snapshot> snapshots_;
 
   std::size_t trace_capacity_ = 0;

@@ -166,11 +166,9 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     switch (config_.scheme) {
       case Scheme::kNC:
       case Scheme::kSC:
-        proxy.cache = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                        config_.lfu_mode);
+        proxy.cache = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
         if (proxy.cache == nullptr) {
-          proxy.cache =
-              std::make_unique<cache::LfuCache>(config_.proxy_capacity, config_.lfu_mode);
+          proxy.cache = std::make_unique<cache::LfuCache>(config_.proxy_capacity);
         }
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
@@ -183,15 +181,13 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       case Scheme::kNC_EC:
       case Scheme::kSC_EC: {
-        auto tier1 = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                       config_.lfu_mode);
+        auto tier1 = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
         if (tier1 == nullptr) {
-          tier1 = std::make_unique<cache::LfuCache>(config_.proxy_capacity, config_.lfu_mode);
+          tier1 = std::make_unique<cache::LfuCache>(config_.proxy_capacity);
         }
-        auto tier2 =
-            cache::make_cache(config_.client_policy, p2p_capacity, config_.lfu_mode);
+        auto tier2 = cache::make_cache(config_.client_policy, p2p_capacity);
         if (tier2 == nullptr) {
-          tier2 = std::make_unique<cache::LfuCache>(p2p_capacity, config_.lfu_mode);
+          tier2 = std::make_unique<cache::LfuCache>(p2p_capacity);
         }
         proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
         proxy.tiered->reserve_universe(universe);
@@ -212,8 +208,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tier_tracker = std::make_unique<cache::LruCache>(config_.proxy_capacity);
         break;
       case Scheme::kHierGD: {
-        proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity,
-                                     config_.lfu_mode);
+        proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
         if (proxy.gd == nullptr) {
           proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
         }
@@ -344,11 +339,8 @@ void Simulator::account(Outcomes& out, ServedFrom where, double base, double was
   out.wasted_p2p_latency.add(wasted);
   out.p2p_hop_latency_total.add(hop);
   out.latency_hist.add(latency);
-  // Optional layers: the tracer records the request-level event, tick()
-  // advances the snapshot clock. Both compile to nothing under
-  // WEBCACHE_OBS_NO_TRACE and cost one predictable branch otherwise.
+  // Optional tracer: one predictable branch when off.
   out.registry.record(now_, static_cast<std::uint32_t>(where), latency, wasted);
-  out.registry.tick();
 }
 
 void Simulator::browser_fill(unsigned cluster, ClientNum raw_client, ObjectNum object) {
@@ -414,6 +406,7 @@ Metrics Simulator::run() {
   if (sharded_) return run_sharded();
 
   const std::uint64_t checkpoint = config_.checkpoint_interval;
+  const std::uint64_t snapshot = config_.snapshot_interval;
   bool checked_at_end = false;
   const std::uint64_t total = source_->size();
   // Replay in bounded windows: a materialized source hands back one spanning
@@ -429,6 +422,7 @@ Metrics Simulator::run() {
       churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
       now_ = t;
       serve(t, request, static_cast<unsigned>(t % config_.num_proxies));
+      if (snapshot > 0 && (t + 1) % snapshot == 0) registry_->snapshot(t + 1);
       if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
         config_.checkpoint_hook(*this, t + 1);
         checked_at_end = t + 1 == total;

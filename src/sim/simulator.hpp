@@ -66,10 +66,6 @@ struct SimConfig {
   /// 0.1% of the infinite cache size).
   std::size_t client_cache_capacity = 5;
   net::LatencyModel latencies = net::LatencyModel::from_ratios();
-  /// LFU variant for NC/SC/NC-EC/SC-EC. LFU-DA is the deployed-web-proxy
-  /// behaviour of the paper's era and the variant that responds to temporal
-  /// locality; kPerfect/kInCache exist for sensitivity analysis.
-  cache::LfuMode lfu_mode = cache::LfuMode::kDynamicAging;
   /// Hier-GD lookup directory representation (paper Section 4.2).
   DirectoryKind directory = DirectoryKind::kExact;
   double bloom_target_fpr = 0.01;
@@ -83,10 +79,10 @@ struct SimConfig {
   /// assumption 3); setting this > 0 instead charges the measured hops,
   /// which makes the client-cluster-size experiments latency-honest.
   double p2p_hop_latency = 0.0;
-  /// Proxy-tier replacement/admission policy override (CLI --proxy-policy,
-  /// env WEBCACHE_POLICY). kDefault keeps each scheme's paper policy: LFU at
-  /// NC/SC and the *-EC tier 1, greedy-dual at Hier-GD. FC/FC-EC reject any
-  /// override — the clairvoyant cost-benefit coordinator IS those schemes
+  /// Proxy-tier replacement/admission policy override (CLI --proxy-policy).
+  /// kDefault keeps each scheme's paper policy: LFU-DA at NC/SC and the *-EC
+  /// tier 1, greedy-dual at Hier-GD. FC/FC-EC reject any override — the
+  /// clairvoyant cost-benefit coordinator IS those schemes
   /// (std::invalid_argument).
   cache::PolicyKind proxy_policy = cache::PolicyKind::kDefault;
   /// Client-tier policy override (CLI --client-policy): tier 2 of
@@ -139,12 +135,12 @@ struct SimConfig {
   /// Simulator::registry() — so metrics are always collected; supplying a
   /// registry lets callers keep it after the Simulator is gone.
   std::shared_ptr<obs::Registry> registry{};
-  /// Capture a counter/gauge snapshot every N requests (0 = off). Ignored
-  /// when the build disables the tracer layer (WEBCACHE_OBS_TRACE=OFF).
+  /// Capture a counter/gauge snapshot every N requests (0 = off), taken by
+  /// run() after the Nth request completes.
   std::uint64_t snapshot_interval = 0;
-  /// Ring capacity of the request-level event tracer (0 = off; ignored when
-  /// WEBCACHE_OBS_TRACE=OFF). Each served request records a TraceEvent
-  /// {request index, ServedFrom code, latency, wasted latency}.
+  /// Ring capacity of the request-level event tracer (0 = off). Each served
+  /// request records a TraceEvent {request index, ServedFrom code, latency,
+  /// wasted latency}.
   std::size_t trace_capacity = 0;
   /// Replay chunk budget: how many requests run() pulls per TraceSource
   /// window before hinting the consumed prefix away. Bounds the resident

@@ -183,7 +183,6 @@ TEST(LossModel, IsDeterministicBoundedAndValidated) {
 // addressable schemes (Hier-GD, Squirrel) are additionally audited while a
 // heavy churn schedule and P2P message loss are active.
 TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace();
   std::vector<sim::Scheme> schemes(sim::kAllSchemes.begin(), sim::kAllSchemes.end());
   schemes.push_back(sim::Scheme::kSquirrel);
@@ -212,7 +211,6 @@ TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
 }
 
 TEST(InvariantAudit, PassesUnderChurnForBothDirectoryKinds) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace();
   for (const auto kind : {sim::DirectoryKind::kExact, sim::DirectoryKind::kBloom}) {
     for (const std::uint64_t seed : {2003ull, 7919ull}) {
@@ -231,7 +229,6 @@ TEST(InvariantAudit, PassesUnderChurnForBothDirectoryKinds) {
 }
 
 TEST(InvariantAudit, ReportsRealCheckCoverage) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace(10'000, 1'000);
   auto cfg = base_config(sim::Scheme::kHierGD);
   sim::Simulator sim(cfg, trace);
@@ -244,7 +241,6 @@ TEST(InvariantAudit, ReportsRealCheckCoverage) {
 // The residency and ghost-entry checks must not switch off once the proxy
 // count outgrows one 64-bit word: more proxies can only add checks.
 TEST(InvariantAudit, CoverageDoesNotShrinkAbove64Proxies) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace(10'000, 3'000);
   for (const auto scheme : {sim::Scheme::kSC, sim::Scheme::kFC_EC, sim::Scheme::kHierGD}) {
     std::uint64_t checks[2] = {0, 0};
@@ -403,7 +399,6 @@ TEST(ChurnDeterminism, SweepJsonIsByteIdenticalAcrossThreadCountsUnderChurn) {
 // Auditing is read-only: a run with checkpoint audits must export the same
 // counters as the identical run without them.
 TEST(ChurnDeterminism, AuditHooksDoNotPerturbExportedMetrics) {
-  if (!fault::audits_enabled()) GTEST_SKIP() << "built with WEBCACHE_AUDIT=OFF";
   const auto trace = churn_trace(20'000, 2'000);
   const auto run_with = [&](bool audited) {
     auto cfg = base_config(sim::Scheme::kHierGD);

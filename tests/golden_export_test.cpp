@@ -59,12 +59,14 @@ sim::SimConfig golden_config(sim::Scheme scheme) {
 }
 
 /// Runs `cfg` over `trace` and checks the FNV-1a 64 digest of its export
-/// body, printing the digest in hex so a deliberate change can re-record it.
+/// body, followed by its trace CSV when the tracer is on, printing the digest
+/// in hex so a deliberate change can re-record it.
 void expect_digest(sim::SimConfig cfg, const workload::Trace& trace, std::uint64_t expected) {
   cfg.registry = std::make_shared<obs::Registry>();
   (void)sim::run_simulation(cfg, trace);
   std::ostringstream body;
   cfg.registry->write_json_body(body);
+  if (cfg.trace_capacity > 0) cfg.registry->write_trace_csv(body);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char ch : body.str()) {
     h ^= static_cast<unsigned char>(ch);
@@ -175,6 +177,34 @@ TEST(GoldenExports, SequentialEngineAbove64Proxies) {
       {"SC-EC", at_72_proxies(Scheme::kSC_EC), 0xf2bc411638cab882ULL},
       {"FC", at_72_proxies(Scheme::kFC), 0xe116d74d20b424b3ULL},
       {"FC-EC", at_72_proxies(Scheme::kFC_EC), 0x6643db7dd49da86bULL},
+  });
+}
+
+/// Interval snapshots, a tracer ring that wraps, and browsers in front of
+/// every scheme: pins the snapshot rows and the trace CSV.
+sim::SimConfig observed(sim::Scheme scheme) {
+  auto cfg = golden_config(scheme);
+  cfg.snapshot_interval = 997;
+  cfg.trace_capacity = 5'000;
+  cfg.browser_cache_capacity = 2;
+  return cfg;
+}
+
+TEST(GoldenExports, SnapshotsAndTracerEveryScheme) {
+  using sim::Scheme;
+  // Squirrel stores a fetched object at its home client after accounting the
+  // request. Snapshots are taken once the request has completed, so each row
+  // includes that store in its orgN.client_cache, orgN.net and orgN.pastry
+  // columns.
+  expect_digests({
+      {"NC", observed(Scheme::kNC), 0xe686a6f1c390923fULL},
+      {"SC", observed(Scheme::kSC), 0xaaf2e8f0e570487cULL},
+      {"FC", observed(Scheme::kFC), 0xfea0810418231746ULL},
+      {"NC-EC", observed(Scheme::kNC_EC), 0x470681ab1135c0cfULL},
+      {"SC-EC", observed(Scheme::kSC_EC), 0xba09412cc949c066ULL},
+      {"FC-EC", observed(Scheme::kFC_EC), 0x791ec43cd416e6c2ULL},
+      {"Hier-GD", observed(Scheme::kHierGD), 0xd09f2db0ee94c125ULL},
+      {"Squirrel", observed(Scheme::kSquirrel), 0xea37ef4539223b5fULL},
   });
 }
 

@@ -133,20 +133,20 @@ TEST(ObsRegistry, CsvExportListsEveryInstrument) {
   EXPECT_NE(csv.find("histogram,h.bucket0,1"), std::string::npos);
 }
 
-#ifndef WEBCACHE_OBS_NO_TRACE
-
+// The producer owns the clock (the simulator's replay loop); snapshot(at)
+// captures the values as they stand, stamped with the producer's time.
 TEST(ObsSnapshots, TakenExactlyEveryInterval) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("c");
   obs::Gauge& g = reg.gauge("g");
   reg.set_snapshot_interval(10);
-  for (int t = 0; t < 35; ++t) {
+  for (std::uint64_t t = 1; t <= 35; ++t) {
     c.inc();
     g.add(0.5);
-    reg.tick();
+    if (t % reg.snapshot_interval() == 0) reg.snapshot(t);
   }
   const auto& snaps = reg.snapshots();
-  ASSERT_EQ(snaps.size(), 3u);  // at ticks 10, 20, 30 — 35 never completes a 4th
+  ASSERT_EQ(snaps.size(), 3u);  // at 10, 20, 30 — 35 never completes a 4th
   EXPECT_EQ(snaps[0].at, 10u);
   EXPECT_EQ(snaps[1].at, 20u);
   EXPECT_EQ(snaps[2].at, 30u);
@@ -158,17 +158,20 @@ TEST(ObsSnapshots, TakenExactlyEveryInterval) {
 
 TEST(ObsSnapshots, DisabledByDefault) {
   obs::Registry reg;
-  reg.counter("c");
-  for (int t = 0; t < 100; ++t) reg.tick();
+  reg.counter("c").inc(100);
+  EXPECT_EQ(reg.snapshot_interval(), 0u);
   EXPECT_TRUE(reg.snapshots().empty());
+  std::ostringstream out;
+  reg.write_json_body(out);
+  EXPECT_NE(out.str().find("\"interval\": 0"), std::string::npos);
+  EXPECT_NE(out.str().find("\"rows\": []"), std::string::npos);
 }
 
 TEST(ObsSnapshots, CsvHasColumnsForCountersAndGauges) {
   obs::Registry reg;
   reg.counter("c").inc();
   reg.gauge("g").set(2.5);
-  reg.set_snapshot_interval(1);
-  reg.tick();
+  reg.snapshot(1);
   std::ostringstream out;
   reg.write_snapshots_csv(out);
   const std::string csv = out.str();
@@ -213,7 +216,5 @@ TEST(ObsTracer, CsvIsChronologicalWithSequenceNumbers) {
   EXPECT_NE(csv.find("0,0,5,1.5,0"), std::string::npos);
   EXPECT_NE(csv.find("1,1,0,2,0.25"), std::string::npos);
 }
-
-#endif  // WEBCACHE_OBS_NO_TRACE
 
 }  // namespace

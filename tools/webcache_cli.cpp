@@ -61,7 +61,6 @@
 //                           lost transfer costs one retry (an extra Tp2p)
 //   --audit-interval N      run the cross-layer invariant auditor every N
 //                           requests; any violation exits non-zero
-//                           (needs a WEBCACHE_AUDIT=ON build)
 //
 // Environment:
 //   WEBCACHE_THREADS     worker threads for sweep (default 0 = one per core;
@@ -69,9 +68,6 @@
 //   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
 //                        simulation (0 = sequential engine; any value >= 1
 //                        yields byte-identical results).
-//   WEBCACHE_POLICY      default for --proxy-policy/--client-policy as
-//                        "<proxy>[,<client>]" (e.g. "w-tinylfu" or
-//                        "arc,lru"); flags win over the environment.
 //
 // Integer flags take plain non-negative integers that fit their field;
 // percentages must be finite and >= 0. Anything else is a usage error.
@@ -293,17 +289,16 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
   cfg.sim_shards = flags.integer<unsigned>("shards", core::sim_shards_from_env());
 
-  // Policy overrides: flags beat WEBCACHE_POLICY beats each scheme's default.
-  const auto env_policies = core::policies_from_env();
-  const auto parse_policy = [&flags](const std::string& flag, cache::PolicyKind fallback) {
+  // Policy overrides; without a flag each scheme keeps its default.
+  const auto parse_policy = [&flags](const std::string& flag) {
     const auto name = flags.str(flag, "");
-    if (name.empty()) return fallback;
+    if (name.empty()) return cache::PolicyKind::kDefault;
     const auto kind = cache::policy_from_string(name);
     if (!kind) usage("--" + flag + " must be one of: " + cache::policy_names());
     return *kind;
   };
-  cfg.proxy_policy = parse_policy("proxy-policy", env_policies.first);
-  cfg.client_policy = parse_policy("client-policy", env_policies.second);
+  cfg.proxy_policy = parse_policy("proxy-policy");
+  cfg.client_policy = parse_policy("client-policy");
   return cfg;
 }
 
@@ -439,9 +434,6 @@ void apply_churn_flags(const Flags& flags, sim::SimConfig& cfg,
   }
   cfg.p2p_loss_rate = flags.num("churn-loss", 0.0);
   if (flags.has("audit-interval")) {
-    if (!fault::audits_enabled()) {
-      usage("--audit-interval needs a WEBCACHE_AUDIT=ON build");
-    }
     cfg.checkpoint_interval = flags.integer("audit-interval", 0);
     cfg.checkpoint_hook = fault::make_audit_hook();
   }
