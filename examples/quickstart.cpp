@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   wl.distinct_objects = argc > 2 ? static_cast<ObjectNum>(std::strtoul(argv[2], nullptr, 10))
                                  : 5'000;
   const auto trace = workload::ProWGen(wl).generate();
-  std::cout << "workload: " << trace.size() << " requests over " << trace.distinct_objects
+  std::cout << "workload: " << trace.size() << " requests over " << trace.universe
             << " distinct objects\n";
 
   // 2. A two-proxy cluster, 100 clients per proxy, proxy caches sized to

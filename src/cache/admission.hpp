@@ -12,7 +12,7 @@
 // the recent window; it is keyed to the filter's own operation count, which
 // under both the sequential and the sharded engine is a deterministic
 // function of the cache's request subsequence, so all exports stay
-// byte-identical across threads, shards, and replay chunking.
+// byte-identical across threads, shards, and streamed or in-memory replay.
 #pragma once
 
 #include <cstdint>

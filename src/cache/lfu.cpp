@@ -11,20 +11,14 @@ void LfuCache::access(ObjectNum object, double /*cost*/) {
   ++e->freq;
   // LFU-DA re-keys from the current floor on every hit, so a re-warming
   // object immediately out-keys everything the aging has devalued.
-  e->key = mode_ == LfuMode::kDynamicAging ? e->freq + aging_floor_ : e->freq;
+  e->key = e->freq + aging_floor_;
   e->last_seq = ++seq_;
   order_.set(object, key_of(*e));
-  if (mode_ == LfuMode::kPerfect) ++history_slot(object);
 }
 
 InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
   assert(!entries_.contains(object) && "LfuCache::insert: object already cached");
   if (capacity_ == 0) return {};
-
-  std::uint64_t start_freq = 1;
-  if (mode_ == LfuMode::kPerfect) {
-    start_freq = ++history_slot(object);
-  }
 
   InsertResult result;
   result.inserted = true;
@@ -32,19 +26,15 @@ InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
   if (entries_.size() >= capacity_) {
     obs_evicted();
     const auto [victim_key, victim] = order_.top();
-    if (mode_ == LfuMode::kDynamicAging) {
-      // The victim's key becomes the new floor: everything still cached is
-      // effectively aged by that amount (same inflation trick greedy-dual
-      // uses, with cost = 1 per access).
-      aging_floor_ = victim_key.first;
-    }
+    // The victim's key becomes the new floor: everything still cached is
+    // effectively aged by that amount (same inflation trick greedy-dual
+    // uses, with cost = 1 per access).
+    aging_floor_ = victim_key.first;
     order_.pop();
     entries_.erase(victim);
     result.evicted = victim;
   }
-  const Entry e{start_freq,
-                mode_ == LfuMode::kDynamicAging ? start_freq + aging_floor_ : start_freq,
-                ++seq_};
+  const Entry e{1, 1 + aging_floor_, ++seq_};
   entries_[object] = e;
   order_.set(object, key_of(e));
   return result;
@@ -69,9 +59,8 @@ std::vector<ObjectNum> LfuCache::contents() const {
 }
 
 std::uint64_t LfuCache::frequency(ObjectNum object) const {
-  if (const Entry* e = entries_.find(object)) return e->freq;
-  if (mode_ == LfuMode::kPerfect && object < history_.size()) return history_[object];
-  return 0;
+  const Entry* e = entries_.find(object);
+  return e != nullptr ? e->freq : 0;
 }
 
 }  // namespace webcache::cache

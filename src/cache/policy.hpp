@@ -39,8 +39,13 @@ enum class PolicyKind {
 /// and --help text.
 [[nodiscard]] std::string policy_names();
 
+/// `kind`, or the owning scheme's paper policy `paper` when kind is kDefault.
+[[nodiscard]] constexpr PolicyKind resolve_default(PolicyKind kind, PolicyKind paper) {
+  return kind == PolicyKind::kDefault ? paper : kind;
+}
+
 /// Constructs the selected policy at `capacity` (kLfu is LFU-DA). kDefault
-/// returns nullptr — the caller supplies its scheme's own default.
+/// returns nullptr — callers resolve it first (resolve_default).
 [[nodiscard]] std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity);
 
 }  // namespace webcache::cache

@@ -42,8 +42,6 @@ class WTinyLfuCache final : public Cache {
   [[nodiscard]] std::vector<ObjectNum> contents() const override;
 
   [[nodiscard]] const AdmissionFilter& filter() const { return filter_; }
-  [[nodiscard]] std::size_t window_capacity() const { return window_cap_; }
-  [[nodiscard]] std::size_t protected_capacity() const { return protected_cap_; }
 
  protected:
   void bind_policy_observability(obs::Registry& registry,

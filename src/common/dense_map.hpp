@@ -4,8 +4,8 @@
 // generality nothing here needs:
 //
 //   * DenseMap<T> / DenseSet — direct-indexed value array over the dense id
-//     universe, with a per-slot epoch stamp so clear() is O(1) (bump the
-//     epoch) and erase() is a single store. The right shape for structures
+//     universe, with a per-slot live flag so insert() and erase() are a
+//     single store. The right shape for structures
 //     keyed by "any object in the trace" held once per cluster or proxy
 //     (residency/location indices, per-proxy fetch costs, the exact lookup
 //     directory): one cache-missing array read replaces hash+probe.
@@ -34,10 +34,9 @@
 
 namespace webcache {
 
-/// Direct-indexed map over dense uint32 keys. A slot is live iff its stamp
-/// equals the current epoch; clear() bumps the epoch instead of touching the
-/// slots. Grows on demand to the largest key inserted (amortized O(1)), so
-/// callers that know the universe should reserve() it up front.
+/// Direct-indexed map over dense uint32 keys, one live flag per slot. Grows
+/// on demand to the largest key inserted (amortized O(1)), so callers that
+/// know the universe should reserve() it up front.
 template <typename T>
 class DenseMap {
  public:
@@ -55,7 +54,7 @@ class DenseMap {
   [[nodiscard]] std::size_t universe() const { return slots_.size(); }
 
   [[nodiscard]] bool contains(std::uint32_t key) const {
-    return key < slots_.size() && slots_[key].stamp == epoch_;
+    return key < slots_.size() && slots_[key].live;
   }
 
   [[nodiscard]] T* find(std::uint32_t key) {
@@ -69,109 +68,88 @@ class DenseMap {
   T& operator[](std::uint32_t key) {
     if (key >= slots_.size()) slots_.resize(static_cast<std::size_t>(key) + 1);
     Slot& s = slots_[key];
-    if (s.stamp != epoch_) {
-      s.stamp = epoch_;
+    if (!s.live) {
+      s.live = true;
       s.value = T{};
       ++size_;
     }
     return s.value;
   }
 
-  void insert_or_assign(std::uint32_t key, T value) { (*this)[key] = std::move(value); }
-
   bool erase(std::uint32_t key) {
     if (!contains(key)) return false;
-    slots_[key].stamp = 0;
+    slots_[key].live = false;
     --size_;
     return true;
-  }
-
-  /// O(1): live slots are invalidated by moving to a fresh epoch.
-  void clear() {
-    size_ = 0;
-    if (++epoch_ == 0) {  // epoch wrapped: hard-reset stamps once per 2^32 clears
-      for (Slot& s : slots_) s.stamp = 0;
-      epoch_ = 1;
-    }
   }
 
   /// Visits live entries in ascending key order: fn(key, value).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::uint32_t key = 0; key < slots_.size(); ++key) {
-      if (slots_[key].stamp == epoch_) fn(key, slots_[key].value);
+      if (slots_[key].live) fn(key, slots_[key].value);
     }
   }
 
  private:
   struct Slot {
-    std::uint32_t stamp = 0;
+    bool live = false;
     T value{};
   };
 
   std::vector<Slot> slots_;
-  std::uint32_t epoch_ = 1;  // 0 is the never-live stamp
   std::size_t size_ = 0;
 };
 
-/// Direct-indexed set over dense uint32 keys: DenseMap's epoch-stamp array
-/// without the values. memory_bytes() reports the flat representation
-/// honestly (one stamp per universe slot).
+/// Direct-indexed set over dense uint32 keys: one 32-bit membership flag per
+/// universe slot. memory_bytes() reports that flat representation honestly;
+/// the directory ablation prints it as the exact directory's footprint.
 class DenseSet {
  public:
   DenseSet() = default;
   explicit DenseSet(std::size_t universe) { reserve(universe); }
 
   void reserve(std::size_t universe) {
-    if (universe > stamps_.size()) stamps_.resize(universe, 0);
+    if (universe > members_.size()) members_.resize(universe, 0);
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t universe() const { return stamps_.size(); }
+  [[nodiscard]] std::size_t universe() const { return members_.size(); }
   [[nodiscard]] std::size_t memory_bytes() const {
-    return stamps_.capacity() * sizeof(std::uint32_t);
+    return members_.capacity() * sizeof(std::uint32_t);
   }
 
   [[nodiscard]] bool contains(std::uint32_t key) const {
-    return key < stamps_.size() && stamps_[key] == epoch_;
+    return key < members_.size() && members_[key] != 0;
   }
 
   /// Returns true if the key was newly inserted.
   bool insert(std::uint32_t key) {
-    if (key >= stamps_.size()) stamps_.resize(static_cast<std::size_t>(key) + 1, 0);
-    if (stamps_[key] == epoch_) return false;
-    stamps_[key] = epoch_;
+    if (key >= members_.size()) members_.resize(static_cast<std::size_t>(key) + 1, 0);
+    if (members_[key] != 0) return false;
+    members_[key] = 1;
     ++size_;
     return true;
   }
 
   bool erase(std::uint32_t key) {
     if (!contains(key)) return false;
-    stamps_[key] = 0;
+    members_[key] = 0;
     --size_;
     return true;
-  }
-
-  void clear() {
-    size_ = 0;
-    if (++epoch_ == 0) {
-      for (auto& s : stamps_) s = 0;
-      epoch_ = 1;
-    }
   }
 
   /// Visits members in ascending key order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::uint32_t key = 0; key < stamps_.size(); ++key) {
-      if (stamps_[key] == epoch_) fn(key);
+    for (std::uint32_t key = 0; key < members_.size(); ++key) {
+      if (members_[key] != 0) fn(key);
     }
   }
 
  private:
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_ = 1;
+  std::vector<std::uint32_t> members_;
   std::size_t size_ = 0;
 };
 

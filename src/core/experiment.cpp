@@ -38,34 +38,22 @@ ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
   }
   // Frequency of each object within proxy 0's round-robin substream; the
   // streams are statistically identical, so one cluster stands for all. One
-  // chunked pass, O(distinct objects) working memory.
+  // pass, O(distinct objects) working memory.
   std::vector<std::uint64_t> freq(source.distinct_objects(), 0);
-  const std::uint64_t total = source.size();
-  const std::size_t chunk = workload::default_replay_chunk();
-  for (std::uint64_t base = 0; base < total;) {
-    const auto win = source.window(base, chunk);
-    if (win.empty()) break;
-    // First position in this window landing on proxy 0's substream.
-    std::uint64_t i = (num_proxies - base % num_proxies) % num_proxies;
-    for (; i < win.size(); i += num_proxies) {
-      const ObjectNum object = win[i].object;
-      if (object >= freq.size()) {
-        throw std::invalid_argument(
-            "cluster_infinite_cache_size: request references object outside the universe");
-      }
-      ++freq[object];
+  const auto all = source.window(0, static_cast<std::size_t>(source.size()));
+  for (std::size_t i = 0; i < all.size(); i += num_proxies) {
+    const ObjectNum object = all[i].object;
+    if (object >= freq.size()) {
+      throw std::invalid_argument(
+          "cluster_infinite_cache_size: request references object outside the universe");
     }
-    base += win.size();
+    ++freq[object];
   }
   ObjectNum multi = 0;
   for (const auto f : freq) {
     if (f > 1) ++multi;
   }
   return multi;
-}
-
-ObjectNum cluster_infinite_cache_size(const workload::Trace& trace, unsigned num_proxies) {
-  return cluster_infinite_cache_size(workload::MaterializedTraceSource(trace), num_proxies);
 }
 
 namespace {
@@ -228,10 +216,6 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   return result;
 }
 
-SweepResult run_sweep(const workload::Trace& trace, const SweepConfig& config) {
-  return run_sweep(workload::MaterializedTraceSource(trace), config);
-}
-
 void print_gain_table(std::ostream& out, const SweepResult& result, const std::string& title) {
   out << "# " << title << "\n";
   out << "# infinite cache size = " << result.infinite_cache_size
@@ -312,10 +296,6 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   r.baseline = config.scheme == sim::Scheme::kNC ? r.metrics : sim::run_simulation(nc, source);
   r.gain_percent = 100.0 * sim::latency_gain(r.baseline, r.metrics);
   return r;
-}
-
-SingleRun run_single(const workload::Trace& trace, sim::SimConfig config) {
-  return run_single(workload::MaterializedTraceSource(trace), std::move(config));
 }
 
 }  // namespace webcache::core

@@ -11,7 +11,6 @@
 
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
-#include "workload/trace.hpp"
 #include "workload/trace_source.hpp"
 
 namespace webcache::core {
@@ -29,11 +28,9 @@ namespace webcache::core {
 /// The "infinite cache size" of one client cluster's request stream: the
 /// number of distinct objects requested more than once by the clients of a
 /// single proxy under round-robin request partitioning (paper Section 5.1).
-/// The streaming overload runs one chunked pass with O(distinct objects)
-/// working memory, so it handles out-of-core traces.
+/// One pass with O(distinct objects) working memory, so it handles
+/// out-of-core traces.
 [[nodiscard]] ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
-                                                    unsigned num_proxies);
-[[nodiscard]] ObjectNum cluster_infinite_cache_size(const workload::Trace& trace,
                                                     unsigned num_proxies);
 
 struct SweepConfig {
@@ -77,15 +74,13 @@ struct SweepResult {
 };
 
 /// Runs the sweep. The NC baseline is always computed (reused when NC is in
-/// `schemes`). Deterministic regardless of thread count. The TraceSource
-/// overload is the primary: workers share one source and replay it through
-/// positional windows, so a compiled (mmap) trace never materializes and the
-/// exports are byte-identical to the in-memory path. Throws
-/// std::invalid_argument on an empty trace or size list, or a negative or
-/// non-finite cache percentage.
+/// `schemes`). Deterministic regardless of thread count. Workers share one
+/// source and replay it through positional windows, so a compiled (mmap)
+/// trace never materializes and the exports are byte-identical to the
+/// in-memory Trace's. Throws std::invalid_argument on an empty trace or size
+/// list, or a negative or non-finite cache percentage.
 [[nodiscard]] SweepResult run_sweep(const workload::TraceSource& source,
                                     const SweepConfig& config);
-[[nodiscard]] SweepResult run_sweep(const workload::Trace& trace, const SweepConfig& config);
 
 /// Prints the gnuplot-style series table the paper's figures plot:
 /// one row per cache size, one latency-gain column per scheme.
@@ -115,6 +110,5 @@ struct SingleRun {
   std::shared_ptr<obs::Registry> baseline_registry;
 };
 [[nodiscard]] SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config);
-[[nodiscard]] SingleRun run_single(const workload::Trace& trace, sim::SimConfig config);
 
 }  // namespace webcache::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cache/greedy_dual.hpp"
 #include "common/sha1.hpp"
 
 namespace webcache::p2p {
@@ -14,9 +13,9 @@ namespace {
 /// One client's cooperative cache slice: the configured policy, defaulting
 /// to the paper's greedy-dual.
 std::unique_ptr<cache::Cache> make_client_cache(const P2PConfig& config, ClientNum index) {
-  const std::size_t capacity = client_capacity(config, index);
-  if (auto cache = cache::make_cache(config.client_policy, capacity)) return cache;
-  return std::make_unique<cache::GreedyDualCache>(capacity);
+  return cache::make_cache(
+      cache::resolve_default(config.client_policy, cache::PolicyKind::kGreedyDual),
+      client_capacity(config, index));
 }
 
 }  // namespace

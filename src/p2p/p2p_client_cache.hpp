@@ -144,7 +144,6 @@ class P2PClientCache {
 
   /// Message-traffic view, rebuilt from the registry counters on each call.
   [[nodiscard]] net::MessageStats messages() const { return msg_.view(); }
-  void reset_messages() { msg_.reset(); }
 
   [[nodiscard]] const pastry::Overlay& overlay() const { return overlay_; }
   [[nodiscard]] const P2PConfig& config() const { return config_; }

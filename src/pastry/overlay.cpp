@@ -330,12 +330,10 @@ void Overlay::on_dead_reference(NodeState& holder, const NodeId& dead) {
   ++topology_version_;
   const auto slot = holder.table.slot_of(dead);
   holder.table.erase(dead);
-  const bool was_leaf = holder.leaves.erase(dead);
-  if (config_.repair_on_detect) {
-    if (was_leaf) rebuild_leaf_set(holder);
-    if (slot) refill_slot(holder, slot->first, slot->second);
-    counters_.repairs.inc();
-  }
+  // Install a replacement right away (Pastry's routing-table repair).
+  if (holder.leaves.erase(dead)) rebuild_leaf_set(holder);
+  if (slot) refill_slot(holder, slot->first, slot->second);
+  counters_.repairs.inc();
 }
 
 RouteResult Overlay::route(const NodeId& from, const Uint128& key) {

@@ -36,9 +36,6 @@ struct OverlayConfig {
   unsigned bits_per_digit = 4;
   /// Pastry's l: leaf-set size (typical value 16 per the paper, Section 4.3).
   unsigned leaf_set_size = 16;
-  /// When a dead next-hop is detected during routing, immediately install a
-  /// replacement (models Pastry's routing-table repair).
-  bool repair_on_detect = true;
   /// Proximity-aware routing-table population: among the id-eligible
   /// candidates for a slot, prefer the one closest to the owner under the
   /// network proximity metric (Pastry's locality property — the reason
@@ -132,11 +129,6 @@ class Overlay {
   /// callers can replace NodeId-keyed hash maps with plain arrays. Throws
   /// std::out_of_range for ids that never joined.
   [[nodiscard]] std::uint32_t slot_of(const NodeId& id) const;
-
-  /// True iff the node occupying `slot` is currently alive.
-  [[nodiscard]] bool slot_alive(std::uint32_t slot) const {
-    return slot < slots_.size() && slots_[slot] != nullptr;
-  }
 
   /// Monotone counter bumped on every membership or repair event that can
   /// change any node's leaf set or routing table. Callers caching derived

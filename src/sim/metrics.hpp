@@ -49,11 +49,6 @@ struct Metrics {
     return requests == 0 ? 0.0
                          : static_cast<double>(total_hits()) / static_cast<double>(requests);
   }
-  [[nodiscard]] double local_hit_ratio() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(hits_local_proxy + hits_local_p2p) /
-                               static_cast<double>(requests);
-  }
 
   /// Multi-line human-readable summary (examples use it).
   [[nodiscard]] std::string summary() const;

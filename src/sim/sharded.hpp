@@ -9,7 +9,7 @@
 // consult epoch-start cooperation digests and enqueue position-keyed
 // RemoteOps that the owning shard applies in trace order at the epoch
 // barrier. Everything here is therefore a pure function of (config, trace) —
-// never of the shard count, thread scheduling, or replay chunking.
+// never of the shard count or thread scheduling.
 //
 // This header is internal to src/sim (simulator.cpp runs the steps,
 // sharded_run.cpp drives the epochs); it is not part of the public surface.
@@ -29,12 +29,12 @@ namespace webcache::sim {
 /// Digest refresh period used when SimConfig::shard_epoch is 0.
 inline constexpr std::uint64_t kDefaultShardEpoch = 8192;
 
-/// One request's touch of another cluster's state. kProxyAccess,
-/// kTieredRefresh and kGdAccess refresh the holder's copy; kPushFetch also
-/// carries the requester's in-flight surcharges and receives the fetch's
-/// outcome for finish_push.
+/// One request's touch of another cluster's state. kProxyAccess and
+/// kTieredRefresh refresh the holder's copy; kPushFetch also carries the
+/// requester's in-flight surcharges and receives the fetch's outcome for
+/// finish_push.
 struct Simulator::RemoteOp {
-  enum class Kind : std::uint8_t { kProxyAccess, kTieredRefresh, kGdAccess, kPushFetch };
+  enum class Kind : std::uint8_t { kProxyAccess, kTieredRefresh, kPushFetch };
   std::uint64_t pos = 0;     ///< trace position (globally unique -> total order)
   ObjectNum object = 0;
   std::uint32_t source = 0;  ///< requesting cluster

@@ -103,25 +103,15 @@ struct ShardedRunEngine {
   }
 
   void phase1(unsigned shard, std::uint64_t base, std::uint64_t end) {
-    const std::size_t chunk = sim.config_.replay_chunk > 0
-                                  ? sim.config_.replay_chunk
-                                  : workload::default_replay_chunk();
-    std::uint64_t pos = base;
-    while (pos < end) {
-      const std::size_t want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(end - pos, static_cast<std::uint64_t>(chunk)));
-      const auto win = sim.source_->window(pos, want);
-      if (win.empty()) break;  // defensive: a well-formed source never starves
-      // This shard's slice of the chunk: the positions of its own clusters,
-      // in trace order.
-      for (std::size_t i = 0; i < win.size(); ++i) {
-        const std::uint64_t t = pos + i;
-        const auto cluster = static_cast<unsigned>(t % P);
-        if (cluster % S != shard) continue;
-        advance_churn(cluster, t);
-        sim.serve(t, win[i], cluster);
-      }
-      pos += win.size();
+    // This shard's slice of the epoch: the positions of its own clusters, in
+    // trace order. The epoch is one window; flush_epoch releases it.
+    const auto win = sim.source_->window(base, static_cast<std::size_t>(end - base));
+    for (std::size_t i = 0; i < win.size(); ++i) {
+      const std::uint64_t t = base + i;
+      const auto cluster = static_cast<unsigned>(t % P);
+      if (cluster % S != shard) continue;
+      advance_churn(cluster, t);
+      sim.serve(t, win[i], cluster);
     }
   }
 

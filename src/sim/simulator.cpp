@@ -35,17 +35,8 @@ Simulator::Outcomes::Outcomes(obs::Registry& reg, const net::LatencyModel& laten
       msg(reg, "net.") {}
 
 Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
-    : Simulator(std::move(config), nullptr, &source) {}
-
-Simulator::Simulator(SimConfig config, const workload::Trace& trace)
-    : Simulator(std::move(config),
-                std::make_unique<workload::MaterializedTraceSource>(trace), nullptr) {}
-
-Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSource> owned,
-                     const workload::TraceSource* external)
     : config_(std::move(config)),
-      owned_source_(std::move(owned)),
-      source_(external != nullptr ? external : owned_source_.get()),
+      source_(&source),
       registry_(config_.registry ? config_.registry : std::make_shared<obs::Registry>()),
       out_(*registry_, config_.latencies) {
   const ObjectNum universe = source_->distinct_objects();
@@ -75,6 +66,14 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
 
   const std::size_t p2p_capacity =
       static_cast<std::size_t>(config_.clients_per_cluster) * config_.client_cache_capacity;
+  // Policy overrides, else the paper's: greedy-dual at the Hier-GD proxy,
+  // LFU-DA at the NC/SC proxy and both *-EC tiers. (Hier-GD's client caches
+  // resolve theirs in the P2P layer.)
+  const cache::PolicyKind proxy_policy = cache::resolve_default(
+      config_.proxy_policy, config_.scheme == Scheme::kHierGD ? cache::PolicyKind::kGreedyDual
+                                                              : cache::PolicyKind::kLfu);
+  const cache::PolicyKind tier2_policy =
+      cache::resolve_default(config_.client_policy, cache::PolicyKind::kLfu);
 
   // Perfect frequency knowledge for the cost-benefit schemes. A sweep shares
   // one precomputed analysis across all its jobs; a lone simulator scans the
@@ -166,10 +165,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
     switch (config_.scheme) {
       case Scheme::kNC:
       case Scheme::kSC:
-        proxy.cache = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
-        if (proxy.cache == nullptr) {
-          proxy.cache = std::make_unique<cache::LfuCache>(config_.proxy_capacity);
-        }
+        proxy.cache = cache::make_cache(proxy_policy, config_.proxy_capacity);
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         break;
@@ -181,15 +177,9 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         break;
       case Scheme::kNC_EC:
       case Scheme::kSC_EC: {
-        auto tier1 = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
-        if (tier1 == nullptr) {
-          tier1 = std::make_unique<cache::LfuCache>(config_.proxy_capacity);
-        }
-        auto tier2 = cache::make_cache(config_.client_policy, p2p_capacity);
-        if (tier2 == nullptr) {
-          tier2 = std::make_unique<cache::LfuCache>(p2p_capacity);
-        }
-        proxy.tiered = std::make_unique<TieredCache>(std::move(tier1), std::move(tier2));
+        proxy.tiered =
+            std::make_unique<TieredCache>(cache::make_cache(proxy_policy, config_.proxy_capacity),
+                                          cache::make_cache(tier2_policy, p2p_capacity));
         proxy.tiered->reserve_universe(universe);
         proxy.tiered->bind_observability(reg, proxy_prefix + "tiered.");
         if (config_.scheme == Scheme::kSC_EC) {
@@ -208,10 +198,7 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         proxy.tier_tracker = std::make_unique<cache::LruCache>(config_.proxy_capacity);
         break;
       case Scheme::kHierGD: {
-        proxy.gd = cache::make_cache(config_.proxy_policy, config_.proxy_capacity);
-        if (proxy.gd == nullptr) {
-          proxy.gd = std::make_unique<cache::GreedyDualCache>(config_.proxy_capacity);
-        }
+        proxy.cache = cache::make_cache(proxy_policy, config_.proxy_capacity);
         p2p::P2PConfig pc;
         pc.clients = config_.clients_per_cluster;
         pc.per_client_capacity = config_.client_cache_capacity;
@@ -222,8 +209,8 @@ Simulator::Simulator(SimConfig config, std::unique_ptr<const workload::TraceSour
         pc.name_prefix = "cluster" + std::to_string(p);
         proxy.p2p = std::make_unique<p2p::P2PClientCache>(pc, object_ids_, &reg);
         proxy.fetch_cost.reserve(universe);
-        proxy.gd->reserve_universe(universe);
-        proxy.gd->bind_observability(reg, proxy_prefix + "cache.");
+        proxy.cache->reserve_universe(universe);
+        proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         if (config_.directory == DirectoryKind::kExact) {
           proxy.dir = std::make_unique<directory::ExactDirectory>(&reg,
                                                                   cluster_prefix + "dir.");
@@ -276,9 +263,7 @@ const directory::LookupDirectory* Simulator::directory_of(unsigned proxy) const 
 }
 
 const cache::Cache* Simulator::proxy_cache_of(unsigned proxy) const {
-  if (proxy >= proxies_.size()) return nullptr;
-  const Proxy& p = proxies_[proxy];
-  return p.cache ? p.cache.get() : p.gd.get();
+  return proxy < proxies_.size() ? proxies_[proxy].cache.get() : nullptr;
 }
 
 const TieredCache* Simulator::tiered_of(unsigned proxy) const {
@@ -409,12 +394,10 @@ Metrics Simulator::run() {
   const std::uint64_t snapshot = config_.snapshot_interval;
   bool checked_at_end = false;
   const std::uint64_t total = source_->size();
-  // Replay in bounded windows: a materialized source hands back one spanning
-  // window, an mmap source pages sequentially and releases consumed chunks.
-  const std::size_t chunk =
-      config_.replay_chunk > 0 ? config_.replay_chunk : workload::default_replay_chunk();
+  // Replay in bounded windows, releasing each consumed one: an mmap source
+  // pages sequentially, so its resident set stays bounded by the window.
   for (std::uint64_t base = 0; base < total;) {
-    const auto win = source_->window(base, chunk);
+    const auto win = source_->window(base, workload::default_replay_chunk());
     if (win.empty()) break;  // defensive: a well-formed source never starves
     for (std::size_t i = 0; i < win.size(); ++i) {
       const std::uint64_t t = base + i;
@@ -519,22 +502,18 @@ bool Simulator::remote(RemoteOp& op) {
 
 void Simulator::apply_remote(RemoteOp& op) {
   Proxy& holder = proxies_[op.target];
-  const double refetch = config_.latencies.fetch_cost(ServedFrom::kOriginServer);
   // A sharded requester read an epoch-start digest: the advertised copy may
   // have left since, and the refresh is then a no-op (the requester's
   // outcome stands).
   switch (op.kind) {
     case RemoteOp::Kind::kProxyAccess:
-      if (holder.cache->contains(op.object)) holder.cache->access(op.object, refetch);
+      if (holder.cache->contains(op.object)) {
+        holder.cache->access(op.object, credit_of(holder, op.object));
+      }
       break;
     case RemoteOp::Kind::kTieredRefresh:
       if (holder.tiered->locate(op.object) != TieredCache::Where::kMiss) {
-        holder.tiered->refresh(op.object, refetch);
-      }
-      break;
-    case RemoteOp::Kind::kGdAccess:
-      if (holder.gd->contains(op.object)) {
-        holder.gd->access(op.object, credit_of(holder, op.object));
+        holder.tiered->refresh(op.object, config_.latencies.fetch_cost(ServedFrom::kOriginServer));
       }
       break;
     case RemoteOp::Kind::kPushFetch: {
@@ -726,13 +705,13 @@ void Simulator::admit_hier_gd(unsigned cluster, ObjectNum object, double cost,
   // in trace order the push came first and that request was a plain hit.
   // Honour the cache contract (insert() is only for uncached objects) by
   // refreshing instead.
-  if (proxy.gd->contains(object)) {
+  if (proxy.cache->contains(object)) {
     const double* stored = proxy.fetch_cost.find(object);
-    proxy.gd->access(object, stored != nullptr ? *stored : cost);
+    proxy.cache->access(object, stored != nullptr ? *stored : cost);
     return;
   }
   proxy.fetch_cost[object] = cost;
-  const auto ins = proxy.gd->insert(object, cost);
+  const auto ins = proxy.cache->insert(object, cost);
   if (!ins.inserted) return;
   mark(kPrimary, object, cluster, true);
   if (ins.evicted) {
@@ -749,8 +728,8 @@ bool Simulator::step_hier_gd(std::uint64_t t, const Request& request, unsigned c
   const ClientNum client = client_of(request.client, local);
 
   // Local proxy cache.
-  if (local.gd->contains(object)) {
-    local.gd->access(object, credit_of(local, object));
+  if (local.cache->contains(object)) {
+    local.cache->access(object, credit_of(local, object));
     account(out, ServedFrom::kLocalProxy, lat.request_latency(ServedFrom::kLocalProxy));
     return true;
   }
@@ -798,7 +777,7 @@ bool Simulator::step_hier_gd(std::uint64_t t, const Request& request, unsigned c
                 .object = object,
                 .source = cluster,
                 .target = static_cast<std::uint32_t>(holder),
-                .kind = RemoteOp::Kind::kGdAccess};
+                .kind = RemoteOp::Kind::kProxyAccess};
     (void)remote(op);
     served = ServedFrom::kRemoteProxy;
   } else {
@@ -895,11 +874,6 @@ void Simulator::step_squirrel(const Request& request, unsigned cluster) {
   // (store() routes again from the client; the message count conservatively
   // includes both legs.)
   (void)org.p2p->store(object, lat.fetch_cost(ServedFrom::kOriginServer), client);
-}
-
-Metrics run_simulation(const SimConfig& config, const workload::Trace& trace) {
-  Simulator sim(config, trace);
-  return sim.run();
 }
 
 Metrics run_simulation(const SimConfig& config, const workload::TraceSource& source) {

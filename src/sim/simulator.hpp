@@ -29,9 +29,7 @@
 #include <vector>
 
 #include "cache/cost_benefit.hpp"
-#include "cache/greedy_dual.hpp"
 #include "common/dense_map.hpp"
-#include "cache/lfu.hpp"
 #include "cache/lru.hpp"
 #include "cache/policy.hpp"
 #include "directory/directory.hpp"
@@ -45,7 +43,6 @@
 #include "sim/metrics.hpp"
 #include "sim/scheme.hpp"
 #include "sim/tiered_cache.hpp"
-#include "workload/trace.hpp"
 #include "workload/trace_source.hpp"
 #include "workload/trace_stats.hpp"
 
@@ -142,12 +139,6 @@ struct SimConfig {
   /// request records a TraceEvent {request index, ServedFrom code, latency,
   /// wasted latency}.
   std::size_t trace_capacity = 0;
-  /// Replay chunk budget: how many requests run() pulls per TraceSource
-  /// window before hinting the consumed prefix away. Bounds the resident
-  /// set of an out-of-core replay; irrelevant to results (the request
-  /// sequence is identical for any chunking). 0 = the process default
-  /// (workload::default_replay_chunk, WEBCACHE_REPLAY_CHUNK overridable).
-  std::size_t replay_chunk = 0;
   /// Intra-run sharding: number of worker shards one simulation is
   /// partitioned across. 0 (the default) selects the classic sequential
   /// engine, bit-for-bit unchanged. Any value >= 1 selects the sharded
@@ -167,22 +158,19 @@ struct SimConfig {
   /// Digest refresh period of the sharded engine, in trace positions
   /// (0 = default, 8192). A semantic parameter of the sharded engine:
   /// cross-cluster lookups within an epoch see the epoch-start digest.
-  /// Results depend on it — but never on sim_shards, threads, or
-  /// replay_chunk. Ignored by the sequential engine.
+  /// Results depend on it — but never on sim_shards or threads. Ignored by
+  /// the sequential engine.
   std::uint64_t shard_epoch = 0;
 };
 
 class Simulator {
  public:
-  /// The source must outlive the simulator; it is replayed in sequential
-  /// chunks (SimConfig::replay_chunk), so out-of-core sources run in
+  /// The source (an in-memory Trace or a compiled-trace mapping) must
+  /// outlive the simulator; it is replayed in sequential windows
+  /// (workload::default_replay_chunk), so out-of-core sources run in
   /// bounded memory. FC/FC-EC precompute the perfect frequency table from
-  /// the stream here (one extra chunked pass).
+  /// the stream here (one extra pass).
   Simulator(SimConfig config, const workload::TraceSource& source);
-
-  /// In-memory convenience: wraps `trace` in a MaterializedTraceSource the
-  /// simulator owns. The trace must outlive the simulator.
-  Simulator(SimConfig config, const workload::Trace& trace);
   ~Simulator();
 
   /// Replays the full trace and returns the metrics (a view over the
@@ -207,7 +195,8 @@ class Simulator {
 
   // --- read-only introspection for the invariant auditor -------------------
   /// The proxy-tier cache: NC/SC/FC's LFU/cost-benefit cache or Hier-GD's
-  /// greedy-dual cache; null for the tiered/unified/Squirrel schemes.
+  /// greedy-dual cache (or their policy overrides); null for the
+  /// tiered/unified/Squirrel schemes.
   [[nodiscard]] const cache::Cache* proxy_cache_of(unsigned proxy) const;
   [[nodiscard]] const TieredCache* tiered_of(unsigned proxy) const;
   [[nodiscard]] const cache::CostBenefitCache* unified_of(unsigned proxy) const;
@@ -268,19 +257,20 @@ class Simulator {
   struct RemoteOp;
 
   struct Proxy {
-    // NC / SC / FC
+    // NC / SC / FC / Hier-GD: LFU-DA, cost-benefit or greedy-dual, unless
+    // SimConfig::proxy_policy overrides it
     std::unique_ptr<cache::Cache> cache;
     // NC-EC / SC-EC
     std::unique_ptr<TieredCache> tiered;
     // FC-EC
     std::unique_ptr<cache::CostBenefitCache> unified;
     std::unique_ptr<cache::LruCache> tier_tracker;
-    // Hier-GD (greedy-dual unless SimConfig::proxy_policy overrides it)
-    std::unique_ptr<cache::Cache> gd;
+    // Hier-GD
     std::unique_ptr<p2p::P2PClientCache> p2p;
     std::unique_ptr<directory::LookupDirectory> dir;
-    /// Last-paid retrieval cost per object (greedy-dual credits),
+    /// Last-paid retrieval cost per object (Hier-GD's greedy-dual credits),
     /// direct-indexed by the dense object id (sized to the trace universe).
+    /// Empty at every other scheme, whose credit is the refetch cost.
     DenseMap<double> fetch_cost;
     /// Private browser caches, one per client (empty unless enabled).
     std::vector<std::unique_ptr<cache::LruCache>> browsers;
@@ -336,7 +326,8 @@ class Simulator {
   void admit_hier_gd(unsigned cluster, ObjectNum object, double cost, ClientNum via_client,
                      double& loss_waste);
 
-  /// Hier-GD: the object's last-paid retrieval cost at `proxy`.
+  /// The object's last-paid retrieval cost at `proxy` (recorded by Hier-GD
+  /// admissions), else its refetch cost.
   [[nodiscard]] double credit_of(const Proxy& proxy, ObjectNum object) const;
 
   /// Marks an object as recently proxy-resident for FC-EC attribution.
@@ -345,11 +336,6 @@ class Simulator {
   /// The live client that issues a request from `raw` (the trace's client
   /// id): its own machine, or the next live neighbour after churn.
   [[nodiscard]] ClientNum client_of(ClientNum raw, const Proxy& proxy) const;
-
-  /// Primary constructor: exactly one of `owned` / `external` is set; the
-  /// public constructors forward here.
-  Simulator(SimConfig config, std::unique_ptr<const workload::TraceSource> owned,
-            const workload::TraceSource* external);
 
   // --- intra-run sharding (sim/sharded_run.cpp) ----------------------------
   /// The sharded engine's state: per-cluster lanes (registry, outcomes,
@@ -364,8 +350,7 @@ class Simulator {
   Metrics run_sharded();
 
   SimConfig config_;
-  std::unique_ptr<const workload::TraceSource> owned_source_;  ///< Trace-ctor adapter
-  const workload::TraceSource* source_;                        ///< never null
+  const workload::TraceSource* source_;  ///< never null
   std::unique_ptr<cache::CostBenefitCoordinator> coordinator_;
   std::shared_ptr<const std::vector<Uint128>> object_ids_;
   std::vector<Proxy> proxies_;
@@ -380,7 +365,6 @@ class Simulator {
 };
 
 /// Convenience: construct, run, return metrics.
-[[nodiscard]] Metrics run_simulation(const SimConfig& config, const workload::Trace& trace);
 [[nodiscard]] Metrics run_simulation(const SimConfig& config,
                                      const workload::TraceSource& source);
 

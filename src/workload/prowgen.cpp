@@ -50,7 +50,7 @@ ProWGen::ProWGen(ProWGenConfig config) : config_(config) {
 
 Trace ProWGen::generate() const {
   Trace trace;
-  trace.distinct_objects = config_.distinct_objects;
+  trace.universe = config_.distinct_objects;
   trace.requests.reserve(config_.total_requests);
   generate([&trace](const Request& r) { trace.requests.push_back(r); });
   return trace;

@@ -89,7 +89,7 @@ SquidReadResult read_squid_log(std::istream& in, SquidReadOptions options) {
     result.trace.requests.push_back(r);
   }
 
-  result.trace.distinct_objects = static_cast<ObjectNum>(url_ids.size());
+  result.trace.universe = static_cast<ObjectNum>(url_ids.size());
   result.distinct_clients = static_cast<ClientNum>(client_ids.size());
   return result;
 }

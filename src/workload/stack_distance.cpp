@@ -17,7 +17,7 @@ std::vector<std::uint64_t> lru_stack_distances(const Trace& trace) {
   // count of distinct objects touched in between.
   FenwickTree occupied(n);
   std::unordered_map<ObjectNum, std::size_t> last_seen;
-  last_seen.reserve(trace.distinct_objects);
+  last_seen.reserve(trace.universe);
 
   for (std::size_t t = 0; t < n; ++t) {
     const ObjectNum object = trace.requests[t].object;

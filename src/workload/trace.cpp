@@ -103,7 +103,7 @@ ObjectNum read_trace_stream(std::istream& in, const RequestSink& sink) {
 
 Trace read_trace(std::istream& in) {
   Trace trace;
-  trace.distinct_objects =
+  trace.universe =
       read_trace_stream(in, [&trace](const Request& r) { trace.requests.push_back(r); });
   return trace;
 }

@@ -1,7 +1,7 @@
-// Request traces: the in-memory container plus a plain-text interchange
-// format so real proxy logs can be converted and replayed through the
-// simulator in place of the synthetic workloads. (The binary companion
-// format for out-of-core replay is wctrace.hpp.)
+// Request traces: a plain-text interchange format for the in-memory Trace
+// (trace_source.hpp), so real proxy logs can be converted and replayed
+// through the simulator in place of the synthetic workloads. (The binary
+// companion format for out-of-core replay is wctrace.hpp.)
 //
 // File format (one request per line, '#' comments ignored):
 //     <time> <client> <object-or-url> [size]
@@ -10,24 +10,13 @@
 // first-seen order.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "common/types.hpp"
+#include "workload/trace_source.hpp"
 
 namespace webcache::workload {
-
-/// An ordered request stream over a dense object universe.
-struct Trace {
-  std::vector<Request> requests;
-  ObjectNum distinct_objects = 0;  ///< object ids are in [0, distinct_objects)
-
-  [[nodiscard]] std::size_t size() const { return requests.size(); }
-  [[nodiscard]] bool empty() const { return requests.empty(); }
-};
 
 /// Per-record consumer for the streaming readers/generators.
 using RequestSink = std::function<void(const Request&)>;

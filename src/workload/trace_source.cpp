@@ -1,33 +1,13 @@
 #include "workload/trace_source.hpp"
 
-#include <cstdlib>
-
 namespace webcache::workload {
 
 Trace materialize(const TraceSource& source) {
   Trace trace;
-  trace.distinct_objects = source.distinct_objects();
-  const std::uint64_t n = source.size();
-  trace.requests.reserve(static_cast<std::size_t>(n));
-  const std::size_t chunk = default_replay_chunk();
-  for (std::uint64_t pos = 0; pos < n;) {
-    const auto win = source.window(pos, chunk);
-    trace.requests.insert(trace.requests.end(), win.begin(), win.end());
-    pos += win.size();
-  }
+  trace.universe = source.distinct_objects();
+  const auto all = source.window(0, static_cast<std::size_t>(source.size()));
+  trace.requests.assign(all.begin(), all.end());
   return trace;
-}
-
-std::size_t default_replay_chunk() {
-  static const std::size_t chunk = [] {
-    if (const char* env = std::getenv("WEBCACHE_REPLAY_CHUNK")) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{65536};
-  }();
-  return chunk;
 }
 
 }  // namespace webcache::workload

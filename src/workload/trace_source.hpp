@@ -1,10 +1,10 @@
 // TraceSource: the streaming request-stream abstraction the simulator, the
 // sweep driver and the benches replay from. A source describes an ordered
 // request stream over a dense object universe without prescribing where the
-// records live: the in-memory adapter wraps the classic workload::Trace
-// vector (zero overhead, the historical behaviour), while the wctrace/1
-// mmap reader (wctrace.hpp) serves sequential windows straight out of a
-// file mapping so traces far larger than RAM replay in bounded memory.
+// records live: the in-memory Trace is a source whose windows are spans
+// over its request vector, while the wctrace/1 mmap reader (wctrace.hpp)
+// serves sequential windows straight out of a file mapping so traces far
+// larger than RAM replay in bounded memory.
 //
 // The contract is positional and stateless: `window(pos, max_len)` returns a
 // zero-copy span of consecutive records starting at `pos`, clamped to the
@@ -12,14 +12,18 @@
 // shared source from many worker threads). `discard_consumed(pos)` is a
 // best-effort hint that records before `pos` are no longer needed by the
 // caller; the mmap source translates it into page release so a sequential
-// replay's resident set stays bounded by the chunk budget, not the trace.
+// replay's resident set stays bounded by the replay window
+// (default_replay_chunk), not the trace.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
+#include <vector>
 
-#include "workload/trace.hpp"
+#include "common/types.hpp"
 
 namespace webcache::workload {
 
@@ -42,57 +46,51 @@ class TraceSource {
                                                         std::size_t max_len) const = 0;
 
   /// Best-effort hint that this reader is done with records before `pos`.
-  /// Sequential replays call it once per consumed chunk; sources backed by
+  /// Sequential replays call it once per consumed window; sources backed by
   /// RAM ignore it. Thread-safe; never affects correctness.
   virtual void discard_consumed(std::uint64_t pos) const { (void)pos; }
 
   [[nodiscard]] bool empty() const { return size() == 0; }
+
+ protected:
+  TraceSource() = default;
+  TraceSource(const TraceSource&) = default;
+  TraceSource& operator=(const TraceSource&) = default;
+  TraceSource(TraceSource&&) = default;
+  TraceSource& operator=(TraceSource&&) = default;
 };
 
-/// In-memory adapter: a TraceSource view over a workload::Trace. Either
-/// borrows a caller-owned trace (which must outlive the source — the classic
-/// Simulator contract) or takes ownership of a moved-in one.
-class MaterializedTraceSource final : public TraceSource {
- public:
-  /// Non-owning view; `trace` must outlive this source.
-  explicit MaterializedTraceSource(const Trace& trace) : trace_(&trace) {}
+/// An ordered request stream held in memory — what the generators and text
+/// readers produce, and itself a TraceSource whose windows are spans over
+/// `requests`. A Trace passed where a TraceSource is expected is borrowed,
+/// so it must outlive the consumer (e.g. a Simulator).
+struct Trace final : TraceSource {
+  std::vector<Request> requests;
+  ObjectNum universe = 0;  ///< object ids are in [0, universe)
 
-  /// Owning: the source keeps the trace alive itself.
-  explicit MaterializedTraceSource(Trace&& trace)
-      : owned_(std::make_unique<Trace>(std::move(trace))), trace_(owned_.get()) {}
+  [[nodiscard]] std::uint64_t size() const override { return requests.size(); }
 
-  [[nodiscard]] std::uint64_t size() const override { return trace_->requests.size(); }
-
-  [[nodiscard]] ObjectNum distinct_objects() const override { return trace_->distinct_objects; }
+  [[nodiscard]] ObjectNum distinct_objects() const override { return universe; }
 
   [[nodiscard]] std::span<const Request> window(std::uint64_t pos,
                                                 std::size_t max_len) const override {
-    const std::uint64_t n = trace_->requests.size();
-    if (pos >= n) return {};
-    const auto len = static_cast<std::size_t>(
-        std::min<std::uint64_t>(max_len, n - pos));
-    return {trace_->requests.data() + pos, len};
+    if (pos >= requests.size()) return {};
+    return std::span<const Request>(requests).subspan(
+        static_cast<std::size_t>(pos), std::min<std::size_t>(max_len, requests.size() - pos));
   }
-
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
-
- private:
-  std::unique_ptr<Trace> owned_;
-  const Trace* trace_;
 };
 
 /// Wraps a trace into a shared owning source (the benches' default path).
 [[nodiscard]] inline std::shared_ptr<const TraceSource> make_source(Trace&& trace) {
-  return std::make_shared<MaterializedTraceSource>(std::move(trace));
+  return std::make_shared<const Trace>(std::move(trace));
 }
 
 /// Copies a full stream back into a materialized Trace (tools/tests; the
 /// whole point of the streaming pipeline is that hot paths never need this).
 [[nodiscard]] Trace materialize(const TraceSource& source);
 
-/// Replay chunk budget, in requests per window, used by sequential replays
-/// (Simulator::run, analyze, cluster_infinite_cache_size). Defaults to
-/// 65536 requests (1.5 MiB of records); WEBCACHE_REPLAY_CHUNK overrides.
-[[nodiscard]] std::size_t default_replay_chunk();
+/// Replay window, in requests, of Simulator::run: 65536 requests (1.5 MiB of
+/// records) between the page-release hints a sequential mmap replay sends.
+[[nodiscard]] constexpr std::size_t default_replay_chunk() { return 65536; }
 
 }  // namespace webcache::workload

@@ -12,16 +12,11 @@ TraceStats analyze(const TraceSource& source) {
   s.distinct_objects = source.distinct_objects();
   s.frequency.assign(s.distinct_objects, 0);
 
-  const std::size_t chunk = default_replay_chunk();
-  for (std::uint64_t pos = 0; pos < s.total_requests;) {
-    const auto win = source.window(pos, chunk);
-    for (const auto& r : win) {
-      if (r.object >= s.distinct_objects) {
-        throw std::invalid_argument("analyze: request references object outside the universe");
-      }
-      ++s.frequency[r.object];
+  for (const auto& r : source.window(0, static_cast<std::size_t>(s.total_requests))) {
+    if (r.object >= s.distinct_objects) {
+      throw std::invalid_argument("analyze: request references object outside the universe");
     }
-    pos += win.size();
+    ++s.frequency[r.object];
   }
 
   std::uint64_t referenced = 0;
@@ -50,8 +45,6 @@ TraceStats analyze(const TraceSource& source) {
                            : static_cast<double>(top) / static_cast<double>(s.total_requests);
   return s;
 }
-
-TraceStats analyze(const Trace& trace) { return analyze(MaterializedTraceSource(trace)); }
 
 std::vector<double> per_proxy_frequency(const TraceStats& stats, unsigned cluster_size) {
   if (cluster_size == 0) {

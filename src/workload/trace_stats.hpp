@@ -27,10 +27,9 @@ struct TraceStats {
   std::vector<std::uint64_t> frequency;
 };
 
-/// Single chunked pass over the stream; working memory is O(distinct
-/// objects), never O(requests), so analysis handles out-of-core traces.
+/// Single pass over the stream; working memory is O(distinct objects),
+/// never O(requests), so analysis handles out-of-core traces.
 [[nodiscard]] TraceStats analyze(const TraceSource& source);
-[[nodiscard]] TraceStats analyze(const Trace& trace);
 
 /// Per-proxy frequency table for the cost-benefit coordinator: global counts
 /// scaled by 1/cluster_size (clients at different proxies are statistically

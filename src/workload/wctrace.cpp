@@ -6,6 +6,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "workload/trace.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define WEBCACHE_HAVE_MMAP 1
 #include <fcntl.h>
@@ -219,7 +221,7 @@ WctraceHeader WctraceWriter::finalize() {
 
 void write_wctrace_file(const std::string& path, const Trace& trace) {
   WctraceWriter writer(path);
-  writer.set_distinct_objects(trace.distinct_objects);
+  writer.set_distinct_objects(trace.universe);
   for (const auto& r : trace.requests) writer.append(r);
   writer.finalize();
 }
@@ -330,11 +332,8 @@ void MmapTraceSource::discard_consumed(std::uint64_t pos) const {
 
 bool MmapTraceSource::verify_checksum() const {
   std::uint64_t state = kWctraceChecksumSeed;
-  const std::size_t chunk = default_replay_chunk();
-  for (std::uint64_t pos = 0; pos < count_;) {
-    const auto win = window(pos, chunk);
-    for (const auto& r : win) state = checksum_record(state, r);
-    pos += win.size();
+  for (const auto& r : window(0, static_cast<std::size_t>(count_))) {
+    state = checksum_record(state, r);
   }
   return state == header_.checksum;
 }

@@ -101,7 +101,7 @@ void write_wctrace_file(const std::string& path, const Trace& trace);
 /// The mmap-backed zero-copy reader. Thread-safe for concurrent windows
 /// (run_sweep replays one shared mapping from many workers);
 /// discard_consumed releases fully consumed pages so a sequential replay's
-/// resident set stays bounded by the chunk budget.
+/// resident set stays bounded by the replay window.
 class MmapTraceSource final : public TraceSource {
  public:
   explicit MmapTraceSource(const std::string& path);
@@ -138,7 +138,7 @@ class MmapTraceSource final : public TraceSource {
 
 /// Opens `path` as a TraceSource: wctrace files get the mmap reader,
 /// anything else goes through the text-trace reader into an in-memory
-/// adapter.
+/// Trace.
 [[nodiscard]] std::shared_ptr<const TraceSource> open_trace_source(const std::string& path);
 
 /// Streams a text trace into a wctrace file with bounded memory (the

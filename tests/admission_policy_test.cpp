@@ -1,7 +1,7 @@
 // Modern-policy frontier: TinyLFU admission and the W-TinyLFU/ARC eviction
 // policies. Covers (a) the admission sketch's halving step, which is keyed
 // to the filter's own operation count and therefore deterministic for any
-// thread count, shard count, or replay chunking; (b) ARC's p-adaptation
+// thread count or shard count; (b) ARC's p-adaptation
 // swinging toward recency under ghost hits in B1 and back toward frequency
 // under loop workloads that hit B2; (c) W-TinyLFU's scan resistance versus
 // LRU; and (d) byte-identical metrics exports for the new policies across

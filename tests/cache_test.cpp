@@ -74,7 +74,7 @@ TEST(Lru, CapacityNeverExceeded) {
 // --- LFU --------------------------------------------------------------------
 
 TEST(Lfu, EvictsLeastFrequent) {
-  LfuCache c(3, LfuMode::kInCache);
+  LfuCache c(3);
   c.insert(1, 0);
   c.insert(2, 0);
   c.insert(3, 0);
@@ -87,7 +87,7 @@ TEST(Lfu, EvictsLeastFrequent) {
 }
 
 TEST(Lfu, TieBreaksByRecency) {
-  LfuCache c(2, LfuMode::kInCache);
+  LfuCache c(2);
   c.insert(1, 0);
   c.insert(2, 0);
   // Both frequency 1; object 1 is older.
@@ -95,42 +95,8 @@ TEST(Lfu, TieBreaksByRecency) {
   EXPECT_EQ(r.evicted, std::optional<ObjectNum>(1));
 }
 
-TEST(Lfu, InCacheModeForgetsEvictedCounts) {
-  LfuCache c(2, LfuMode::kInCache);
-  c.insert(1, 0);
-  for (int i = 0; i < 10; ++i) c.access(1, 0);
-  c.insert(2, 0);
-  c.insert(3, 0);  // evicts 2 (freq 1 vs 11)
-  EXPECT_FALSE(c.contains(2));
-  c.erase(1);
-  c.insert(1, 0);  // re-enters with frequency 1, history forgotten
-  EXPECT_EQ(c.frequency(1), 1u);
-}
-
-TEST(Lfu, PerfectModeRemembersHistory) {
-  LfuCache c(2, LfuMode::kPerfect);
-  c.insert(1, 0);
-  for (int i = 0; i < 10; ++i) c.access(1, 0);
-  EXPECT_EQ(c.frequency(1), 11u);
-  c.erase(1);
-  EXPECT_EQ(c.frequency(1), 11u);  // history survives eviction
-  c.insert(1, 0);
-  EXPECT_EQ(c.frequency(1), 12u);  // re-insert counts as an access
-}
-
-TEST(Lfu, PerfectModeProtectsHistoricallyHotObjects) {
-  LfuCache c(2, LfuMode::kPerfect);
-  c.insert(1, 0);
-  for (int i = 0; i < 5; ++i) c.access(1, 0);
-  c.insert(2, 0);
-  c.insert(3, 0);  // must evict 2 (freq 1), not 1 (freq 6)
-  EXPECT_TRUE(c.contains(1));
-  EXPECT_FALSE(c.contains(2));
-  EXPECT_TRUE(c.contains(3));
-}
-
 TEST(Lfu, ContentsAndVictimConsistent) {
-  LfuCache c(4, LfuMode::kInCache);
+  LfuCache c(4);
   for (ObjectNum o = 0; o < 4; ++o) c.insert(o, 0);
   c.access(0, 0);
   c.access(1, 0);

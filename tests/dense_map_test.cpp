@@ -34,6 +34,10 @@ TEST(DenseMap, InsertFindErase) {
   EXPECT_FALSE(m.erase(3));  // already gone
   EXPECT_FALSE(m.contains(3));
   EXPECT_EQ(m.size(), 1u);
+
+  // A re-inserted key starts from a default value; the erased one never leaks.
+  EXPECT_DOUBLE_EQ(m[3], 0.0);
+  EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(DenseMap, OperatorBracketDefaultConstructsOnce) {
@@ -42,25 +46,6 @@ TEST(DenseMap, OperatorBracketDefaultConstructsOnce) {
   m[2] = 42;
   EXPECT_EQ(m[2], 42);  // second access does not reset
   EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(DenseMap, EpochClearIsLogicalAndReusable) {
-  DenseMap<int> m(8);
-  for (std::uint32_t k = 0; k < 8; ++k) m[k] = static_cast<int>(k);
-  EXPECT_EQ(m.size(), 8u);
-
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  for (std::uint32_t k = 0; k < 8; ++k) {
-    EXPECT_FALSE(m.contains(k)) << k;
-    EXPECT_EQ(m.find(k), nullptr) << k;
-  }
-
-  // Slots are reusable after the epoch bump, and stale values never leak.
-  m[5] = 99;
-  EXPECT_EQ(m.size(), 1u);
-  EXPECT_EQ(m[5], 99);
-  EXPECT_FALSE(m.contains(4));
 }
 
 TEST(DenseMap, IterationIsAscendingKeyOrder) {
@@ -102,18 +87,12 @@ TEST(DenseSet, InsertEraseContains) {
   EXPECT_EQ(s.size(), 1u);
 }
 
-TEST(DenseSet, EpochClearAndAscendingIteration) {
+TEST(DenseSet, AscendingIteration) {
   DenseSet s(32);
   for (std::uint32_t k : {20u, 5u, 11u}) s.insert(k);
   std::vector<std::uint32_t> members;
   s.for_each([&](std::uint32_t k) { members.push_back(k); });
   EXPECT_EQ(members, (std::vector<std::uint32_t>{5, 11, 20}));
-
-  s.clear();
-  EXPECT_TRUE(s.empty());
-  EXPECT_FALSE(s.contains(5));
-  EXPECT_TRUE(s.insert(5));  // reusable after clear
-  EXPECT_EQ(s.size(), 1u);
 }
 
 TEST(DenseSet, MemoryBytesTracksFlatUniverse) {

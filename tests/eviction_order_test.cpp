@@ -51,11 +51,11 @@ std::vector<ObjectNum> sorted(std::vector<ObjectNum> v) {
   return v;
 }
 
-// --- reference LFU: the historical std::set implementation ------------------
+// --- reference LFU-DA: the historical std::set implementation ---------------
 
 class RefLfu {
  public:
-  RefLfu(std::size_t capacity, cache::LfuMode mode) : capacity_(capacity), mode_(mode) {}
+  explicit RefLfu(std::size_t capacity) : capacity_(capacity) {}
 
   bool contains(ObjectNum o) const { return entries_.contains(o); }
 
@@ -63,28 +63,22 @@ class RefLfu {
     auto& e = entries_.at(o);
     order_.erase({e.key, e.last_seq, o});
     ++e.freq;
-    e.key = mode_ == cache::LfuMode::kDynamicAging ? e.freq + aging_floor_ : e.freq;
+    e.key = e.freq + aging_floor_;
     e.last_seq = ++seq_;
     order_.insert({e.key, e.last_seq, o});
-    if (mode_ == cache::LfuMode::kPerfect) ++history_[o];
   }
 
   InsertResult insert(ObjectNum o) {
-    std::uint64_t start_freq = 1;
-    if (mode_ == cache::LfuMode::kPerfect) start_freq = ++history_[o];
     InsertResult result;
     result.inserted = true;
     if (entries_.size() >= capacity_) {
       const auto [vkey, vseq, victim] = *order_.begin();
-      if (mode_ == cache::LfuMode::kDynamicAging) aging_floor_ = vkey;
+      aging_floor_ = vkey;
       order_.erase(order_.begin());
       entries_.erase(victim);
       result.evicted = victim;
     }
-    const Entry e{start_freq,
-                  mode_ == cache::LfuMode::kDynamicAging ? start_freq + aging_floor_
-                                                         : start_freq,
-                  ++seq_};
+    const Entry e{1, 1 + aging_floor_, ++seq_};
     entries_.emplace(o, e);
     order_.insert({e.key, e.last_seq, o});
     return result;
@@ -116,21 +110,19 @@ class RefLfu {
     std::uint64_t last_seq;
   };
   std::size_t capacity_;
-  cache::LfuMode mode_;
   std::uint64_t seq_ = 0;
   std::uint64_t aging_floor_ = 0;
   std::set<std::tuple<std::uint64_t, std::uint64_t, ObjectNum>> order_;
   std::map<ObjectNum, Entry> entries_;
-  std::map<ObjectNum, std::uint64_t> history_;
 };
 
-void drive_lfu(cache::LfuMode mode) {
+TEST(EvictionOrder, LfuDynamicAgingMatchesSetReference) {
   constexpr std::size_t kCapacity = 64;
   constexpr ObjectNum kObjects = 400;  // ~6x capacity: constant eviction churn
   constexpr int kSteps = 10'000;
 
-  cache::LfuCache real(kCapacity, mode);
-  RefLfu ref(kCapacity, mode);
+  cache::LfuCache real(kCapacity);
+  RefLfu ref(kCapacity);
   TraceRng rng(2003);
 
   for (int step = 0; step < kSteps; ++step) {
@@ -160,21 +152,13 @@ void drive_lfu(cache::LfuMode mode) {
   EXPECT_EQ(sorted(real.contents()), sorted(ref.contents()));
 }
 
-TEST(EvictionOrder, LfuDynamicAgingMatchesSetReference) {
-  drive_lfu(cache::LfuMode::kDynamicAging);
-}
-
-TEST(EvictionOrder, LfuInCacheMatchesSetReference) { drive_lfu(cache::LfuMode::kInCache); }
-
-TEST(EvictionOrder, LfuPerfectMatchesSetReference) { drive_lfu(cache::LfuMode::kPerfect); }
-
 // LFU-DA aging-floor ties, pinned explicitly: after the floor rises, a burst
 // of fresh single-access inserts all carry key = 1 + floor, and the victim
 // among them must be the least recently inserted (smallest seq).
 TEST(EvictionOrder, LfuDaAgingFloorTieBreaksBySeq) {
   constexpr std::size_t kCapacity = 8;
-  cache::LfuCache real(kCapacity, cache::LfuMode::kDynamicAging);
-  RefLfu ref(kCapacity, cache::LfuMode::kDynamicAging);
+  cache::LfuCache real(kCapacity);
+  RefLfu ref(kCapacity);
 
   // Warm a hot set so evictions raise the floor above 1.
   for (ObjectNum o = 0; o < kCapacity; ++o) {

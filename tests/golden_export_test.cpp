@@ -35,7 +35,7 @@ constexpr ClientNum kClients = 20;
 /// hitting and a long tail that keeps every cache evicting.
 workload::Trace golden_trace() {
   workload::Trace trace;
-  trace.distinct_objects = kObjects;
+  trace.universe = kObjects;
   Rng rng(2003);
   for (std::uint64_t t = 0; t < 20'000; ++t) {
     const std::uint64_t u = rng.next_below(kObjects);

@@ -143,7 +143,7 @@ TEST(Integration, ExactDirectoryMirrorsP2PContents) {
     // Every cached object is in the directory, and the directory holds
     // exactly the cached set (no stale entries, no misses).
     EXPECT_EQ(dir->entry_count(), p2p->size());
-    for (ObjectNum o = 0; o < trace.distinct_objects; ++o) {
+    for (ObjectNum o = 0; o < trace.universe; ++o) {
       ASSERT_EQ(dir->may_contain(o), p2p->contains(o)) << "proxy " << p << " object " << o;
     }
   }
@@ -201,7 +201,7 @@ TEST(Integration, PrintGainTableFormat) {
 
 TEST(Integration, ClusterInfiniteCacheSizeMatchesDefinition) {
   workload::Trace t;
-  t.distinct_objects = 3;
+  t.universe = 3;
   // Round-robin over 2 proxies: proxy 0 sees requests 0, 2, 4, ...
   // proxy-0 stream: objects 0, 0, 1 -> one multi-referenced object.
   for (const ObjectNum o : {0u, 2u, 0u, 2u, 1u, 2u}) {

@@ -1,4 +1,4 @@
-// Tests for the LFU-DA mode (dynamic aging) and the clairvoyant cost-benefit
+// Tests for LFU-DA (dynamic aging) and the clairvoyant cost-benefit
 // consume() extension — the two policy refinements that reconcile the
 // paper's scheme orderings with its temporal-locality findings.
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@ namespace {
 // --- LFU-DA -----------------------------------------------------------------
 
 TEST(LfuDa, BehavesLikeLfuBeforeFirstEviction) {
-  LfuCache da(3, LfuMode::kDynamicAging);
+  LfuCache da(3);
   da.insert(1, 0);
   da.insert(2, 0);
   da.insert(3, 0);
@@ -24,7 +24,7 @@ TEST(LfuDa, BehavesLikeLfuBeforeFirstEviction) {
 }
 
 TEST(LfuDa, AgingFloorRisesWithEvictions) {
-  LfuCache da(2, LfuMode::kDynamicAging);
+  LfuCache da(2);
   da.insert(1, 0);
   for (int i = 0; i < 5; ++i) da.access(1, 0);  // key 6
   da.insert(2, 0);                              // key 1
@@ -34,33 +34,24 @@ TEST(LfuDa, AgingFloorRisesWithEvictions) {
 }
 
 TEST(LfuDa, FormerlyHotObjectsAgeOut) {
-  // The defining difference from pure LFU: a burst-hot object that goes
-  // cold is eventually evicted in favour of the current working set.
-  LfuCache da(2, LfuMode::kDynamicAging);
-  LfuCache pure(2, LfuMode::kInCache);
-  for (LfuCache* c : {&da, &pure}) {
-    c->insert(1, 0);
-    for (int i = 0; i < 50; ++i) c->access(1, 0);  // 1 is very hot, then cold
-  }
+  // The defining difference from pure LFU, which would pin it forever: a
+  // burst-hot object that goes cold is eventually evicted in favour of the
+  // current working set.
+  LfuCache da(2);
+  da.insert(1, 0);
+  for (int i = 0; i < 50; ++i) da.access(1, 0);  // 1 is very hot, then cold
   // A stream of fresh objects, each referenced twice in quick succession.
-  bool da_evicted_hot = false;
-  bool pure_evicted_hot = false;
+  bool evicted_hot = false;
   for (ObjectNum o = 100; o < 160; ++o) {
-    for (LfuCache* c : {&da, &pure}) {
-      if (!c->contains(o)) {
-        c->insert(o, 0);
-      }
-      if (c->contains(o)) c->access(o, 0);
-    }
-    da_evicted_hot = da_evicted_hot || !da.contains(1);
-    pure_evicted_hot = pure_evicted_hot || !pure.contains(1);
+    if (!da.contains(o)) da.insert(o, 0);
+    if (da.contains(o)) da.access(o, 0);
+    evicted_hot = evicted_hot || !da.contains(1);
   }
-  EXPECT_TRUE(da_evicted_hot);     // aging reclaimed the stale object
-  EXPECT_FALSE(pure_evicted_hot);  // pure LFU pins it forever
+  EXPECT_TRUE(evicted_hot);  // aging reclaimed the stale object
 }
 
 TEST(LfuDa, ReWarmedObjectOutlivesAgedPopulation) {
-  LfuCache da(3, LfuMode::kDynamicAging);
+  LfuCache da(3);
   da.insert(1, 0);
   da.insert(2, 0);
   da.insert(3, 0);
@@ -79,7 +70,7 @@ TEST(LfuDa, ReWarmedObjectOutlivesAgedPopulation) {
 }
 
 TEST(LfuDa, CapacityInvariantUnderChurn) {
-  LfuCache da(16, LfuMode::kDynamicAging);
+  LfuCache da(16);
   for (ObjectNum o = 0; o < 1000; ++o) {
     if (da.contains(o % 37)) {
       da.access(o % 37, 0);

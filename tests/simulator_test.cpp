@@ -203,7 +203,7 @@ TEST(Simulator, BloomDirectoryNeverGoesFalseNegative) {
   for (unsigned p = 0; p < cfg.num_proxies; ++p) {
     const auto* p2p = sim.p2p_of(p);
     const auto* dir = sim.directory_of(p);
-    for (ObjectNum o = 0; o < trace.distinct_objects; ++o) {
+    for (ObjectNum o = 0; o < trace.universe; ++o) {
       if (p2p->contains(o)) {
         ASSERT_TRUE(dir->may_contain(o)) << "false negative for object " << o;
       }

@@ -8,11 +8,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/registry.hpp"
+#include "sim/simulator.hpp"
 #include "workload/prowgen.hpp"
 #include "workload/trace_source.hpp"
 #include "workload/trace_stats.hpp"
@@ -40,7 +43,7 @@ void patch_byte(const std::string& path, std::size_t offset, char value) {
 }
 
 bool same_requests(const Trace& a, const Trace& b) {
-  if (a.distinct_objects != b.distinct_objects) return false;
+  if (a.universe != b.universe) return false;
   if (a.requests.size() != b.requests.size()) return false;
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
     const auto& x = a.requests[i];
@@ -61,7 +64,7 @@ TEST(Wctrace, BinaryRoundTripPreservesEveryField) {
 
   const auto header = read_wctrace_header(path);
   EXPECT_EQ(header.request_count, trace.requests.size());
-  EXPECT_EQ(header.distinct_objects, trace.distinct_objects);
+  EXPECT_EQ(header.distinct_objects, trace.universe);
 
   const auto back = read_wctrace_file(path);
   EXPECT_TRUE(same_requests(trace, back));
@@ -97,7 +100,7 @@ TEST(Wctrace, StreamedProWGenEqualsMaterializedGeneration) {
   const auto materialized = ProWGen(cfg).generate();
 
   Trace streamed;
-  streamed.distinct_objects = cfg.distinct_objects;
+  streamed.universe = cfg.distinct_objects;
   ProWGen(cfg).generate([&streamed](const Request& r) { streamed.requests.push_back(r); });
   EXPECT_TRUE(same_requests(materialized, streamed));
 }
@@ -192,7 +195,7 @@ TEST(TraceSourceContract, WindowsTileTheStreamExactly) {
   write_wctrace_file(path, trace);
   const MmapTraceSource source(path);
   ASSERT_EQ(source.size(), trace.requests.size());
-  EXPECT_EQ(source.distinct_objects(), trace.distinct_objects);
+  EXPECT_EQ(source.distinct_objects(), trace.universe);
 
   // Walk with a chunk that does not divide the length: the tail window must
   // clamp, and every record must come back byte-for-byte.
@@ -214,9 +217,11 @@ TEST(TraceSourceContract, WindowsTileTheStreamExactly) {
   std::filesystem::remove(path);
 }
 
+// The in-memory Trace is its own TraceSource: windows are spans over its
+// request vector.
 TEST(TraceSourceContract, MaterializedAdapterMatchesVectorExactly) {
   const auto trace = small_trace();
-  const MaterializedTraceSource source(trace);
+  const TraceSource& source = trace;
   EXPECT_EQ(source.size(), trace.requests.size());
   const auto all = source.window(0, trace.requests.size());
   ASSERT_EQ(all.size(), trace.requests.size());
@@ -245,11 +250,11 @@ TEST(TraceSourceContract, AnalyzeStreamedMatchesMaterialized) {
 
 // --- the tentpole: streamed == materialized, byte for byte ----------------
 
-// Sweep a compiled trace >= 10x larger than the replay chunk through the
-// mmap reader at 1 and 8 threads and demand byte-identical
-// "webcache-metrics/1" exports against the in-memory run. This is the
-// acceptance gate for the whole streaming refactor: any divergence in
-// replay order, window clamping or page release shows up here.
+// Sweep a compiled trace through the mmap reader at 1 and 8 threads and
+// demand byte-identical "webcache-metrics/1" exports against the in-memory
+// run: workers sharing one mapping must replay exactly what the in-memory
+// sweep does. (Window boundaries and page release are crossed by
+// StreamedReplay.CrossesReplayWindowsByteIdentically.)
 TEST(StreamedSweep, GoldenDiffAgainstMaterializedAcrossThreadCounts) {
   const auto trace = small_trace();
   const auto path = temp_path("golden.wct");
@@ -260,7 +265,6 @@ TEST(StreamedSweep, GoldenDiffAgainstMaterializedAcrossThreadCounts) {
   cfg.schemes = {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kHierGD};
   cfg.cache_percents = {20, 60};
   cfg.collect_observability = true;
-  cfg.base.replay_chunk = 512;  // 20k requests: ~39 windows, >= 10x the chunk
   cfg.threads = 1;
 
   const auto render = [](const core::SweepResult& result) {
@@ -277,6 +281,39 @@ TEST(StreamedSweep, GoldenDiffAgainstMaterializedAcrossThreadCounts) {
     streamed_cfg.threads = threads;
     const auto exported = render(core::run_sweep(streamed, streamed_cfg));
     EXPECT_EQ(reference, exported) << "threads=" << threads;
+  }
+  std::filesystem::remove(path);
+}
+
+// A sequential replay reads default_replay_chunk() requests per window and
+// releases each consumed window's pages. A trace longer than two windows
+// crosses two such boundaries, which must serve every request once and leave
+// the export byte-identical to the in-memory replay's.
+TEST(StreamedReplay, CrossesReplayWindowsByteIdentically) {
+  ProWGenConfig gen;
+  gen.total_requests = 2 * default_replay_chunk() + 4'321;
+  gen.distinct_objects = 4'000;
+  gen.seed = 18;
+  const auto trace = ProWGen(gen).generate();
+  const auto path = temp_path("window_boundary.wct");
+  write_wctrace_file(path, trace);
+  const MmapTraceSource streamed(path);
+
+  const auto render = [](sim::SimConfig cfg, const TraceSource& source) {
+    cfg.registry = std::make_shared<obs::Registry>();
+    sim::Simulator simulator(cfg, source);
+    EXPECT_EQ(simulator.run().requests, source.size());
+    std::ostringstream out;
+    cfg.registry->write_json(out, "window_boundary");
+    return out.str();
+  };
+  for (const auto scheme : {sim::Scheme::kSC, sim::Scheme::kHierGD}) {
+    sim::SimConfig cfg;
+    cfg.scheme = scheme;
+    cfg.proxy_capacity = 200;
+    cfg.clients_per_cluster = 20;
+    cfg.client_cache_capacity = 4;
+    EXPECT_EQ(render(cfg, trace), render(cfg, streamed)) << sim::to_string(scheme);
   }
   std::filesystem::remove(path);
 }

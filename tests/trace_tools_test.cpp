@@ -65,7 +65,7 @@ TEST(SquidLog, ParsesAndFilters) {
   EXPECT_EQ(result.lines_malformed, 1u);   // the garbage line
   EXPECT_EQ(result.lines_skipped, 2u);     // POST + 404
   ASSERT_EQ(result.trace.size(), 4u);
-  EXPECT_EQ(result.trace.distinct_objects, 2u);  // /x and /y
+  EXPECT_EQ(result.trace.universe, 2u);  // /x and /y
   EXPECT_EQ(result.distinct_clients, 2u);        // 10.0.0.7 and .8
 
   // Same URL maps to the same dense id; timestamps are milliseconds.
@@ -105,7 +105,7 @@ Trace trace_of(std::initializer_list<ObjectNum> objects) {
   std::uint64_t time = 0;
   for (const auto o : objects) {
     t.requests.push_back(Request{time++, 0, o, 1});
-    t.distinct_objects = std::max(t.distinct_objects, o + 1);
+    t.universe = std::max(t.universe, o + 1);
   }
   return t;
 }

@@ -22,7 +22,7 @@ ProWGenConfig small_config() {
 TEST(ProWGen, GeneratesExactlyConfiguredRequests) {
   const auto trace = ProWGen(small_config()).generate();
   EXPECT_EQ(trace.size(), 50'000u);
-  EXPECT_EQ(trace.distinct_objects, 2'000u);
+  EXPECT_EQ(trace.universe, 2'000u);
 }
 
 TEST(ProWGen, EveryObjectIsReferencedAndCountsAreExact) {
@@ -225,7 +225,7 @@ TEST(TraceIO, RoundTripsThroughText) {
   write_trace(buffer, trace);
   const auto loaded = read_trace(buffer);
   ASSERT_EQ(loaded.size(), trace.size());
-  EXPECT_EQ(loaded.distinct_objects, trace.distinct_objects);
+  EXPECT_EQ(loaded.universe, trace.universe);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(loaded.requests[i].time, trace.requests[i].time);
     ASSERT_EQ(loaded.requests[i].client, trace.requests[i].client);
@@ -242,7 +242,7 @@ TEST(TraceIO, ReadsUrlsAndAssignsDenseIds) {
       "2 1 http://a.com/x 100\n");
   const auto trace = read_trace(in);
   ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.distinct_objects, 2u);
+  EXPECT_EQ(trace.universe, 2u);
   EXPECT_EQ(trace.requests[0].object, trace.requests[2].object);
   EXPECT_NE(trace.requests[0].object, trace.requests[1].object);
   EXPECT_EQ(trace.requests[0].size, 100u);
@@ -266,7 +266,7 @@ TEST(TraceIO, MissingFileThrows) {
 
 TEST(TraceStats, InfiniteCacheSizeCountsMultiReferenced) {
   Trace t;
-  t.distinct_objects = 4;
+  t.universe = 4;
   for (const ObjectNum o : {0u, 0u, 1u, 2u, 2u, 2u}) {
     t.requests.push_back(Request{0, 0, o, 1});
   }
@@ -278,7 +278,7 @@ TEST(TraceStats, InfiniteCacheSizeCountsMultiReferenced) {
 
 TEST(TraceStats, PerProxyFrequencyScales) {
   Trace t;
-  t.distinct_objects = 1;
+  t.universe = 1;
   for (int i = 0; i < 10; ++i) t.requests.push_back(Request{0, 0, 0, 1});
   const auto s = analyze(t);
   const auto f = per_proxy_frequency(s, 5);
@@ -288,7 +288,7 @@ TEST(TraceStats, PerProxyFrequencyScales) {
 
 TEST(TraceStats, RejectsOutOfUniverseObjects) {
   Trace t;
-  t.distinct_objects = 1;
+  t.universe = 1;
   t.requests.push_back(Request{0, 0, 5, 1});
   EXPECT_THROW((void)analyze(t), std::invalid_argument);
 }

@@ -254,7 +254,7 @@ workload::Trace trace_from(const Flags& flags) {
 
 /// The streaming front door for simulate/sweep: a compiled wctrace gets the
 /// mmap reader (bounded memory, zero copies); everything else materializes
-/// behind the in-memory adapter.
+/// into an in-memory Trace.
 std::shared_ptr<const workload::TraceSource> source_from(const Flags& flags) {
   if (flags.has("trace") && !flags.has("squid") &&
       workload::is_wctrace_file(flags.str("trace", ""))) {
@@ -323,7 +323,7 @@ int cmd_generate(const Flags& flags) {
   if (!flags.has("out")) usage("generate needs --out FILE");
   const auto trace = workload::ProWGen(workload_from(flags)).generate();
   workload::write_trace_file(flags.str("out", ""), trace);
-  std::cout << "wrote " << trace.size() << " requests over " << trace.distinct_objects
+  std::cout << "wrote " << trace.size() << " requests over " << trace.universe
             << " objects to " << flags.str("out", "") << "\n";
   return 0;
 }
