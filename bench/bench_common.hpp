@@ -18,7 +18,8 @@
 //                         yields byte-identical results — see README
 //                         "Sharded runs"). Composes with WEBCACHE_THREADS:
 //                         threads parallelize across sweep runs, shards
-//                         within each run.
+//                         within each run. A value that is not an integer
+//                         in [0, 1024] stops the bench (exit code 2).
 //   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
 //                         bench's sweeps (same as passing --metrics-out).
 //   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
@@ -37,6 +38,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -75,8 +77,16 @@ inline unsigned bench_threads() {
 }
 
 /// Intra-run shard count for every simulation a bench runs:
-/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine).
-inline unsigned bench_sim_shards() { return core::sim_shards_from_env(); }
+/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine). A malformed value
+/// stops the bench with exit code 2.
+inline unsigned bench_sim_shards() {
+  try {
+    return core::sim_shards_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 /// The paper's default synthetic workload (Section 5.1): one million
 /// requests over 10,000 distinct objects, 50% one-timers, alpha = 0.7.

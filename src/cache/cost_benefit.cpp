@@ -64,14 +64,6 @@ void CostBenefitCoordinator::reprice_holders(ObjectNum object) {
   }
 }
 
-void CostBenefitCoordinator::register_member(CostBenefitCache* cache) {
-  members_.push_back(cache);
-}
-
-void CostBenefitCoordinator::unregister_member(CostBenefitCache* cache) {
-  std::erase(members_, cache);
-}
-
 void CostBenefitCoordinator::on_copy_added(ObjectNum object, CostBenefitCache* cache) {
   if (object >= holders_.size()) holders_.resize(static_cast<std::size_t>(object) + 1);
   auto& holders = holders_[object];
@@ -96,39 +88,35 @@ void CostBenefitCoordinator::on_copy_removed(ObjectNum object, CostBenefitCache*
 // --- member cache -----------------------------------------------------------
 
 CostBenefitCache::CostBenefitCache(std::size_t capacity, CostBenefitCoordinator& coordinator)
-    : Cache(capacity), coordinator_(coordinator) {
-  coordinator_.register_member(this);
-}
+    : Cache(capacity), coordinator_(coordinator) {}
 
 CostBenefitCache::~CostBenefitCache() {
-  entries_.for_each([this](ObjectNum object, const Entry&) {
+  order_.for_each([this](ObjectNum object, const Key&) {
     coordinator_.on_copy_removed(object, this);
   });
-  coordinator_.unregister_member(this);
 }
 
 void CostBenefitCache::access(ObjectNum object, double /*cost*/) {
-  assert(entries_.contains(object) && "CostBenefitCache::access: object not cached");
+  assert(order_.contains(object) && "CostBenefitCache::access: object not cached");
   (void)object;  // values are static under perfect frequency knowledge
   obs_hit();
 }
 
 InsertResult CostBenefitCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!entries_.contains(object) && "CostBenefitCache::insert: object already cached");
+  assert(!order_.contains(object) && "CostBenefitCache::insert: object already cached");
   if (capacity_ == 0) return {};
 
   const unsigned replicas_after = coordinator_.replica_count(object) + 1;
   const double new_value = coordinator_.copy_value(object, replicas_after);
 
   InsertResult result;
-  if (entries_.size() >= capacity_) {
+  if (order_.size() >= capacity_) {
     const auto [victim_key, victim] = order_.top();
     if (new_value <= victim_key.first) {
       obs_declined();
       return result;  // newcomer not worth evicting anything for
     }
     order_.pop();
-    entries_.erase(victim);
     coordinator_.on_copy_removed(victim, this);
     result.evicted = victim;
     obs_evicted();
@@ -136,16 +124,13 @@ InsertResult CostBenefitCache::insert(ObjectNum object, double /*cost*/) {
 
   result.inserted = true;
   obs_inserted();
-  const Entry e{new_value, ++seq_};
-  entries_[object] = e;
-  order_.set(object, key_of(e));
+  order_.set(object, Key{new_value, ++seq_});
   coordinator_.on_copy_added(object, this);
   return result;
 }
 
 bool CostBenefitCache::erase(ObjectNum object) {
-  if (!entries_.erase(object)) return false;
-  order_.erase(object);
+  if (!order_.erase(object)) return false;
   coordinator_.on_copy_removed(object, this);
   return true;
 }
@@ -157,22 +142,21 @@ std::optional<ObjectNum> CostBenefitCache::peek_victim() const {
 
 std::vector<ObjectNum> CostBenefitCache::contents() const {
   std::vector<ObjectNum> out;
-  out.reserve(entries_.size());
-  entries_.for_each([&out](ObjectNum object, const Entry&) { out.push_back(object); });
+  out.reserve(order_.size());
+  order_.for_each([&out](ObjectNum object, const Key&) { out.push_back(object); });
   return out;
 }
 
 double CostBenefitCache::value_of(ObjectNum object) const {
-  const Entry* e = entries_.find(object);
-  return e == nullptr ? 0.0 : e->value;
+  const Key* key = order_.find(object);
+  return key == nullptr ? 0.0 : key->first;
 }
 
 void CostBenefitCache::reprice(ObjectNum object, double new_value) {
-  Entry* e = entries_.find(object);
-  assert(e != nullptr && "CostBenefitCache::reprice: object not cached");
-  if (e->value == new_value) return;  // no-op reprice, skip the heap push
-  e->value = new_value;
-  order_.set(object, key_of(*e));
+  const Key* key = order_.find(object);
+  assert(key != nullptr && "CostBenefitCache::reprice: object not cached");
+  if (key->first == new_value) return;  // no-op reprice, skip the heap sift
+  order_.set(object, Key{new_value, key->second});
 }
 
 }  // namespace webcache::cache

@@ -33,7 +33,6 @@
 
 #include "cache/cache.hpp"
 #include "cache/eviction_heap.hpp"
-#include "common/dense_map.hpp"
 
 namespace webcache::cache {
 
@@ -71,8 +70,6 @@ class CostBenefitCoordinator {
  private:
   friend class CostBenefitCache;
 
-  void register_member(CostBenefitCache* cache);
-  void unregister_member(CostBenefitCache* cache);
   void on_copy_added(ObjectNum object, CostBenefitCache* cache);
   void on_copy_removed(ObjectNum object, CostBenefitCache* cache);
   void reprice_holders(ObjectNum object);
@@ -81,7 +78,6 @@ class CostBenefitCoordinator {
   unsigned cluster_size_;
   double server_latency_;
   double proxy_latency_;
-  std::vector<CostBenefitCache*> members_;
   // Direct-indexed by object id (an empty vector = no cached copies). A
   // cluster holds at most P pointers per object, so the slack is tiny and
   // replica lookups become one array read.
@@ -101,9 +97,9 @@ class CostBenefitCache final : public Cache {
   CostBenefitCache(std::size_t capacity, CostBenefitCoordinator& coordinator);
   ~CostBenefitCache() override;
 
-  [[nodiscard]] std::size_t size() const override { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
   [[nodiscard]] bool contains(ObjectNum object) const override {
-    return entries_.contains(object);
+    return order_.contains(object);
   }
 
   /// Values are static (perfect frequencies), so hits need no bookkeeping.
@@ -130,21 +126,15 @@ class CostBenefitCache final : public Cache {
   /// Re-prices a cached copy after a cluster replica-count transition.
   void reprice(ObjectNum object, double new_value);
 
-  struct Entry {
-    double value = 0.0;
-    std::uint64_t seq = 0;
-  };
-  // seq is unique per entry (repricing keeps it), so (value, seq) orders
-  // distinct objects totally — identical to the historical
+  // Heap priority (value, seq) of a cached copy; the heap is the cache's
+  // only index. seq is unique per entry (repricing keeps it), so the pair
+  // orders distinct objects totally — identical to the historical
   // std::set<tuple<value, seq, object>> victim order.
   using Key = std::pair<double, std::uint64_t>;
-
-  [[nodiscard]] static Key key_of(const Entry& e) { return {e.value, e.seq}; }
 
   CostBenefitCoordinator& coordinator_;
   std::uint64_t seq_ = 0;
   EvictionHeap<Key> order_;
-  FlatMap<Entry> entries_;
 };
 
 }  // namespace webcache::cache

@@ -48,6 +48,20 @@ class EvictionHeap {
 
   [[nodiscard]] bool contains(ObjectNum object) const { return pos_.find(object) != nullptr; }
 
+  /// Priority of `object`, or nullptr when absent. Valid until the next
+  /// mutation.
+  [[nodiscard]] const Priority* find(ObjectNum object) const {
+    const std::uint32_t* at = pos_.find(object);
+    return at == nullptr ? nullptr : &nodes_[*at].priority;
+  }
+
+  /// Calls fn(object, priority) for every live entry, in heap-layout order
+  /// (which no policy decision depends on). Must not mutate the heap.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Node& node : nodes_) fn(node.object, node.priority);
+  }
+
   /// Inserts `object` or re-keys it to `priority`.
   void set(ObjectNum object, const Priority& priority) {
     if (const std::uint32_t* at = pos_.find(object)) {

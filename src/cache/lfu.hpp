@@ -12,12 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/eviction_heap.hpp"
-#include "common/dense_map.hpp"
 
 namespace webcache::cache {
 
@@ -25,9 +23,9 @@ class LfuCache final : public Cache {
  public:
   explicit LfuCache(std::size_t capacity) : Cache(capacity) {}
 
-  [[nodiscard]] std::size_t size() const override { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const override { return order_.size(); }
   [[nodiscard]] bool contains(ObjectNum object) const override {
-    return entries_.contains(object);
+    return order_.contains(object);
   }
 
   void access(ObjectNum object, double cost) override;
@@ -47,22 +45,24 @@ class LfuCache final : public Cache {
   [[nodiscard]] std::uint64_t aging_floor() const { return aging_floor_; }
 
  private:
-  struct Entry {
-    std::uint64_t freq = 0;  ///< access count since admission
+  /// Heap priority of a cached object, ordered by (key, recency): the heap
+  /// minimum is the eviction victim, with the least recent access breaking
+  /// key ties. last_seq is unique per entry, so the order is total and
+  /// matches the historical std::set<tuple> order. The heap is the cache's
+  /// only index, so the priority also carries the access count, which the
+  /// order ignores.
+  struct Rank {
     std::uint64_t key = 0;   ///< eviction key: freq + the aging floor at the last access
     std::uint64_t last_seq = 0;
+    std::uint64_t freq = 0;  ///< access count since admission
+    friend bool operator<(const Rank& a, const Rank& b) {
+      return a.key != b.key ? a.key < b.key : a.last_seq < b.last_seq;
+    }
   };
-  // Ordered by (key, recency): the heap minimum is the eviction victim, with
-  // the least recent access breaking key ties. last_seq is unique per entry,
-  // so the order is total and matches the historical std::set<tuple> order.
-  using Key = std::pair<std::uint64_t, std::uint64_t>;
-
-  [[nodiscard]] static Key key_of(const Entry& e) { return {e.key, e.last_seq}; }
 
   std::uint64_t seq_ = 0;
   std::uint64_t aging_floor_ = 0;
-  EvictionHeap<Key> order_;
-  FlatMap<Entry> entries_;
+  EvictionHeap<Rank> order_;
 };
 
 }  // namespace webcache::cache

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "directory/directory.hpp"
@@ -21,12 +24,16 @@ std::vector<double> default_cache_percents() {
 
 unsigned sim_shards_from_env() {
   static const unsigned shards = [] {
-    if (const char* env = std::getenv("WEBCACHE_SIM_SHARDS")) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && n <= 1024) return static_cast<unsigned>(n);
+    const char* env = std::getenv("WEBCACHE_SIM_SHARDS");
+    if (env == nullptr || *env == '\0') return 0U;
+    const std::string_view text(env);
+    unsigned n = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+    if (ec != std::errc{} || end != text.data() + text.size() || n > 1024) {
+      throw std::invalid_argument("WEBCACHE_SIM_SHARDS needs an integer in [0, 1024], got '" +
+                                  std::string(text) + "'");
     }
-    return 0U;
+    return n;
   }();
   return shards;
 }
@@ -40,15 +47,19 @@ ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
   // streams are statistically identical, so one cluster stands for all. One
   // pass, O(distinct objects) working memory.
   std::vector<std::uint64_t> freq(source.distinct_objects(), 0);
-  const auto all = source.window(0, static_cast<std::size_t>(source.size()));
-  for (std::size_t i = 0; i < all.size(); i += num_proxies) {
-    const ObjectNum object = all[i].object;
-    if (object >= freq.size()) {
-      throw std::invalid_argument(
-          "cluster_infinite_cache_size: request references object outside the universe");
+  std::uint64_t base = 0;  // stream position of the window's first record
+  std::uint64_t next = 0;  // next position of proxy 0's substream
+  workload::for_each_window(source, [&](std::span<const Request> win) {
+    for (; next < base + win.size(); next += num_proxies) {
+      const ObjectNum object = win[static_cast<std::size_t>(next - base)].object;
+      if (object >= freq.size()) {
+        throw std::invalid_argument(
+            "cluster_infinite_cache_size: request references object outside the universe");
+      }
+      ++freq[object];
     }
-    ++freq[object];
-  }
+    base += win.size();
+  });
   ObjectNum multi = 0;
   for (const auto f : freq) {
     if (f > 1) ++multi;

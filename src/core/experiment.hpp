@@ -19,10 +19,12 @@ namespace webcache::core {
 [[nodiscard]] std::vector<double> default_cache_percents();
 
 /// Default SimConfig::sim_shards, from WEBCACHE_SIM_SHARDS (0 — the classic
-/// sequential engine — when unset or unparsable). The CLI and every bench
-/// binary seed their configs from this, so one environment variable turns on
-/// intra-run sharding across the whole tool surface (see README "Sharded
-/// runs").
+/// sequential engine — when unset or empty). Throws std::invalid_argument,
+/// naming the variable and its value, unless the value is a plain integer in
+/// [0, 1024]: a typo must not silently select the sequential engine, whose
+/// cooperative exports differ by design. The CLI and every bench binary seed
+/// their configs from this, so one environment variable turns on intra-run
+/// sharding across the whole tool surface (see README "Sharded runs").
 [[nodiscard]] unsigned sim_shards_from_env();
 
 /// The "infinite cache size" of one client cluster's request stream: the

@@ -89,7 +89,7 @@ const std::vector<ClientNum>& P2PClientCache::leaf_clients_of(std::size_t root_i
     root.leaf_clients.clear();
     // Same enumeration order as a direct leaf-set scan; members may be stale
     // (dead) — slots are permanent, so they still resolve, and the scan
-    // filters on alive.
+    // filters on client_alive.
     overlay_.leaf_set(root.id).visit_members([&](const pastry::NodeId& leaf_id) {
       root.leaf_clients.push_back(static_cast<ClientNum>(overlay_.slot_of(leaf_id)));
       return false;
@@ -101,8 +101,8 @@ const std::vector<ClientNum>& P2PClientCache::leaf_clients_of(std::size_t root_i
 
 std::size_t P2PClientCache::total_capacity() const {
   std::size_t total = 0;
-  for (const auto& n : nodes_) {
-    if (n.alive) total += n.cache->capacity();
+  for (ClientNum c = 0; c < nodes_.size(); ++c) {
+    if (client_alive(c)) total += nodes_[c].cache->capacity();
   }
   return total;
 }
@@ -130,7 +130,7 @@ void P2PClientCache::on_local_eviction(ObjectNum victim, std::size_t idx) {
 
 StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_client) {
   StoreOutcome outcome;
-  if (via_client >= nodes_.size() || !nodes_[via_client].alive) {
+  if (!client_alive(via_client)) {
     throw std::invalid_argument("P2PClientCache::store: via_client invalid or dead");
   }
 
@@ -167,12 +167,11 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
   // (7)-(10): object diversion — find a leaf-set member with free space.
   // The member list is the cached leaf set resolved to client indices (same
   // order as a direct scan); a client is storable iff it is alive — a dead
-  // leaf reference the root has not yet repaired maps to !alive here, which
-  // is exactly the overlay-membership check the old NodeId path did.
+  // leaf reference the root has not yet repaired fails client_alive here.
   if (config_.enable_diversion) {
     for (const ClientNum peer_idx : leaf_clients_of(root_idx)) {
       ClientNode& peer = nodes_[peer_idx];
-      if (!peer.alive || peer.cache->full()) continue;
+      if (peer.cache->full() || !client_alive(peer_idx)) continue;
       const auto ins = peer.cache->insert(object, cost);
       if (!ins.inserted) continue;
       assert(!ins.evicted.has_value());
@@ -204,7 +203,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
 
 FetchOutcome P2PClientCache::fetch(ObjectNum object, ClientNum via_client, bool remove_on_hit) {
   FetchOutcome outcome;
-  if (via_client >= nodes_.size() || !nodes_[via_client].alive) {
+  if (!client_alive(via_client)) {
     throw std::invalid_argument("P2PClientCache::fetch: via_client invalid or dead");
   }
 
@@ -220,7 +219,8 @@ FetchOutcome P2PClientCache::fetch(ObjectNum object, ClientNum via_client, bool 
     const ClientNum* peer_idx = root.diverted_out.find(object);
     if (peer_idx == nullptr) return outcome;  // miss (false positive)
     holder_idx = *peer_idx;
-    if (!nodes_[holder_idx].alive || !nodes_[holder_idx].cache->contains(object)) {
+    if (!client_alive(static_cast<ClientNum>(holder_idx)) ||
+        !nodes_[holder_idx].cache->contains(object)) {
       return outcome;  // dangling pointer after a failure
     }
     outcome.via_diversion_pointer = true;
@@ -243,8 +243,8 @@ std::vector<ObjectNum> P2PClientCache::fail_client(ClientNum client) {
   if (client >= nodes_.size()) {
     throw std::invalid_argument("P2PClientCache::fail_client: no such client");
   }
+  if (!client_alive(client)) return {};
   ClientNode& node = nodes_[client];
-  if (!node.alive) return {};
 
   // Everything physically stored here is gone.
   std::vector<ObjectNum> lost = node.cache->contents();
@@ -264,7 +264,6 @@ std::vector<ObjectNum> P2PClientCache::fail_client(ClientNum client) {
   });
   node.diverted_out.clear();
 
-  node.alive = false;
   overlay_.fail_node(node.id);
   return lost;
 }
@@ -273,14 +272,13 @@ bool P2PClientCache::revive_client(ClientNum client) {
   if (client >= nodes_.size()) {
     throw std::invalid_argument("P2PClientCache::revive_client: no such client");
   }
-  ClientNode& node = nodes_[client];
-  if (node.alive) return false;
+  if (client_alive(client)) return false;
+  const ClientNode& node = nodes_[client];
   // fail_client emptied the cache and both diversion maps; the machine comes
   // back cold at the same ring position and network coordinates.
   assert(node.cache->size() == 0);
   assert(node.diverted_in.empty() && node.diverted_out.empty());
   overlay_.rejoin_node(node.id);
-  node.alive = true;
   return true;
 }
 
@@ -297,14 +295,6 @@ ClientNum P2PClientCache::add_client() {
   return index;
 }
 
-ClientNum P2PClientCache::alive_clients() const {
-  ClientNum alive = 0;
-  for (const auto& n : nodes_) {
-    if (n.alive) ++alive;
-  }
-  return alive;
-}
-
 std::vector<ObjectNum> P2PClientCache::contents_of(ClientNum client) const {
   if (client >= nodes_.size()) {
     throw std::invalid_argument("P2PClientCache::contents_of: no such client");
@@ -313,23 +303,21 @@ std::vector<ObjectNum> P2PClientCache::contents_of(ClientNum client) const {
 }
 
 double P2PClientCache::utilization_cv() const {
+  const auto alive = static_cast<double>(alive_clients());
+  if (alive == 0.0) return 0.0;
   double mean = 0.0;
-  std::size_t alive = 0;
-  for (const auto& n : nodes_) {
-    if (!n.alive) continue;
-    mean += static_cast<double>(n.cache->size());
-    ++alive;
+  for (ClientNum c = 0; c < nodes_.size(); ++c) {
+    if (client_alive(c)) mean += static_cast<double>(nodes_[c].cache->size());
   }
-  if (alive == 0) return 0.0;
-  mean /= static_cast<double>(alive);
+  mean /= alive;
   if (mean == 0.0) return 0.0;
   double var = 0.0;
-  for (const auto& n : nodes_) {
-    if (!n.alive) continue;
-    const double d = static_cast<double>(n.cache->size()) - mean;
+  for (ClientNum c = 0; c < nodes_.size(); ++c) {
+    if (!client_alive(c)) continue;
+    const double d = static_cast<double>(nodes_[c].cache->size()) - mean;
     var += d * d;
   }
-  var /= static_cast<double>(alive);
+  var /= alive;
   return std::sqrt(var) / mean;
 }
 
@@ -351,7 +339,7 @@ std::vector<std::string> P2PClientCache::audit_violations() const {
       return;
     }
     const ClientNode& holder = nodes_[idx];
-    if (!holder.alive) {
+    if (!client_alive(idx)) {
       fail("object " + std::to_string(object) + " located at dead client " +
            std::to_string(idx));
     }
@@ -374,7 +362,7 @@ std::vector<std::string> P2PClientCache::audit_violations() const {
              std::to_string(idx) + " without a matching location entry");
       }
     }
-    if (!node.alive) {
+    if (!client_alive(static_cast<ClientNum>(idx))) {
       if (node.cache->size() != 0 || !node.diverted_in.empty() ||
           !node.diverted_out.empty()) {
         fail("dead client " + std::to_string(idx) + " still holds state");
@@ -389,7 +377,7 @@ std::vector<std::string> P2PClientCache::audit_violations() const {
       }
       const ClientNode& peer = nodes_[peer_idx];
       const ClientNum* back = peer.diverted_in.find(object);
-      if (!peer.alive || back == nullptr || *back != idx) {
+      if (!client_alive(peer_idx) || back == nullptr || *back != idx) {
         fail("diversion pointer for object " + std::to_string(object) +
              " (root client " + std::to_string(idx) + ") has no live back-pointer");
       }
@@ -405,7 +393,7 @@ std::vector<std::string> P2PClientCache::audit_violations() const {
       }
       const ClientNode& root = nodes_[root_idx];
       const ClientNum* fwd = root.diverted_out.find(object);
-      if (!root.alive || fwd == nullptr || *fwd != idx) {
+      if (!client_alive(root_idx) || fwd == nullptr || *fwd != idx) {
         fail("held-for-root object " + std::to_string(object) + " (client " +
              std::to_string(idx) + ") has no live forward pointer");
       }

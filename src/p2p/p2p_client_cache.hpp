@@ -112,9 +112,10 @@ class P2PClientCache {
   /// Ground truth membership (exact directories mirror this; tests check).
   [[nodiscard]] bool contains(ObjectNum object) const { return location_.contains(object); }
 
-  /// Whether a given client machine is up (fault-injection support).
+  /// Whether a given client machine is up (fault-injection support): the
+  /// overlay's liveness of the client's slot.
   [[nodiscard]] bool client_alive(ClientNum client) const {
-    return client < nodes_.size() && nodes_[client].alive;
+    return overlay_.slot_alive(client);
   }
 
   [[nodiscard]] std::size_t size() const { return location_.size(); }
@@ -127,8 +128,8 @@ class P2PClientCache {
 
   /// Brings a crashed client back up with an empty cooperative cache (the
   /// machine rebooted; its browser-cache half restarts cold). The node
-  /// rejoins the overlay at its archived proximity coordinates. Returns
-  /// false (and does nothing) if the client is already alive.
+  /// rejoins the overlay at the proximity coordinates its overlay entry
+  /// kept. Returns false (and does nothing) if the client is already alive.
   bool revive_client(ClientNum client);
 
   /// A brand-new client machine joins the cluster: a fresh node with its own
@@ -137,7 +138,9 @@ class P2PClientCache {
   ClientNum add_client();
 
   /// Number of currently-live client machines.
-  [[nodiscard]] ClientNum alive_clients() const;
+  [[nodiscard]] ClientNum alive_clients() const {
+    return static_cast<ClientNum>(overlay_.size());
+  }
 
   /// Runs the overlay's periodic repair.
   void repair() { overlay_.repair_all(); }
@@ -168,10 +171,9 @@ class P2PClientCache {
   /// Clients are identified by dense indices throughout: a client's index
   /// equals its permanent overlay slot (asserted at join), so routing results
   /// and diversion pointers address nodes_ directly — no NodeId hashing on
-  /// the hot path.
+  /// the hot path — and a client is alive iff the overlay says its slot is.
   struct ClientNode {
     pastry::NodeId id;
-    bool alive = true;
     std::unique_ptr<cache::Cache> cache;  ///< greedy-dual unless client_policy overrides
     /// Objects this node is root for but that live at a leaf-set peer
     /// (value = the peer's client index).
@@ -189,7 +191,8 @@ class P2PClientCache {
   [[nodiscard]] const Uint128& id_of(ObjectNum object) const;
 
   /// Client indices of `root_idx`'s current leaf-set members, in leaf-set
-  /// iteration order (may include dead clients; callers filter on alive).
+  /// iteration order (may include dead clients; callers filter on
+  /// client_alive).
   const std::vector<ClientNum>& leaf_clients_of(std::size_t root_idx);
 
   /// Removes every bookkeeping trace of `object` stored at node `idx`.

@@ -1,6 +1,7 @@
 #include "pastry/overlay.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,45 +30,29 @@ Overlay::Overlay(OverlayConfig config, obs::Registry* registry, const std::strin
   LeafSet probe_leaves(NodeId{}, config_.leaf_set_size);
 }
 
-Overlay::NodeState& Overlay::state_of(const NodeId& id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) throw std::out_of_range("Overlay: unknown or dead node");
-  return *it->second;
+const Overlay::Node& Overlay::node_of(const NodeId& id) const {
+  const auto slot = live_slot(id);
+  if (!slot) throw std::out_of_range("Overlay: unknown or dead node");
+  return nodes_[*slot];
 }
-
-const Overlay::NodeState& Overlay::state_of(const NodeId& id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end()) throw std::out_of_range("Overlay: unknown or dead node");
-  return *it->second;
-}
-
-bool Overlay::contains(const NodeId& id) const { return alive(id); }
 
 std::vector<NodeId> Overlay::nodes() const {
   std::vector<NodeId> out;
-  out.reserve(ring_.size());
-  for (const auto& [id, _] : ring_) out.push_back(id);
+  out.reserve(sorted_.size());
+  for (const auto& e : sorted_) out.push_back(e.id);
   return out;
 }
 
 unsigned Overlay::expected_hop_bound() const {
-  if (ring_.size() <= 1) return 0;
+  if (sorted_.size() <= 1) return 0;
   const double base = static_cast<double>(1u << config_.bits_per_digit);
   return static_cast<unsigned>(
-      std::ceil(std::log(static_cast<double>(ring_.size())) / std::log(base)));
-}
-
-std::optional<NodeId> Overlay::first_alive_in(const Uint128& lo, const Uint128& hi) const {
-  const auto it = ring_.lower_bound(lo);
-  if (it != ring_.end() && it->first <= hi) return it->first;
-  return std::nullopt;
+      std::ceil(std::log(static_cast<double>(sorted_.size())) / std::log(base)));
 }
 
 const Overlay::RingEntry& Overlay::root_entry(const Uint128& key) const {
   if (sorted_.empty()) throw std::logic_error("Overlay::root_of: empty overlay");
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [](const RingEntry& e, const Uint128& k) { return e.id < k; });
+  const auto it = std::ranges::lower_bound(sorted_, key, {}, &RingEntry::id);
   // Candidates: successor (with wrap) and predecessor (with wrap).
   const RingEntry& succ = (it == sorted_.end()) ? sorted_.front() : *it;
   const RingEntry& pred = (it == sorted_.begin()) ? sorted_.back() : *std::prev(it);
@@ -82,30 +67,30 @@ std::uint32_t Overlay::slot_of(const NodeId& id) const {
   return it->second;
 }
 
-void Overlay::rebuild_leaf_set(NodeState& node) {
+void Overlay::rebuild_leaf_set(Node& node) {
   LeafSet fresh(node.leaves.owner(), config_.leaf_set_size);
   const NodeId owner = node.leaves.owner();
   const unsigned per_side = config_.leaf_set_size / 2;
 
   // Walk the sorted ring outward from the owner in both directions.
-  auto fwd = ring_.upper_bound(owner);
-  for (unsigned i = 0; i < per_side && ring_.size() > 1; ++i) {
-    if (fwd == ring_.end()) fwd = ring_.begin();
-    if (fwd->first == owner) break;  // wrapped all the way around
-    fresh.insert(fwd->first);
+  auto fwd = std::ranges::upper_bound(sorted_, owner, {}, &RingEntry::id);
+  for (unsigned i = 0; i < per_side && sorted_.size() > 1; ++i) {
+    if (fwd == sorted_.end()) fwd = sorted_.begin();
+    if (fwd->id == owner) break;  // wrapped all the way around
+    fresh.insert(fwd->id);
     ++fwd;
   }
-  auto bwd = ring_.lower_bound(owner);
-  for (unsigned i = 0; i < per_side && ring_.size() > 1; ++i) {
-    if (bwd == ring_.begin()) bwd = ring_.end();
+  auto bwd = std::ranges::lower_bound(sorted_, owner, {}, &RingEntry::id);
+  for (unsigned i = 0; i < per_side && sorted_.size() > 1; ++i) {
+    if (bwd == sorted_.begin()) bwd = sorted_.end();
     --bwd;
-    if (bwd->first == owner) break;
-    fresh.insert(bwd->first);
+    if (bwd->id == owner) break;
+    fresh.insert(bwd->id);
   }
   node.leaves = fresh;
 }
 
-bool Overlay::refill_slot(NodeState& node, unsigned row, unsigned column) {
+bool Overlay::refill_slot(Node& node, unsigned row, unsigned column) {
   const NodeId owner = node.table.owner();
   const unsigned b = config_.bits_per_digit;
 
@@ -118,35 +103,26 @@ bool Overlay::refill_slot(NodeState& node, unsigned row, unsigned column) {
   const Uint128 mask = digit_shift == 0 ? Uint128{} : ((Uint128{0, 1} << digit_shift) - Uint128{0, 1});
   const Uint128 hi = lo | mask;
 
-  if (config_.proximity_routing) {
-    // Pastry's locality heuristic: of all id-eligible candidates, install
-    // the one nearest to the owner in the proximity space.
-    const NodeId* best = nullptr;
-    double best_distance = 0.0;
-    for (auto it = ring_.lower_bound(lo); it != ring_.end() && it->first <= hi; ++it) {
-      if (it->first == owner) continue;
-      const double d = proximity(node.coords, it->second.coords);
-      if (best == nullptr || d < best_distance) {
-        best = &it->first;
-        best_distance = d;
-      }
+  // Of the live nodes in [lo, hi] other than the owner, install the
+  // numerically first — or, under proximity routing (Pastry's locality
+  // heuristic), the one nearest to the owner in the proximity space.
+  const NodeId* best = nullptr;
+  double best_distance = 0.0;
+  for (auto it = std::ranges::lower_bound(sorted_, lo, {}, &RingEntry::id);
+       it != sorted_.end() && it->id <= hi; ++it) {
+    if (it->id == owner) continue;
+    if (!config_.proximity_routing) {
+      best = &it->id;
+      break;
     }
-    if (best == nullptr) return false;
-    return node.table.insert(*best, /*replace=*/true);
-  }
-
-  auto candidate = first_alive_in(lo, hi);
-  if (candidate && *candidate == owner) {
-    // The owner itself occupies this range; look for the next live node.
-    auto it = ring_.upper_bound(owner);
-    if (it != ring_.end() && it->first <= hi) {
-      candidate = it->first;
-    } else {
-      candidate.reset();
+    const double d = proximity(node.coords, nodes_[it->slot].coords);
+    if (best == nullptr || d < best_distance) {
+      best = &it->id;
+      best_distance = d;
     }
   }
-  if (!candidate) return false;
-  return node.table.insert(*candidate, /*replace=*/true);
+  if (best == nullptr) return false;
+  return node.table.insert(*best, /*replace=*/true);
 }
 
 std::uint32_t Overlay::add_node(const NodeId& id) {
@@ -154,26 +130,25 @@ std::uint32_t Overlay::add_node(const NodeId& id) {
 }
 
 const Coordinates& Overlay::coordinates_of(const NodeId& id) const {
-  return state_of(id).coords;
+  return node_of(id).coords;
 }
 
 std::uint32_t Overlay::add_node(const NodeId& id, const Coordinates& where) {
-  if (ring_.contains(id)) throw std::invalid_argument("Overlay: duplicate node id");
-  auto [it, _] = ring_.emplace(id, NodeState(id, config_, where));
-  NodeState& self = it->second;
-  index_.emplace(id, &self);
-  // Permanent slot: a rejoining id gets its old slot back, a new id the next
-  // sequential one, so slot-indexed arrays outside the overlay stay valid
-  // across churn.
+  // Permanent slot: a rejoining id gets its old slot (and entry) back, a new
+  // id the next sequential one, so slot-indexed arrays outside the overlay
+  // stay valid across churn.
   const auto [slot_it, fresh] =
-      slot_ids_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
-  self.slot = slot_it->second;
-  if (fresh) slots_.push_back(nullptr);
-  slots_[self.slot] = &self;
-  const auto pos = std::lower_bound(
-      sorted_.begin(), sorted_.end(), id,
-      [](const RingEntry& e, const NodeId& k) { return e.id < k; });
-  sorted_.insert(pos, RingEntry{id, &self});
+      slot_ids_.try_emplace(id, static_cast<std::uint32_t>(nodes_.size()));
+  const std::uint32_t slot = slot_it->second;
+  if (fresh) {
+    nodes_.emplace_back(id, config_, where);
+  } else if (nodes_[slot].alive) {
+    throw std::invalid_argument("Overlay: duplicate node id");
+  } else {
+    nodes_[slot] = Node(id, config_, where);
+  }
+  Node& self = nodes_[slot];
+  sorted_.insert(std::ranges::lower_bound(sorted_, id, {}, &RingEntry::id), RingEntry{id, slot});
   ++topology_version_;
 
   // Newcomer state: the join protocol copies routing rows from the nodes on
@@ -192,70 +167,49 @@ std::uint32_t Overlay::add_node(const NodeId& id, const Coordinates& where) {
     const Uint128 hi = kept | (keep_shift == 0
                                    ? Uint128{}
                                    : ((Uint128{0, 1} << keep_shift) - Uint128{0, 1}));
-    auto lo_it = ring_.lower_bound(kept);
-    auto next = lo_it;
-    bool only_self = true;
-    for (; next != ring_.end() && next->first <= hi; ++next) {
-      if (next->first != id) {
-        only_self = false;
-        break;
-      }
-    }
-    if (only_self) break;
+    const auto sharing = std::ranges::upper_bound(sorted_, hi, {}, &RingEntry::id) -
+                         std::ranges::lower_bound(sorted_, kept, {}, &RingEntry::id);
+    if (sharing == 1) break;
   }
 
   // Existing nodes learn about the newcomer: neighbors adjust leaf sets and
-  // everyone fills the matching empty routing slot (steady state of Pastry's
-  // join announcement). Under proximity routing, a newcomer closer than the
-  // incumbent also replaces it (Pastry's routing-table optimization).
-  for (auto& [other_id, other] : ring_) {
-    if (other_id == id) continue;
+  // everyone fills the matching routing slot (steady state of Pastry's join
+  // announcement). A crashed incumbent must not keep the slot: leaving the
+  // dead reference in place and the newcomer unknown would point later
+  // routes through this slot at a guaranteed timeout, so dead incumbents are
+  // evicted (and the repair counted). Under proximity routing, a newcomer
+  // closer than a live incumbent also replaces it (Pastry's routing-table
+  // optimization); otherwise live incumbents stay.
+  for (const auto& entry : sorted_) {
+    if (entry.slot == slot) continue;
+    Node& other = nodes_[entry.slot];
     other.leaves.insert(id);
-    if (config_.proximity_routing) {
-      if (const auto slot = other.table.slot_of(id)) {
-        const auto incumbent = other.table.entry(slot->first, slot->second);
-        bool replace = false;
-        bool incumbent_dead = false;
-        if (incumbent) {
-          const auto inc_it = ring_.find(*incumbent);
-          incumbent_dead = inc_it == ring_.end();
-          replace = incumbent_dead ||
-                    proximity(other.coords, self.coords) <
-                        proximity(other.coords, inc_it->second.coords);
-        }
-        other.table.insert(id, replace);
-        if (incumbent_dead) counters_.repairs.inc();
-      }
-    } else {
-      // A crashed incumbent must not keep the slot: insert(replace=false)
-      // would leave the dead reference in place and the newcomer unknown, so
-      // later routes through this slot would hit a guaranteed timeout. Evict
-      // dead incumbents here (and count the repair), keep live ones.
-      const auto slot = other.table.slot_of(id);
-      bool replace_dead = false;
-      if (slot) {
-        const auto incumbent = other.table.entry(slot->first, slot->second);
-        replace_dead = incumbent.has_value() && !ring_.contains(*incumbent);
-      }
-      other.table.insert(id, replace_dead);
-      if (replace_dead) counters_.repairs.inc();
-    }
+    const auto [row, column] = other.table.slot_of(id).value();
+    const auto incumbent = other.table.entry(row, column);
+    const auto incumbent_slot = incumbent ? live_slot(*incumbent) : std::nullopt;
+    const bool incumbent_dead = incumbent && !incumbent_slot;
+    const bool closer = config_.proximity_routing && incumbent_slot &&
+                        proximity(other.coords, self.coords) <
+                            proximity(other.coords, nodes_[*incumbent_slot].coords);
+    other.table.insert(id, incumbent_dead || closer);
+    if (incumbent_dead) counters_.repairs.inc();
   }
-  return self.slot;
+  return slot;
+}
+
+void Overlay::leave(const NodeId& id) {
+  const auto slot = live_slot(id);
+  if (!slot) throw std::invalid_argument("Overlay: unknown node id");
+  nodes_[*slot].alive = false;
+  sorted_.erase(std::ranges::lower_bound(sorted_, id, {}, &RingEntry::id));
+  ++topology_version_;
 }
 
 void Overlay::remove_node(const NodeId& id) {
-  const auto it = ring_.find(id);
-  if (it == ring_.end()) throw std::invalid_argument("Overlay: unknown node id");
-  slots_[it->second.slot] = nullptr;
-  ring_.erase(it);
-  index_.erase(id);
-  sorted_.erase(std::lower_bound(
-      sorted_.begin(), sorted_.end(), id,
-      [](const RingEntry& e, const NodeId& k) { return e.id < k; }));
-  ++topology_version_;
+  leave(id);
   // Graceful leave: departure is announced, peers repair immediately.
-  for (auto& [other_id, other] : ring_) {
+  for (const auto& entry : sorted_) {
+    Node& other = nodes_[entry.slot];
     if (other.leaves.erase(id)) rebuild_leaf_set(other);
     if (const auto slot = other.table.slot_of(id);
         slot && other.table.entry(slot->first, slot->second) == std::optional<NodeId>(id)) {
@@ -267,39 +221,29 @@ void Overlay::remove_node(const NodeId& id) {
 }
 
 void Overlay::fail_node(const NodeId& id) {
-  const auto it = ring_.find(id);
-  if (it == ring_.end()) throw std::invalid_argument("Overlay: unknown node id");
-  // The node's proximity coordinates must leave the live tables with it —
-  // otherwise a later join could pick the dead node as a "nearby" incumbent.
-  // They are archived (a machine's network position survives its crash) so a
-  // rejoin comes back at the same spot.
-  failed_coords_.insert_or_assign(id, it->second.coords);
   // Crash: the node vanishes from the live set but peers keep stale
-  // references until they detect the failure.
-  slots_[it->second.slot] = nullptr;
-  ring_.erase(it);
-  index_.erase(id);
-  sorted_.erase(std::lower_bound(
-      sorted_.begin(), sorted_.end(), id,
-      [](const RingEntry& e, const NodeId& k) { return e.id < k; }));
+  // references until they detect the failure. Its entry keeps the
+  // coordinates (a machine's network position survives its crash), and
+  // joins consult only live entries, so they never pick the dead node as a
+  // "nearby" incumbent.
+  leave(id);
   stale_possible_ = true;
-  ++topology_version_;
 }
 
 void Overlay::rejoin_node(const NodeId& id) {
-  const auto arch = failed_coords_.find(id);
+  const auto it = slot_ids_.find(id);
   const Coordinates where =
-      arch != failed_coords_.end() ? arch->second : default_coordinates(id);
+      it != slot_ids_.end() ? nodes_[it->second].coords : default_coordinates(id);
   add_node(id, where);  // throws if the id is still alive
-  failed_coords_.erase(id);
 }
 
 void Overlay::repair_all() {
-  for (auto& [id, node] : ring_) {
+  for (const auto& entry : sorted_) {
+    Node& node = nodes_[entry.slot];
     // Prune dead leaf references, then rebuild from the live ring.
     bool leaf_dirty = false;
     for (const auto& member : node.leaves.members()) {
-      if (!ring_.contains(member)) {
+      if (!contains(member)) {
         node.leaves.erase(member);
         leaf_dirty = true;
       }
@@ -311,7 +255,7 @@ void Overlay::repair_all() {
     for (unsigned row = 0; row < node.table.rows(); ++row) {
       for (unsigned col = 0; col < node.table.columns(); ++col) {
         const auto e = node.table.entry(row, col);
-        if (e && !ring_.contains(*e)) {
+        if (e && !contains(*e)) {
           node.table.erase(*e);
           refill_slot(node, row, col);
           counters_.repairs.inc();
@@ -325,7 +269,7 @@ void Overlay::repair_all() {
   ++topology_version_;
 }
 
-void Overlay::on_dead_reference(NodeState& holder, const NodeId& dead) {
+void Overlay::on_dead_reference(Node& holder, const NodeId& dead) {
   counters_.dead_hop_detections.inc();
   ++topology_version_;
   const auto slot = holder.table.slot_of(dead);
@@ -337,35 +281,41 @@ void Overlay::on_dead_reference(NodeState& holder, const NodeId& dead) {
 }
 
 RouteResult Overlay::route(const NodeId& from, const Uint128& key) {
-  const auto origin = index_.find(from);
-  if (origin == index_.end()) throw std::invalid_argument("Overlay::route: dead origin");
-  return route_from(origin->second, key);
+  const auto origin = live_slot(from);
+  if (!origin) throw std::invalid_argument("Overlay::route: dead origin");
+  return route_from(*origin, key);
 }
 
 RouteResult Overlay::route(std::uint32_t from_slot, const Uint128& key) {
-  NodeState* origin = from_slot < slots_.size() ? slots_[from_slot] : nullptr;
-  if (origin == nullptr) throw std::invalid_argument("Overlay::route: dead origin");
-  return route_from(origin, key);
+  if (!slot_alive(from_slot)) throw std::invalid_argument("Overlay::route: dead origin");
+  return route_from(from_slot, key);
 }
 
-RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
+RouteResult Overlay::route_from(std::uint32_t origin, const Uint128& key) {
   // The ground-truth root is fixed for the whole route: forwarding never
   // changes membership (dead-reference repairs only touch tables and leaf
   // sets), so one lookup serves both the leaf-set fast path and the final
   // success check.
   const RingEntry root = root_entry(key);
 
-  NodeId current = origin->table.owner();
-  NodeState* node = origin;  // carried across hops; map nodes are stable
+  std::uint32_t slot = origin;
+  Node* node = &nodes_[origin];  // the table never grows while routing
+  NodeId current = node->table.owner();
   unsigned hops = 0;
   double travelled = 0.0;
-  const auto forward_to = [&](const NodeId& next_id, NodeState& next_state) {
-    travelled += proximity(node->coords, next_state.coords);
+  const auto forward_to = [&](std::uint32_t next, const NodeId& next_id) {
+    Node& next_node = nodes_[next];
+    assert(next_node.alive && "Overlay::route: forwarding to a dead node");
+    travelled += proximity(node->coords, next_node.coords);
+    slot = next;
+    node = &next_node;
     current = next_id;
-    node = &next_state;
     ++hops;
   };
-  const auto forward = [&](const NodeId& next) { forward_to(next, state_of(next)); };
+  // Every forwarding target is live: stale references are checked before
+  // they are chosen, and without a crash since the last repair there are
+  // none.
+  const auto forward = [&](const NodeId& next) { forward_to(slot_of(next), next); };
   constexpr unsigned kMaxHops = 256;  // loop guard; never hit in practice
 
   while (hops < kMaxHops) {
@@ -378,14 +328,14 @@ RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
         // member, which makes the closest member *the global root* — found
         // by binary search instead of a member-by-member distance scan. The
         // root's own leaf set covers the key too, so routing ends there.
-        if (root.id != current) forward_to(root.id, *root.state);
+        if (root.id != current) forward_to(root.slot, root.id);
         break;
       }
       // Scan for the closest live member; collect stale references.
       NodeId best = current;
       std::vector<NodeId> dead;
       node->leaves.visit_members([&](const NodeId& member) {
-        if (!alive(member)) {
+        if (!contains(member)) {
           dead.push_back(member);
         } else if (closer_to(key, member, best)) {
           best = member;
@@ -400,10 +350,10 @@ RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
 
     // (2) Prefix routing: forward to the table entry matching one more digit.
     auto next = node->table.next_hop(key);
-    if (stale_possible_ && next && !alive(*next)) {
+    if (stale_possible_ && next && !contains(*next)) {
       on_dead_reference(*node, *next);
       next = node->table.next_hop(key);  // may have been refilled
-      if (next && !alive(*next)) next.reset();
+      if (next && !contains(*next)) next.reset();
     }
     if (next) {
       forward(*next);
@@ -421,7 +371,7 @@ RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
     } else {
       std::vector<NodeId> dead;
       node->leaves.visit_members([&](const NodeId& member) {
-        if (!alive(member)) {
+        if (!contains(member)) {
           dead.push_back(member);
         } else if (closer_to(key, member, best)) {
           best = member;
@@ -429,7 +379,7 @@ RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
         return false;
       });
       node->table.for_each_populated([&](const NodeId& entry) {
-        if (!alive(entry)) {
+        if (!contains(entry)) {
           dead.push_back(entry);
           return;
         }
@@ -445,13 +395,13 @@ RouteResult Overlay::route_from(NodeState* origin, const Uint128& key) {
   counters_.messages_routed.inc();
   counters_.total_hops.inc(hops);
   counters_.hops.add(static_cast<double>(hops));
-  return RouteResult{current, node->slot, hops, current == root.id, travelled};
+  return RouteResult{current, slot, hops, current == root.id, travelled};
 }
 
-const LeafSet& Overlay::leaf_set(const NodeId& id) const { return state_of(id).leaves; }
+const LeafSet& Overlay::leaf_set(const NodeId& id) const { return node_of(id).leaves; }
 
 const RoutingTable& Overlay::routing_table(const NodeId& id) const {
-  return state_of(id).table;
+  return node_of(id).table;
 }
 
 }  // namespace webcache::pastry

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -107,22 +106,32 @@ class Overlay {
   void remove_node(const NodeId& id);
 
   /// Crash failure: the node stops responding but remains in other nodes'
-  /// tables until detected. Repairs happen on detection (if configured) or
-  /// via repair_all(). The node's proximity coordinates are archived so a
-  /// later rejoin_node() restores its network position.
+  /// tables until detected. Repairs happen on detection or via repair_all().
+  /// The node's entry keeps its proximity coordinates, so a later
+  /// rejoin_node() restores its network position.
   void fail_node(const NodeId& id);
 
-  /// Re-admits a previously crashed node (same id, fresh protocol state) at
-  /// its archived proximity coordinates — default coordinates if the id was
-  /// never seen. Throws std::invalid_argument if the id is currently alive.
+  /// Re-admits a node that left (same id, fresh protocol state) at the
+  /// proximity coordinates its entry kept — default coordinates if the id
+  /// was never seen. Coordinates survive a graceful departure as well as a
+  /// crash, although only crashed nodes are rejoined this way. Throws
+  /// std::invalid_argument if the id is currently alive.
   void rejoin_node(const NodeId& id);
 
   /// Periodic repair pass over every live node: prunes dead references and
   /// refills what can be refilled. Models Pastry's background maintenance.
   void repair_all();
 
-  [[nodiscard]] bool contains(const NodeId& id) const;   ///< alive?
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] bool contains(const NodeId& id) const {  ///< alive?
+    return live_slot(id).has_value();
+  }
+  [[nodiscard]] std::size_t size() const { return sorted_.size(); }
+
+  /// Whether the node holding dense slot `slot` is alive (false for slots
+  /// never handed out). O(1).
+  [[nodiscard]] bool slot_alive(std::uint32_t slot) const {
+    return slot < nodes_.size() && nodes_[slot].alive;
+  }
 
   /// Dense slot permanently assigned to `id` at its first join. Slots are
   /// handed out sequentially (0, 1, 2, ...) and survive crash/rejoin, so
@@ -192,69 +201,62 @@ class Overlay {
     Histogram& hops;  ///< per-route hop distribution (webcache::Histogram)
   };
 
-  struct NodeState {
-    NodeState(const NodeId& id, const OverlayConfig& cfg, const Coordinates& where)
+  /// One entry of the node table: a node's protocol state and network
+  /// position. The id is the routing table's owner. Entries are never
+  /// removed; a dead node's entry keeps its coordinates for a rejoin, which
+  /// installs fresh protocol state.
+  struct Node {
+    Node(const NodeId& id, const OverlayConfig& cfg, const Coordinates& where)
         : table(id, cfg.bits_per_digit), leaves(id, cfg.leaf_set_size), coords(where) {}
+    bool alive = true;
     RoutingTable table;
     LeafSet leaves;
     Coordinates coords;
-    std::uint32_t slot = 0;  ///< permanent dense slot (set at join)
   };
 
-  /// One live node in ring order: the id plus its state pointer, so ring
-  /// walks and root lookups never go back through a hash index.
+  /// One live node in ring order: its id and slot, so ring walks and root
+  /// lookups never go back through the id map.
   struct RingEntry {
     NodeId id;
-    NodeState* state;
+    std::uint32_t slot;
   };
 
-  NodeState& state_of(const NodeId& id);
-  [[nodiscard]] const NodeState& state_of(const NodeId& id) const;
-
-  /// Ground-truth root of `key` with its state (binary search over sorted_).
-  [[nodiscard]] const RingEntry& root_entry(const Uint128& key) const;
-
-  RouteResult route_from(NodeState* origin, const Uint128& key);
-
-  /// True iff `id` is a live node. O(1) via the hash index; routing calls
-  /// this once per leaf-set member per hop, which made the tree-based
-  /// ring_.contains() the single hottest operation of the Hier-GD scheme.
-  [[nodiscard]] bool alive(const NodeId& id) const {
-    return index_.find(id) != index_.end();
+  /// Slot of `id` if it is a live node.
+  [[nodiscard]] std::optional<std::uint32_t> live_slot(const NodeId& id) const {
+    const auto it = slot_ids_.find(id);
+    if (it == slot_ids_.end() || !nodes_[it->second].alive) return std::nullopt;
+    return it->second;
   }
 
-  /// Smallest live node id within [lo, hi], if any.
-  [[nodiscard]] std::optional<NodeId> first_alive_in(const Uint128& lo, const Uint128& hi) const;
+  /// Entry of a live node; throws std::out_of_range for unknown or dead ids.
+  [[nodiscard]] const Node& node_of(const NodeId& id) const;
+
+  /// Ground-truth root of `key` with its slot (binary search over sorted_).
+  [[nodiscard]] const RingEntry& root_entry(const Uint128& key) const;
+
+  RouteResult route_from(std::uint32_t origin, const Uint128& key);
 
   /// Refills one routing-table slot of `node` from the live membership.
-  bool refill_slot(NodeState& node, unsigned row, unsigned column);
+  bool refill_slot(Node& node, unsigned row, unsigned column);
 
   /// Rebuilds a node's leaf set from the live ring (protocol steady state).
-  void rebuild_leaf_set(NodeState& node);
+  void rebuild_leaf_set(Node& node);
 
   /// Handles a discovered-dead reference held by `holder` toward `dead`.
-  void on_dead_reference(NodeState& holder, const NodeId& dead);
+  void on_dead_reference(Node& holder, const NodeId& dead);
+
+  /// Takes a live node out of the ring (crash or departure).
+  void leave(const NodeId& id);
 
   OverlayConfig config_;
-  std::map<NodeId, NodeState> ring_;  // live nodes, sorted by id
-  /// Hash index over ring_ for O(1) liveness checks and state lookups on the
-  /// routing hot path; the ordered map remains the source of truth for every
-  /// ring walk (leaf-set/table rebuilds). std::map nodes are pointer-stable,
-  /// so the cached NodeState* survive unrelated joins.
-  std::unordered_map<NodeId, NodeState*, Uint128Hash> index_;
-  /// Proximity coordinates of crashed nodes, keyed by id: removed from the
-  /// live tables on fail_node (so joins never pick a dead neighbor) and
-  /// restored on rejoin_node.
-  std::unordered_map<NodeId, Coordinates, Uint128Hash> failed_coords_;
-  /// Live nodes in ascending id order, mirroring ring_'s keys: root lookups
-  /// run once per routed message, and binary search over contiguous entries
-  /// beats walking the red-black tree; carrying the state pointer lets the
-  /// fast path forward to the root without a hash lookup.
+  /// The node table, indexed by the permanent dense slot handed out at a
+  /// node's first join (0, 1, 2, ...); slots are never reused for another
+  /// id, so external structures can index by slot.
+  std::vector<Node> nodes_;
+  /// Live nodes in ascending id order: root lookups binary-search it once
+  /// per routed message, and every ring walk (leaf-set and table rebuilds,
+  /// join announcements, repair passes) runs over it.
   std::vector<RingEntry> sorted_;
-  /// Dense slot -> live node state (nullptr while the occupant is dead).
-  /// Slots are assigned sequentially at first join and never reused for a
-  /// different id, so external structures can index by slot.
-  std::vector<NodeState*> slots_;
   /// Permanent id -> slot assignment (survives crashes; grows only on the
   /// first join of a brand-new id).
   std::unordered_map<NodeId, std::uint32_t, Uint128Hash> slot_ids_;

@@ -396,24 +396,20 @@ Metrics Simulator::run() {
   const std::uint64_t total = source_->size();
   // Replay in bounded windows, releasing each consumed one: an mmap source
   // pages sequentially, so its resident set stays bounded by the window.
-  for (std::uint64_t base = 0; base < total;) {
-    const auto win = source_->window(base, workload::default_replay_chunk());
-    if (win.empty()) break;  // defensive: a well-formed source never starves
-    for (std::size_t i = 0; i < win.size(); ++i) {
-      const std::uint64_t t = base + i;
-      const Request& request = win[i];
+  std::uint64_t t = 0;
+  workload::for_each_window(*source_, [&](std::span<const Request> win) {
+    for (const Request& request : win) {
       churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
       now_ = t;
       serve(t, request, static_cast<unsigned>(t % config_.num_proxies));
-      if (snapshot > 0 && (t + 1) % snapshot == 0) registry_->snapshot(t + 1);
-      if (checkpoint > 0 && config_.checkpoint_hook && (t + 1) % checkpoint == 0) {
-        config_.checkpoint_hook(*this, t + 1);
-        checked_at_end = t + 1 == total;
+      ++t;
+      if (snapshot > 0 && t % snapshot == 0) registry_->snapshot(t);
+      if (checkpoint > 0 && config_.checkpoint_hook && t % checkpoint == 0) {
+        config_.checkpoint_hook(*this, t);
+        checked_at_end = t == total;
       }
     }
-    base += win.size();
-    source_->discard_consumed(base);
-  }
+  });
   // Always audit the final state, but not twice.
   if (config_.checkpoint_hook && !checked_at_end) {
     config_.checkpoint_hook(*this, total);

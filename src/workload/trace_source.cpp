@@ -5,8 +5,10 @@ namespace webcache::workload {
 Trace materialize(const TraceSource& source) {
   Trace trace;
   trace.universe = source.distinct_objects();
-  const auto all = source.window(0, static_cast<std::size_t>(source.size()));
-  trace.requests.assign(all.begin(), all.end());
+  trace.requests.reserve(static_cast<std::size_t>(source.size()));
+  for_each_window(source, [&trace](std::span<const Request> win) {
+    trace.requests.insert(trace.requests.end(), win.begin(), win.end());
+  });
   return trace;
 }
 

@@ -89,8 +89,23 @@ struct Trace final : TraceSource {
 /// whole point of the streaming pipeline is that hot paths never need this).
 [[nodiscard]] Trace materialize(const TraceSource& source);
 
-/// Replay window, in requests, of Simulator::run: 65536 requests (1.5 MiB of
-/// records) between the page-release hints a sequential mmap replay sends.
+/// Replay window, in requests, of Simulator::run and of every whole-stream
+/// scan: 65536 requests (1.5 MiB of records) between the page-release hints
+/// a sequential pass over an mmap source sends.
 [[nodiscard]] constexpr std::size_t default_replay_chunk() { return 65536; }
+
+/// One sequential pass over the whole stream: calls `fn` with each
+/// default_replay_chunk() window in order and releases it afterwards, so a
+/// scan of an mmap source keeps only one window resident.
+template <typename Fn>
+void for_each_window(const TraceSource& source, Fn&& fn) {
+  for (std::uint64_t pos = 0; pos < source.size();) {
+    const auto win = source.window(pos, default_replay_chunk());
+    if (win.empty()) break;  // defensive: a well-formed source never starves
+    fn(win);
+    pos += win.size();
+    source.discard_consumed(pos);
+  }
+}
 
 }  // namespace webcache::workload

@@ -12,12 +12,14 @@ TraceStats analyze(const TraceSource& source) {
   s.distinct_objects = source.distinct_objects();
   s.frequency.assign(s.distinct_objects, 0);
 
-  for (const auto& r : source.window(0, static_cast<std::size_t>(s.total_requests))) {
-    if (r.object >= s.distinct_objects) {
-      throw std::invalid_argument("analyze: request references object outside the universe");
+  for_each_window(source, [&s](std::span<const Request> win) {
+    for (const auto& r : win) {
+      if (r.object >= s.distinct_objects) {
+        throw std::invalid_argument("analyze: request references object outside the universe");
+      }
+      ++s.frequency[r.object];
     }
-    ++s.frequency[r.object];
-  }
+  });
 
   std::uint64_t referenced = 0;
   for (const auto f : s.frequency) {

@@ -314,17 +314,13 @@ void MmapTraceSource::discard_consumed(std::uint64_t pos) const {
   const std::uint64_t consumed_bytes =
       kWctraceHeaderSize + std::min(pos, count_) * std::uint64_t{kWctraceRecordSize};
   static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t target = static_cast<std::size_t>(consumed_bytes) / page * page;
-  // Claim [old, target) atomically so concurrent readers issue each madvise
-  // range exactly once; a reader still behind the high-water mark simply
-  // refaults the pages it needs (minor faults — the page cache keeps them).
-  std::size_t old = discarded_bytes_.load(std::memory_order_relaxed);
-  while (old < target) {
-    if (discarded_bytes_.compare_exchange_weak(old, target, std::memory_order_relaxed)) {
-      ::madvise(static_cast<char*>(map_) + old, target - old, MADV_DONTNEED);
-      return;
-    }
-  }
+  // Stateless: release every whole page below `pos`. Releasing a page again
+  // is a no-op, so each pass over the mapping (a scan, a replay, every sweep
+  // job) releases what it read, and concurrent readers need no shared
+  // state; a reader still behind `pos` simply refaults the pages it needs
+  // (minor faults — the page cache keeps them).
+  const std::size_t bytes = static_cast<std::size_t>(consumed_bytes) / page * page;
+  if (bytes > 0) ::madvise(map_, bytes, MADV_DONTNEED);
 #else
   (void)pos;
 #endif
@@ -332,9 +328,9 @@ void MmapTraceSource::discard_consumed(std::uint64_t pos) const {
 
 bool MmapTraceSource::verify_checksum() const {
   std::uint64_t state = kWctraceChecksumSeed;
-  for (const auto& r : window(0, static_cast<std::size_t>(count_))) {
-    state = checksum_record(state, r);
-  }
+  for_each_window(*this, [&state](std::span<const Request> win) {
+    for (const auto& r : win) state = checksum_record(state, r);
+  });
   return state == header_.checksum;
 }
 

@@ -28,7 +28,6 @@
 // defeat the point of streaming.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -100,8 +99,8 @@ void write_wctrace_file(const std::string& path, const Trace& trace);
 
 /// The mmap-backed zero-copy reader. Thread-safe for concurrent windows
 /// (run_sweep replays one shared mapping from many workers);
-/// discard_consumed releases fully consumed pages so a sequential replay's
-/// resident set stays bounded by the replay window.
+/// discard_consumed releases every whole page below its position, so a
+/// sequential pass's resident set stays bounded by its window.
 class MmapTraceSource final : public TraceSource {
  public:
   explicit MmapTraceSource(const std::string& path);
@@ -117,7 +116,8 @@ class MmapTraceSource final : public TraceSource {
 
   [[nodiscard]] const WctraceHeader& header() const { return header_; }
 
-  /// Full checksum scan against the header. O(file).
+  /// Full checksum scan against the header. O(file) time; a windowed scan,
+  /// so resident memory stays bounded by the window.
   [[nodiscard]] bool verify_checksum() const;
 
  private:
@@ -128,7 +128,6 @@ class MmapTraceSource final : public TraceSource {
   void* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   const Request* records_ = nullptr;
-  mutable std::atomic<std::size_t> discarded_bytes_{0};
   // Byte-swapping fallback (big-endian hosts): records decoded at open.
   std::vector<Request> converted_;
 };

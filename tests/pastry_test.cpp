@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -399,6 +401,155 @@ TEST(Overlay, RejoinRestoresArchivedCoordinates) {
   ASSERT_TRUE(overlay.contains(fresh));
   EXPECT_DOUBLE_EQ(overlay.coordinates_of(fresh).x, default_coordinates(fresh).x);
   EXPECT_DOUBLE_EQ(overlay.coordinates_of(fresh).y, default_coordinates(fresh).y);
+}
+
+// --- membership-script pin ---------------------------------------------------
+
+/// FNV-1a 64 over little-endian 64-bit words.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      state_ = (state_ ^ ((word >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  void add(const Uint128& v) {
+    add(v.hi);
+    add(v.lo);
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  [[nodiscard]] std::uint64_t value() const { return state_; }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ULL;
+};
+
+/// Runs a fixed script of joins (some at explicit coordinates), crashes,
+/// graceful departures, rejoins and repair passes over a pool of 64 ids,
+/// routing 2,000 messages along the way, and digests every route result and
+/// the final membership, counters, leaf sets, routing tables and
+/// coordinates. Every walk of the overlay is in ascending-id order, so the
+/// digest pins hop counts, repairs and routes across any change to how the
+/// overlay stores its membership.
+std::uint64_t membership_script_digest(bool proximity_routing) {
+  OverlayConfig cfg;
+  cfg.proximity_routing = proximity_routing;
+  Overlay overlay(cfg);
+  Rng rng(1919);
+  Fnv1a fnv;
+
+  constexpr int kPool = 64;
+  std::vector<int> fresh;    // never joined
+  std::vector<int> alive;    // live members
+  std::vector<int> crashed;  // failed, eligible for rejoin_node
+  std::vector<int> departed; // left gracefully, eligible for add_node
+  for (int i = kPool - 1; i >= 0; --i) fresh.push_back(i);
+  const auto take = [&rng](std::vector<int>& from) {
+    const auto at = static_cast<std::size_t>(rng.next_below(from.size()));
+    const int v = from[at];
+    from.erase(from.begin() + static_cast<std::ptrdiff_t>(at));
+    return v;
+  };
+  const auto join = [&](int i) {
+    if (rng.next_below(3) == 0) {
+      const Coordinates where{rng.next_double(), rng.next_double()};
+      overlay.add_node(id_for(i), where);
+    } else {
+      overlay.add_node(id_for(i));
+    }
+    alive.push_back(i);
+  };
+  for (int i = 0; i < 40; ++i) join(take(fresh));
+
+  bool rejoined_unseen = false;
+  int fails = 0, removes = 0, rejoins = 0, repairs = 0, readds = 0;
+  for (int step = 0; step < 200; ++step) {
+    switch (rng.next_below(6)) {
+      case 0:
+        if (!fresh.empty()) join(take(fresh));
+        break;
+      case 1:
+        if (alive.size() > 8) {
+          const int i = take(alive);
+          overlay.fail_node(id_for(i));
+          crashed.push_back(i);
+          ++fails;
+        }
+        break;
+      case 2:
+        if (alive.size() > 8) {
+          const int i = take(alive);
+          overlay.remove_node(id_for(i));
+          departed.push_back(i);
+          ++removes;
+        }
+        break;
+      case 3:
+        if (!crashed.empty()) {
+          const int i = take(crashed);
+          overlay.rejoin_node(id_for(i));
+          alive.push_back(i);
+          ++rejoins;
+        } else if (!rejoined_unseen && !fresh.empty()) {
+          // rejoin_node of an id the overlay never saw: default coordinates.
+          const int i = take(fresh);
+          overlay.rejoin_node(id_for(i));
+          alive.push_back(i);
+          rejoined_unseen = true;
+        }
+        break;
+      case 4:
+        overlay.repair_all();
+        ++repairs;
+        break;
+      default:
+        if (!departed.empty()) {
+          join(take(departed));
+          ++readds;
+        }
+        break;
+    }
+    for (int k = 0; k < 10; ++k) {
+      const int from = alive[static_cast<std::size_t>(rng.next_below(alive.size()))];
+      const Uint128 key{rng(), rng()};
+      const RouteResult r = overlay.route(id_for(from), key);
+      fnv.add(std::uint64_t{r.destination_slot});
+      fnv.add(std::uint64_t{r.hops});
+      fnv.add(std::uint64_t{r.success});
+      fnv.add(r.distance);
+    }
+  }
+  // The script must keep exercising every membership path.
+  EXPECT_TRUE(rejoined_unseen);
+  EXPECT_GT(fails, 0);
+  EXPECT_GT(removes, 0);
+  EXPECT_GT(rejoins, 0);
+  EXPECT_GT(repairs, 0);
+  EXPECT_GT(readds, 0);
+
+  const OverlayStats s = overlay.stats();
+  EXPECT_GT(s.dead_hop_detections, 0U);
+  EXPECT_GT(s.repairs, 0U);
+  fnv.add(s.messages_routed);
+  fnv.add(s.total_hops);
+  fnv.add(s.dead_hop_detections);
+  fnv.add(s.fallback_hops);
+  fnv.add(s.repairs);
+  for (const auto& id : overlay.nodes()) {
+    fnv.add(id);
+    fnv.add(overlay.coordinates_of(id).x);
+    fnv.add(overlay.coordinates_of(id).y);
+    for (const auto& member : overlay.leaf_set(id).members()) fnv.add(member);
+    for (const auto& entry : overlay.routing_table(id).populated()) fnv.add(entry);
+  }
+  return fnv.value();
+}
+
+// Recorded constants: a change to how the overlay stores its membership must
+// reproduce them exactly.
+TEST(Overlay, MembershipScriptIsStable) {
+  EXPECT_EQ(membership_script_digest(/*proximity_routing=*/false), 0xf5711a15533ec4d8ULL);
+  EXPECT_EQ(membership_script_digest(/*proximity_routing=*/true), 0xfc5e5052b1fb313fULL);
 }
 
 }  // namespace

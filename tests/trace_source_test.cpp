@@ -5,6 +5,7 @@
 // any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
@@ -318,15 +320,74 @@ TEST(StreamedReplay, CrossesReplayWindowsByteIdentically) {
   std::filesystem::remove(path);
 }
 
+// The scan strides proxy 0's round-robin substream across replay windows:
+// on a trace shorter than one window and on one crossing two boundaries,
+// with strides that do not divide the window, the streamed count must equal
+// the in-memory one and a direct walk of the request vector.
 TEST(StreamedSweep, ClusterInfiniteCacheSizeMatchesStreamed) {
-  const auto trace = small_trace();
-  const auto path = temp_path("infinite.wct");
-  write_wctrace_file(path, trace);
-  const MmapTraceSource streamed(path);
-  for (const unsigned proxies : {1u, 2u, 3u, 7u}) {
-    EXPECT_EQ(core::cluster_infinite_cache_size(trace, proxies),
-              core::cluster_infinite_cache_size(streamed, proxies))
-        << proxies;
+  ProWGenConfig long_gen;
+  long_gen.total_requests = 2 * default_replay_chunk() + 4'321;
+  long_gen.distinct_objects = 4'000;
+  long_gen.seed = 23;
+  for (const auto& trace : {small_trace(), ProWGen(long_gen).generate()}) {
+    const auto path = temp_path("infinite.wct");
+    write_wctrace_file(path, trace);
+    const MmapTraceSource streamed(path);
+    for (const unsigned proxies : {1u, 2u, 3u, 7u}) {
+      std::vector<std::uint64_t> freq(trace.universe, 0);
+      for (std::size_t i = 0; i < trace.requests.size(); i += proxies) {
+        ++freq[trace.requests[i].object];
+      }
+      const auto direct = static_cast<ObjectNum>(
+          std::count_if(freq.begin(), freq.end(), [](std::uint64_t f) { return f > 1; }));
+      EXPECT_EQ(core::cluster_infinite_cache_size(trace, proxies), direct) << proxies;
+      EXPECT_EQ(core::cluster_infinite_cache_size(streamed, proxies), direct) << proxies;
+    }
+    std::filesystem::remove(path);
+  }
+}
+
+// --- bounded memory of whole-stream scans ----------------------------------
+
+/// This process's resident set (VmRSS) in KiB, or -1 when /proc/self/status
+/// cannot be read.
+long vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// Checksum verification, analysis and the infinite-cache-size scan each walk
+// a compiled trace in replay windows and release every window they read, so
+// none of them maps the whole file — on the first pass or any later one.
+TEST(StreamedScans, ResidentSetStaysBoundedAcrossRepeatedScans) {
+  if (vm_rss_kib() < 0) GTEST_SKIP() << "/proc/self/status cannot be read";
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer's shadow memory grows with every byte read";
+#endif
+  constexpr std::uint64_t kRequests = 1'000'000;  // 24 MB of records
+  const auto path = temp_path("rss_scans.wct");
+  {
+    WctraceWriter writer(path);
+    Rng rng(29);
+    for (std::uint64_t t = 0; t < kRequests; ++t) {
+      writer.append(Request{t, static_cast<ClientNum>(rng.next_below(100)),
+                            static_cast<ObjectNum>(rng.next_below(10'000)), 1});
+    }
+    writer.set_distinct_objects(10'000);
+    writer.finalize();
+  }
+  const MmapTraceSource source(path);
+  constexpr long kBoundKib = 8 * 1024;
+  for (int round = 0; round < 2; ++round) {
+    const long before = vm_rss_kib();
+    EXPECT_TRUE(source.verify_checksum());
+    EXPECT_EQ(analyze(source).total_requests, kRequests);
+    EXPECT_GT(core::cluster_infinite_cache_size(source, 3), 0U);
+    EXPECT_LT(vm_rss_kib() - before, kBoundKib) << "round " << round;
   }
   std::filesystem::remove(path);
 }

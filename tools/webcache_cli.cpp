@@ -67,7 +67,8 @@
 //                        results are bitwise identical regardless).
 //   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
 //                        simulation (0 = sequential engine; any value >= 1
-//                        yields byte-identical results).
+//                        yields byte-identical results). A value that is
+//                        not an integer in [0, 1024] is a usage error.
 //
 // Integer flags take plain non-negative integers that fit their field;
 // percentages must be finite and >= 0. Anything else is a usage error.
@@ -125,6 +126,16 @@ using namespace webcache;
       "--trace accepts the text format or a compiled wctrace/1 binary (.wct);\n"
       "binary traces replay through the mmap reader in bounded memory\n";
   std::exit(2);
+}
+
+/// The --shards default from WEBCACHE_SIM_SHARDS; a malformed value is a
+/// usage error.
+unsigned sim_shards_default() {
+  try {
+    return core::sim_shards_from_env();
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }
 
 /// Parses all of `text` as a number; std::nullopt on junk or trailing text.
@@ -287,7 +298,7 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
-  cfg.sim_shards = flags.integer<unsigned>("shards", core::sim_shards_from_env());
+  cfg.sim_shards = flags.integer<unsigned>("shards", sim_shards_default());
 
   // Policy overrides; without a flag each scheme keeps its default.
   const auto parse_policy = [&flags](const std::string& flag) {
