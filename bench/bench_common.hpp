@@ -11,6 +11,7 @@
 //                         WEBCACHE_BENCH_SCALE=0.1 ./fig2a_cache_size.
 //                         Any finite positive value whose request count
 //                         fits 64 bits works; > 1 oversamples.
+//                         An invalid value warns and falls back to 1.0.
 //   WEBCACHE_THREADS      worker threads for run_sweep (default 0 = one per
 //                         core). Results are bitwise identical regardless.
 //   WEBCACHE_SIM_SHARDS   intra-run worker shards WITHIN each simulation
@@ -18,8 +19,7 @@
 //                         yields byte-identical results — see README
 //                         "Sharded runs"). Composes with WEBCACHE_THREADS:
 //                         threads parallelize across sweep runs, shards
-//                         within each run. A value that is not an integer
-//                         in [0, 1024] stops the bench (exit code 2).
+//                         within each run.
 //   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
 //                         bench's sweeps (same as passing --metrics-out).
 //   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
@@ -30,6 +30,9 @@
 //                         trace, so it is meant for single-workload benches
 //                         (fig2a, fig5*, abl_*) and the CI golden-diff gate
 //                         that proves streamed == in-memory exports.
+// The integer knobs are strict: unset or empty means 0, and a value that is
+// not a plain integer in range ([0, 1024] for the thread and shard counts)
+// stops the bench with exit code 2, as does a malformed --snapshot-interval.
 #pragma once
 
 #include <chrono>
@@ -38,6 +41,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -65,28 +69,27 @@ inline double bench_scale() {
   return 1.0;
 }
 
-/// Worker-thread count for run_sweep: WEBCACHE_THREADS, or 0 (one per core).
-inline unsigned bench_threads() {
-  if (const char* env = std::getenv("WEBCACHE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long t = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') return static_cast<unsigned>(t);
-    std::cerr << "ignoring invalid WEBCACHE_THREADS=" << env << "\n";
-  }
-  return 0;
-}
-
-/// Intra-run shard count for every simulation a bench runs:
-/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine). A malformed value
-/// stops the bench with exit code 2.
-inline unsigned bench_sim_shards() {
+/// Runs one of core's strict integer parses; the std::invalid_argument it
+/// throws for a malformed value stops the bench with exit code 2.
+template <typename Parse>
+auto or_exit(Parse&& parse) -> decltype(parse()) {
   try {
-    return core::sim_shards_from_env();
+    return parse();
   } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << "\n";
     std::exit(2);
   }
 }
+
+/// Worker-thread count for run_sweep: WEBCACHE_THREADS, or 0 (one per core).
+inline unsigned bench_threads() {
+  return static_cast<unsigned>(
+      or_exit([] { return core::integer_from_env("WEBCACHE_THREADS", 1024); }));
+}
+
+/// Intra-run shard count for every simulation a bench runs:
+/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine).
+inline unsigned bench_sim_shards() { return or_exit(core::sim_shards_from_env); }
 
 /// The paper's default synthetic workload (Section 5.1): one million
 /// requests over 10,000 distinct objects, 50% one-timers, alpha = 0.7.
@@ -133,15 +136,16 @@ class ObsOptions {
  public:
   ObsOptions(int argc, char** argv) {
     if (const char* env = std::getenv("WEBCACHE_METRICS_OUT")) path_ = env;
-    if (const char* env = std::getenv("WEBCACHE_SNAPSHOT_INTERVAL")) {
-      parse_interval(env, "WEBCACHE_SNAPSHOT_INTERVAL");
-    }
+    snapshot_interval_ = or_exit(
+        [] { return core::integer_from_env("WEBCACHE_SNAPSHOT_INTERVAL", kMaxInterval); });
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--metrics-out" && i + 1 < argc) {
         path_ = argv[++i];
       } else if (arg == "--snapshot-interval" && i + 1 < argc) {
-        parse_interval(argv[++i], "--snapshot-interval");
+        const char* value = argv[++i];
+        snapshot_interval_ = or_exit(
+            [value] { return core::parse_integer("--snapshot-interval", value, kMaxInterval); });
       } else {
         std::cerr << "ignoring unknown bench argument: " << arg << "\n";
       }
@@ -184,15 +188,7 @@ class ObsOptions {
   }
 
  private:
-  void parse_interval(const char* value, const char* what) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (end != value && *end == '\0') {
-      snapshot_interval_ = n;
-    } else {
-      std::cerr << "ignoring invalid " << what << "=" << value << "\n";
-    }
-  }
+  static constexpr std::uint64_t kMaxInterval = std::numeric_limits<std::uint64_t>::max();
 
   std::string path_;
   std::uint64_t snapshot_interval_ = 0;

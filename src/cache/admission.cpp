@@ -1,6 +1,7 @@
 #include "cache/admission.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace webcache::cache {
 
@@ -61,13 +62,21 @@ unsigned AdmissionFilter::estimate(ObjectNum object) const {
 AdmittedCache::AdmittedCache(std::unique_ptr<Cache> inner)
     : Cache(inner->capacity()), filter_(inner->capacity()), inner_(std::move(inner)) {}
 
+// The contract is checked before the filter records the reference, so a
+// rejected call leaves the sketch as it was.
 void AdmittedCache::access(ObjectNum object, double cost) {
+  if (!inner_->contains(object)) {
+    throw std::logic_error("AdmittedCache::access: object not cached");
+  }
   note_sampled(filter_.record_access(object));
   obs_hit();
   inner_->access(object, cost);
 }
 
 InsertResult AdmittedCache::insert(ObjectNum object, double cost) {
+  if (inner_->contains(object)) {
+    throw std::logic_error("AdmittedCache::insert: object already cached");
+  }
   note_sampled(filter_.record_access(object));
   if (capacity_ == 0) return {};
   if (policy_considered_ != nullptr) policy_considered_->inc();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace webcache::cache {
 
@@ -12,9 +13,9 @@ bool ArcCache::contains(ObjectNum object) const {
 
 void ArcCache::access(ObjectNum object, double /*cost*/) {
   Entry* entry = index_.find(object);
-  assert(entry != nullptr &&
-         (entry->where == ListId::kT1 || entry->where == ListId::kT2) &&
-         "ArcCache::access: object not cached");
+  if (entry == nullptr || (entry->where != ListId::kT1 && entry->where != ListId::kT2)) {
+    throw std::logic_error("ArcCache::access: object not cached");
+  }
   obs_hit();
   // Any repeat reference promotes to the frequency list's MRU position.
   t2_.splice(t2_.begin(), list_of(entry->where), entry->pos);
@@ -23,7 +24,8 @@ void ArcCache::access(ObjectNum object, double /*cost*/) {
 }
 
 InsertResult ArcCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!contains(object) && "ArcCache::insert: object already cached");
+  // A ghost (B1/B2) entry is not cached: re-inserting it is the ghost hit.
+  if (contains(object)) throw std::logic_error("ArcCache::insert: object already cached");
   if (capacity_ == 0) return {};
   InsertResult result;
   Entry* entry = index_.find(object);

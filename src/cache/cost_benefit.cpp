@@ -97,13 +97,16 @@ CostBenefitCache::~CostBenefitCache() {
 }
 
 void CostBenefitCache::access(ObjectNum object, double /*cost*/) {
-  assert(order_.contains(object) && "CostBenefitCache::access: object not cached");
-  (void)object;  // values are static under perfect frequency knowledge
-  obs_hit();
+  if (!order_.contains(object)) {
+    throw std::logic_error("CostBenefitCache::access: object not cached");
+  }
+  obs_hit();  // values are static under perfect frequency knowledge
 }
 
 InsertResult CostBenefitCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!order_.contains(object) && "CostBenefitCache::insert: object already cached");
+  if (order_.contains(object)) {
+    throw std::logic_error("CostBenefitCache::insert: object already cached");
+  }
   if (capacity_ == 0) return {};
 
   const unsigned replicas_after = coordinator_.replica_count(object) + 1;
@@ -124,7 +127,7 @@ InsertResult CostBenefitCache::insert(ObjectNum object, double /*cost*/) {
 
   result.inserted = true;
   obs_inserted();
-  order_.set(object, Key{new_value, ++seq_});
+  order_.insert(object, Key{new_value, ++seq_});
   coordinator_.on_copy_added(object, this);
   return result;
 }

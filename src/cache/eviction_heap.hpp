@@ -22,6 +22,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -62,17 +63,21 @@ class EvictionHeap {
     for (const Node& node : nodes_) fn(node.object, node.priority);
   }
 
-  /// Inserts `object` or re-keys it to `priority`.
-  void set(ObjectNum object, const Priority& priority) {
-    if (const std::uint32_t* at = pos_.find(object)) {
-      nodes_[*at].priority = priority;
-      sift(*at);
-      return;
-    }
+  /// Inserts `object`, which must be absent: the caches check their
+  /// insert contract first, so this path probes the index no second time.
+  void insert(ObjectNum object, const Priority& priority) {
     const auto at = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back({priority, object});
     pos_.set(object, at);
     sift_up(at);
+  }
+
+  /// Re-keys `object`, which must be present, to `priority`.
+  void set(ObjectNum object, const Priority& priority) {
+    const std::uint32_t* at = pos_.find(object);
+    assert(at != nullptr && "EvictionHeap::set: object absent");
+    nodes_[*at].priority = priority;
+    sift(*at);
   }
 
   /// Removes `object`. Returns true if it was present.

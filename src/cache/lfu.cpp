@@ -1,12 +1,12 @@
 #include "cache/lfu.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace webcache::cache {
 
 void LfuCache::access(ObjectNum object, double /*cost*/) {
   const Rank* rank = order_.find(object);
-  assert(rank != nullptr && "LfuCache::access: object not cached");
+  if (rank == nullptr) throw std::logic_error("LfuCache::access: object not cached");
   obs_hit();
   // LFU-DA re-keys from the current floor on every hit, so a re-warming
   // object immediately out-keys everything the aging has devalued.
@@ -15,7 +15,7 @@ void LfuCache::access(ObjectNum object, double /*cost*/) {
 }
 
 InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!order_.contains(object) && "LfuCache::insert: object already cached");
+  if (order_.contains(object)) throw std::logic_error("LfuCache::insert: object already cached");
   if (capacity_ == 0) return {};
 
   InsertResult result;
@@ -31,7 +31,7 @@ InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
     order_.pop();
     result.evicted = victim;
   }
-  order_.set(object, Rank{1 + aging_floor_, ++seq_, 1});
+  order_.insert(object, Rank{1 + aging_floor_, ++seq_, 1});
   return result;
 }
 

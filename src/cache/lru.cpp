@@ -1,18 +1,18 @@
 #include "cache/lru.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace webcache::cache {
 
 void LruCache::access(ObjectNum object, double /*cost*/) {
   auto* pos = index_.find(object);
-  assert(pos != nullptr && "LruCache::access: object not cached");
+  if (pos == nullptr) throw std::logic_error("LruCache::access: object not cached");
   obs_hit();
   order_.splice(order_.begin(), order_, *pos);
 }
 
 InsertResult LruCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!index_.contains(object) && "LruCache::insert: object already cached");
+  if (index_.contains(object)) throw std::logic_error("LruCache::insert: object already cached");
   if (capacity_ == 0) return {};
   InsertResult result;
   result.inserted = true;

@@ -1,7 +1,7 @@
 // Least-Recently-Used cache: classic doubly-linked recency list over an
-// unordered index; all operations O(1). Used by the temporal-locality model
-// inside ProWGen, as a baseline policy in the ablation benches, and as the
-// reference recency structure in tests.
+// unordered index; all operations O(1). Used for the private browser caches
+// and FC-EC's tier tracker, as a selectable policy (alone or behind TinyLFU
+// admission), and as the reference recency structure in tests.
 #pragma once
 
 #include <list>

@@ -1,7 +1,7 @@
 #include "cache/w_tinylfu.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace webcache::cache {
 
@@ -14,9 +14,9 @@ WTinyLfuCache::WTinyLfuCache(std::size_t capacity)
       protected_cap_((capacity - std::min(capacity, window_cap_)) * 4 / 5) {}
 
 void WTinyLfuCache::access(ObjectNum object, double /*cost*/) {
-  note_sampled(filter_.record_access(object));
   Entry* entry = index_.find(object);
-  assert(entry != nullptr && "WTinyLfuCache::access: object not cached");
+  if (entry == nullptr) throw std::logic_error("WTinyLfuCache::access: object not cached");
+  note_sampled(filter_.record_access(object));
   obs_hit();
   switch (entry->segment) {
     case Segment::kWindow:
@@ -44,7 +44,9 @@ void WTinyLfuCache::access(ObjectNum object, double /*cost*/) {
 }
 
 InsertResult WTinyLfuCache::insert(ObjectNum object, double /*cost*/) {
-  assert(!index_.contains(object) && "WTinyLfuCache::insert: object already cached");
+  if (index_.contains(object)) {
+    throw std::logic_error("WTinyLfuCache::insert: object already cached");
+  }
   note_sampled(filter_.record_access(object));
   if (capacity_ == 0) return {};
   InsertResult result;

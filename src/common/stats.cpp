@@ -1,13 +1,10 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <cstddef>
 #include <stdexcept>
 
 namespace webcache {
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 void RunningStat::merge(const RunningStat& other) {
   if (other.count_ == 0) return;
@@ -20,7 +17,6 @@ void RunningStat::merge(const RunningStat& other) {
   const auto n2 = static_cast<double>(other.count_);
   const double n = n1 + n2;
   mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -48,39 +44,6 @@ void Histogram::merge(const Histogram& other) {
   }
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  const double bucket_width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double inside = counts_[i] == 0 ? 0.0
-                                            : (target - cum) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + inside) * bucket_width;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  const double bucket_width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    out << "[" << lo_ + static_cast<double>(i) * bucket_width << ", "
-        << lo_ + static_cast<double>(i + 1) * bucket_width << ") "
-        << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace webcache

@@ -3,21 +3,20 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace webcache {
 
-/// Welford single-pass accumulator: mean / variance / min / max without
-/// storing samples. Numerically stable for the billions of latency samples
-/// a full sweep produces.
+/// Single-pass accumulator: count / sum / mean / min / max without storing
+/// samples. The mean is Welford's running update, numerically stable for the
+/// billions of latency samples a full sweep produces; the exported means are
+/// its exact bits, so add() and merge() must keep that update as it is.
 class RunningStat {
  public:
   void add(double x) {
     ++count_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
     sum_ += x;
@@ -26,10 +25,6 @@ class RunningStat {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  [[nodiscard]] double variance() const {
-    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-  }
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const { return count_ == 0 ? 0.0 : max_; }
 
@@ -40,7 +35,6 @@ class RunningStat {
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -59,17 +53,10 @@ class Histogram {
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
 
-  /// Value below which `q` (0..1) of the mass lies, linearly interpolated
-  /// within the containing bucket.
-  [[nodiscard]] double quantile(double q) const;
-
   /// Pools another histogram into this one (bucket-wise count sum), so
   /// per-shard distributions merge exactly. Both histograms must have been
   /// constructed with identical bounds and bucket counts.
   void merge(const Histogram& other);
-
-  /// Multi-line ASCII rendering for bench output.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
 
  private:
   double lo_;

@@ -1,6 +1,5 @@
 // Core value types shared across the simulator: objects, requests, and the
-// strongly-typed integer ids that keep proxy/client/object indices from being
-// mixed up at call sites.
+// integer ids of objects and clients.
 #pragma once
 
 #include <charconv>
@@ -18,9 +17,6 @@ using ObjectNum = std::uint32_t;
 
 /// Index of a client within its client cluster.
 using ClientNum = std::uint32_t;
-
-/// Index of a proxy within the proxy cluster.
-using ProxyNum = std::uint32_t;
 
 /// Simulated object size in bytes. The paper's experiments use unit-size
 /// objects; the workload library still carries true sizes for trace tooling.

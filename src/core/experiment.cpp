@@ -22,19 +22,25 @@ std::vector<double> default_cache_percents() {
   return {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
 }
 
+std::uint64_t parse_integer(std::string_view name, std::string_view text, std::uint64_t max) {
+  std::uint64_t n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (ec != std::errc{} || end != text.data() + text.size() || n > max) {
+    throw std::invalid_argument(std::string(name) + " needs an integer in [0, " +
+                                std::to_string(max) + "], got '" + std::string(text) + "'");
+  }
+  return n;
+}
+
+std::uint64_t integer_from_env(const char* name, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return 0;
+  return parse_integer(name, env, max);
+}
+
 unsigned sim_shards_from_env() {
-  static const unsigned shards = [] {
-    const char* env = std::getenv("WEBCACHE_SIM_SHARDS");
-    if (env == nullptr || *env == '\0') return 0U;
-    const std::string_view text(env);
-    unsigned n = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
-    if (ec != std::errc{} || end != text.data() + text.size() || n > 1024) {
-      throw std::invalid_argument("WEBCACHE_SIM_SHARDS needs an integer in [0, 1024], got '" +
-                                  std::string(text) + "'");
-    }
-    return n;
-  }();
+  static const auto shards =
+      static_cast<unsigned>(integer_from_env("WEBCACHE_SIM_SHARDS", 1024));
   return shards;
 }
 

@@ -4,9 +4,11 @@
 // of the paper's figures. Every bench binary is a thin wrapper around this.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -17,6 +19,18 @@ namespace webcache::core {
 
 /// The paper's x-axis: 10% .. 100% of the infinite cache size.
 [[nodiscard]] std::vector<double> default_cache_percents();
+
+/// Parses all of `text` as a plain decimal integer in [0, max]. Anything
+/// else — a sign, junk, trailing text, a value above `max` — throws
+/// std::invalid_argument "<name> needs an integer in [0, <max>], got
+/// '<text>'", so a typo or a negative value never wraps into a different
+/// run. `name` is the environment variable or flag the text came from.
+[[nodiscard]] std::uint64_t parse_integer(std::string_view name, std::string_view text,
+                                          std::uint64_t max);
+
+/// Environment variable `name` through parse_integer, or 0 when it is unset
+/// or empty.
+[[nodiscard]] std::uint64_t integer_from_env(const char* name, std::uint64_t max);
 
 /// Default SimConfig::sim_shards, from WEBCACHE_SIM_SHARDS (0 — the classic
 /// sequential engine — when unset or empty). Throws std::invalid_argument,

@@ -270,24 +270,6 @@ void Registry::write_csv(std::ostream& out) const {
   out.flush();
 }
 
-void Registry::write_snapshots_csv(std::ostream& out) const {
-  out << "at";
-  for (const auto& name : counters_.names) out << ',' << name;
-  for (const auto& name : gauges_.names) out << ',' << name;
-  out << '\n';
-  for (const Snapshot& snap : snapshots_) {
-    out << snap.at;
-    for (std::size_t i = 0; i < counters_.names.size(); ++i) {
-      out << ',' << (i < snap.counters.size() ? snap.counters[i] : 0);
-    }
-    for (std::size_t i = 0; i < gauges_.names.size(); ++i) {
-      out << ',' << format_double(i < snap.gauges.size() ? snap.gauges[i] : 0.0);
-    }
-    out << '\n';
-  }
-  out.flush();
-}
-
 void Registry::write_trace_csv(std::ostream& out) const {
   out << "seq,time,code,value,aux\n";
   const auto events = trace_events();

@@ -29,9 +29,10 @@
 // request; snapshots touch the registry only when one is due.
 //
 // Exports (schema "webcache-metrics/1", documented in README.md):
-//   write_json       — full registry as one JSON document;
+//   write_json       — full registry as one JSON document, the snapshot
+//                      rows included (write_json_body: its body only);
 //   write_csv        — flat kind,name,value CSV of all instruments;
-//   write_snapshots_csv / write_trace_csv — the time-series layers.
+//   write_trace_csv  — the event tracer's records.
 // All numeric formatting is locale-independent and shortest-round-trip, so
 // exports are byte-identical across runs and thread counts.
 #pragma once
@@ -169,9 +170,6 @@ class Registry {
   void write_json_body(std::ostream& out, int indent = 0) const;
   /// Flat CSV: kind,name,value rows for every instrument.
   void write_csv(std::ostream& out) const;
-  /// Snapshot time series: header "at,<counter...>,<gauge...>", one row per
-  /// snapshot.
-  void write_snapshots_csv(std::ostream& out) const;
   /// Trace events: "seq,time,code,value,aux", chronological.
   void write_trace_csv(std::ostream& out) const;
 

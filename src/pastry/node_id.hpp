@@ -21,12 +21,6 @@ using NodeId = Uint128;
   return Sha1::hash128(name);
 }
 
-/// Derives the objectId for a URL: SHA-1(URL) truncated to 128 bits
-/// (paper Section 4.1).
-[[nodiscard]] inline Uint128 object_id_for_url(const std::string& url) {
-  return Sha1::hash128(url);
-}
-
 /// True if `candidate` is numerically closer to `key` on the ring than
 /// `incumbent`; ties break toward the lower id so closeness is a total order.
 [[nodiscard]] inline bool closer_to(const Uint128& key, const NodeId& candidate,

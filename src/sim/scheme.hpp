@@ -36,12 +36,6 @@ inline constexpr std::array<Scheme, 7> kAllSchemes = {
 [[nodiscard]] std::string_view to_string(Scheme scheme);
 [[nodiscard]] std::optional<Scheme> scheme_from_string(std::string_view name);
 
-/// True for the schemes that exploit client caches.
-[[nodiscard]] constexpr bool exploits_client_caches(Scheme s) {
-  return s == Scheme::kNC_EC || s == Scheme::kSC_EC || s == Scheme::kFC_EC ||
-         s == Scheme::kHierGD || s == Scheme::kSquirrel;
-}
-
 /// True for the schemes where proxies serve each other's misses.
 [[nodiscard]] constexpr bool proxies_cooperate(Scheme s) {
   return s == Scheme::kSC || s == Scheme::kFC || s == Scheme::kSC_EC ||

@@ -11,6 +11,19 @@
 
 namespace webcache::workload {
 
+namespace {
+
+/// Length of the recent-reference window, in requests. Deliberately
+/// independent of the LRU stack size: as in ProWGen's stack-depth model,
+/// temporally-local re-references land near the top of the stack no matter
+/// how large the stack is — the stack size only controls how much of the
+/// reference mass flows through the stack at all. This is what makes a
+/// larger stack help a *single* cache (short re-reference distances on more
+/// of the stream) rather than hurt it.
+constexpr std::size_t kRecencyWindow = 256;
+
+}  // namespace
+
 ProWGen::ProWGen(ProWGenConfig config) : config_(config) {
   if (config_.distinct_objects == 0) {
     throw std::invalid_argument("ProWGen: distinct_objects must be >= 1");
@@ -29,9 +42,6 @@ ProWGen::ProWGen(ProWGenConfig config) : config_(config) {
   }
   if (config_.recency_bias < 0.0 || config_.recency_bias > 1.0) {
     throw std::invalid_argument("ProWGen: recency_bias must be in [0, 1]");
-  }
-  if (config_.recency_window == 0) {
-    throw std::invalid_argument("ProWGen: recency_window must be >= 1");
   }
   if (config_.clients == 0) {
     throw std::invalid_argument("ProWGen: clients must be >= 1");
@@ -65,7 +75,10 @@ void ProWGen::generate(const RequestSink& sink) const {
 
   Rng rng(cfg.seed);
   Rng client_rng = rng.fork(1);
-  Rng size_rng = rng.fork(2);
+  // Stream 2 drew object sizes when the generator had a size model. A fork
+  // advances the parent generator, so it is still taken: without it the
+  // stream fork below would be reseeded and every generated trace change.
+  (void)rng.fork(2);
   Rng stream_rng = rng.fork(3);
 
   // --- 1. Per-object total reference counts -------------------------------
@@ -107,43 +120,7 @@ void ProWGen::generate(const RequestSink& sink) const {
     }
   }
 
-  // --- 2. Per-object sizes --------------------------------------------------
-  std::vector<ObjectSize> object_size(universe, 1);
-  if (cfg.generate_sizes) {
-    std::vector<ObjectSize> sizes(universe);
-    for (auto& s : sizes) {
-      double bytes;
-      if (size_rng.next_double() < cfg.pareto_tail_fraction) {
-        // Pareto tail: scale / U^(1/alpha).
-        const double u = std::max(size_rng.next_double(), 1e-12);
-        bytes = cfg.pareto_scale / std::pow(u, 1.0 / cfg.pareto_alpha);
-      } else {
-        // Lognormal body via Box–Muller.
-        const double u1 = std::max(size_rng.next_double(), 1e-12);
-        const double u2 = size_rng.next_double();
-        const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-        bytes = std::exp(cfg.lognormal_mu + cfg.lognormal_sigma * z);
-      }
-      s = std::max<ObjectSize>(1, static_cast<ObjectSize>(bytes));
-    }
-    switch (cfg.size_correlation) {
-      case SizeCorrelation::kNone:
-        // Random association: shuffle.
-        for (std::size_t i = sizes.size(); i > 1; --i) {
-          std::swap(sizes[i - 1], sizes[size_rng.next_below(i)]);
-        }
-        break;
-      case SizeCorrelation::kPositive:
-        std::sort(sizes.begin(), sizes.end(), std::greater<>());
-        break;
-      case SizeCorrelation::kNegative:
-        std::sort(sizes.begin(), sizes.end());
-        break;
-    }
-    object_size = std::move(sizes);
-  }
-
-  // --- 3. Stream generation via the finite LRU-stack model -----------------
+  // --- 2. Stream generation via the finite LRU-stack model -----------------
   const auto stack_capacity = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(cfg.lru_stack_fraction * static_cast<double>(std::max<ObjectNum>(multi, 1)))));
@@ -172,9 +149,8 @@ void ProWGen::generate(const RequestSink& sink) const {
   // the most recent handful of requests and compound into bursts. That is
   // the temporal clustering a mass-weighted draw cannot produce, and it is
   // what lets even a frequency-driven cache profit from locality.
-  const std::size_t window = config_.recency_window;
   std::vector<ObjectNum> recent;
-  recent.reserve(window);
+  recent.reserve(kRecencyWindow);
   std::size_t recent_next = 0;  // slot that will be overwritten next
 
   const auto window_draw = [&](double u) -> ObjectNum {
@@ -219,18 +195,18 @@ void ProWGen::generate(const RequestSink& sink) const {
       }
     }
 
-    if (recent.size() < window) {
+    if (recent.size() < kRecencyWindow) {
       recent.push_back(object);
     } else {
       recent[recent_next] = object;
-      recent_next = (recent_next + 1) % window;
+      recent_next = (recent_next + 1) % kRecencyWindow;
     }
 
     sink(Request{
         t,
         static_cast<ClientNum>(client_rng.next_below(cfg.clients)),
         object,
-        object_size[object],
+        1,
     });
 
     // Consume one reference and refresh the object's recency.

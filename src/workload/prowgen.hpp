@@ -15,10 +15,10 @@
 //     reference mass (amplified by `temporal_amplifier`); a larger stack
 //     makes more objects eligible for temporally-clustered re-reference
 //     (default stack = 20% of multi-referenced objects; the paper sweeps
-//     {5%, 20%, 60%});
-//   * file sizes            — lognormal body with a Pareto tail, with an
-//     optional size-popularity correlation (the paper fixes unit sizes for
-//     its experiments; sizes are generated for trace tooling completeness).
+//     {5%, 20%, 60%}).
+//
+// Every object has unit size, as in the paper's experiments (its assumption
+// 1); ProWGen's file-size model is not reproduced.
 //
 // Reference counts are assigned exactly (the stream consumes precomputed
 // per-object counts), so the delivered popularity distribution matches the
@@ -31,14 +31,6 @@
 #include "workload/trace.hpp"
 
 namespace webcache::workload {
-
-/// Size-popularity correlation modes (ProWGen supports all three; zero
-/// correlation is both its and our default).
-enum class SizeCorrelation {
-  kNone,      ///< sizes independent of popularity
-  kPositive,  ///< popular objects tend to be larger
-  kNegative,  ///< popular objects tend to be smaller
-};
 
 struct ProWGenConfig {
   std::uint64_t total_requests = 1'000'000;
@@ -58,27 +50,9 @@ struct ProWGenConfig {
   /// remaining mass. This is what makes stack draws genuinely *temporal*
   /// rather than a restatement of popularity.
   double recency_bias = 0.25;
-  /// Length of the recent-reference window, in requests. Deliberately
-  /// independent of the LRU stack size: as in ProWGen's stack-depth model,
-  /// temporally-local re-references land near the top of the stack no
-  /// matter how large the stack is — the stack size only controls how much
-  /// of the reference mass flows through the stack at all. This is what
-  /// makes a larger stack help a *single* cache (short re-reference
-  /// distances on more of the stream) rather than hurt it.
-  std::size_t recency_window = 256;
   /// Number of clients the requests are attributed to (round-robin client
   /// ids randomized per request).
   ClientNum clients = 100;
-
-  // --- size model (unused by the unit-size experiments) ---
-  bool generate_sizes = false;
-  double lognormal_mu = 8.35;     ///< ln-space mean  (~ e^8.35 ≈ 4.2 KB median)
-  double lognormal_sigma = 1.3;   ///< ln-space stddev
-  double pareto_tail_fraction = 0.07;
-  double pareto_alpha = 1.2;
-  double pareto_scale = 10'000.0;  ///< tail minimum (bytes)
-  SizeCorrelation size_correlation = SizeCorrelation::kNone;
-
   std::uint64_t seed = 42;
 };
 

@@ -1,25 +1,25 @@
 #include "workload/wctrace.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "workload/trace.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define WEBCACHE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace webcache::workload {
 
-// The record IS the in-memory Request on little-endian hosts — pin the
-// layout the file format depends on.
+// The record IS the in-memory Request — pin the layout the file format
+// depends on. Records are read and written in place, so the host must be
+// little-endian (the header is encoded byte by byte and is portable).
+static_assert(std::endian::native == std::endian::little,
+              "wctrace/1 records are mapped in place: a little-endian host is required");
 static_assert(sizeof(Request) == kWctraceRecordSize);
 static_assert(std::is_trivially_copyable_v<Request>);
 static_assert(offsetof(Request, time) == 0);
@@ -29,11 +29,8 @@ static_assert(offsetof(Request, size) == 16);
 
 namespace {
 
-constexpr bool kLittleEndian = std::endian::native == std::endian::little;
-
-/// Folds one record into the running checksum. Defined arithmetically over
-/// the field values, which equals FNV-1a over the little-endian record's
-/// 8-byte words on every host.
+/// Folds one record into the running checksum: FNV-1a over the record's
+/// three little-endian 8-byte words, written over the field values.
 std::uint64_t checksum_record(std::uint64_t state, const Request& r) {
   state = wctrace_checksum_step(state, r.time);
   state = wctrace_checksum_step(
@@ -168,23 +165,8 @@ void WctraceWriter::flush() {
   Impl& im = *impl_;
   if (im.buffer.empty()) return;
   for (const auto& r : im.buffer) im.checksum = checksum_record(im.checksum, r);
-  if constexpr (kLittleEndian) {
-    im.out.write(reinterpret_cast<const char*>(im.buffer.data()),
-                 static_cast<std::streamsize>(im.buffer.size() * sizeof(Request)));
-  } else {
-    // Big-endian host: serialize each record to its little-endian image.
-    std::vector<unsigned char> bytes(im.buffer.size() * kWctraceRecordSize);
-    unsigned char* p = bytes.data();
-    for (const auto& r : im.buffer) {
-      put_u64(p, r.time);
-      put_u32(p + 8, r.client);
-      put_u32(p + 12, r.object);
-      put_u64(p + 16, r.size);
-      p += kWctraceRecordSize;
-    }
-    im.out.write(reinterpret_cast<const char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-  }
+  im.out.write(reinterpret_cast<const char*>(im.buffer.data()),
+               static_cast<std::streamsize>(im.buffer.size() * sizeof(Request)));
   im.buffer.clear();
 }
 
@@ -257,60 +239,31 @@ MmapTraceSource::MmapTraceSource(const std::string& path) {
   const std::size_t total_bytes = static_cast<std::size_t>(
       kWctraceHeaderSize + count_ * std::uint64_t{kWctraceRecordSize});
 
-#if defined(WEBCACHE_HAVE_MMAP)
-  if constexpr (kLittleEndian) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) throw std::runtime_error("cannot open wctrace file: " + path);
-    void* map = ::mmap(nullptr, total_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);  // the mapping keeps its own reference
-    if (map == MAP_FAILED) {
-      throw std::runtime_error("mmap failed for wctrace file: " + path);
-    }
-    ::madvise(map, total_bytes, MADV_SEQUENTIAL);
-    map_ = map;
-    map_bytes_ = total_bytes;
-    if (count_ > 0) {
-      records_ = reinterpret_cast<const Request*>(static_cast<const char*>(map_) +
-                                                  kWctraceHeaderSize);
-    }
-    return;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw std::runtime_error("cannot open wctrace file: " + path);
+  void* map = ::mmap(nullptr, total_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping keeps its own reference
+  if (map == MAP_FAILED) {
+    throw std::runtime_error("mmap failed for wctrace file: " + path);
   }
-#endif
-  // Portable / big-endian fallback: decode the whole file up front. Loses
-  // the out-of-core property but keeps every wctrace consumer correct.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open wctrace file: " + path);
-  in.seekg(kWctraceHeaderSize);
-  converted_.resize(static_cast<std::size_t>(count_));
-  for (auto& r : converted_) {
-    unsigned char rec[kWctraceRecordSize];
-    in.read(reinterpret_cast<char*>(rec), sizeof(rec));
-    r.time = get_u64(rec);
-    r.client = get_u32(rec + 8);
-    r.object = get_u32(rec + 12);
-    r.size = get_u64(rec + 16);
-  }
-  if (!in) throw std::runtime_error(path + ": failed reading wctrace records");
+  ::madvise(map, total_bytes, MADV_SEQUENTIAL);
+  map_ = map;
+  map_bytes_ = total_bytes;
+  records_ = reinterpret_cast<const Request*>(static_cast<const char*>(map_) +
+                                              kWctraceHeaderSize);
 }
 
-MmapTraceSource::~MmapTraceSource() {
-#if defined(WEBCACHE_HAVE_MMAP)
-  if (map_ != nullptr) ::munmap(map_, map_bytes_);
-#endif
-}
+MmapTraceSource::~MmapTraceSource() { ::munmap(map_, map_bytes_); }
 
 std::span<const Request> MmapTraceSource::window(std::uint64_t pos,
                                                  std::size_t max_len) const {
   if (pos >= count_) return {};
   const auto len =
       static_cast<std::size_t>(std::min<std::uint64_t>(max_len, count_ - pos));
-  if (records_ != nullptr) return {records_ + pos, len};
-  return {converted_.data() + pos, len};
+  return {records_ + pos, len};
 }
 
 void MmapTraceSource::discard_consumed(std::uint64_t pos) const {
-#if defined(WEBCACHE_HAVE_MMAP)
-  if (map_ == nullptr) return;
   const std::uint64_t consumed_bytes =
       kWctraceHeaderSize + std::min(pos, count_) * std::uint64_t{kWctraceRecordSize};
   static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -321,9 +274,6 @@ void MmapTraceSource::discard_consumed(std::uint64_t pos) const {
   // (minor faults — the page cache keeps them).
   const std::size_t bytes = static_cast<std::size_t>(consumed_bytes) / page * page;
   if (bytes > 0) ::madvise(map_, bytes, MADV_DONTNEED);
-#else
-  (void)pos;
-#endif
 }
 
 bool MmapTraceSource::verify_checksum() const {

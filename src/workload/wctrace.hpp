@@ -15,11 +15,10 @@
 //       64     …  request_count records of 24 bytes each:
 //                 u64 time, u32 client, u32 object, u64 size
 //
-// A record is byte-for-byte the in-memory Request layout, so on
-// little-endian hosts the mmap reader serves request windows straight out
-// of the page cache with no decode step; big-endian hosts (none we target,
-// but the format stays portable) fall back to converting the file into a
-// materialized trace at open.
+// A record is byte-for-byte the in-memory Request layout, so the mmap
+// reader serves request windows straight out of the page cache with no
+// decode step. That requires a little-endian POSIX host, which the build
+// checks at compile time.
 //
 // Readers validate magic, version, record size and that the file length is
 // exactly header + count * record_size — a truncated or padded file is
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "workload/trace_source.hpp"
 
@@ -124,12 +122,9 @@ class MmapTraceSource final : public TraceSource {
   WctraceHeader header_{};
   std::uint64_t count_ = 0;
   ObjectNum distinct_ = 0;
-  // Zero-copy path (little-endian hosts): the live mapping.
   void* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   const Request* records_ = nullptr;
-  // Byte-swapping fallback (big-endian hosts): records decoded at open.
-  std::vector<Request> converted_;
 };
 
 /// Materializes a whole wctrace file (tools/tests).

@@ -1,13 +1,17 @@
+#include "cache/cost_benefit.hpp"
 #include "cache/greedy_dual.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
+#include "cache/policy.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -285,6 +289,82 @@ TEST_P(CachePolicyCapacity, AllPoliciesRespectCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CachePolicyCapacity,
                          ::testing::Values(1u, 2u, 7u, 64u, 500u));
+
+/// One cache of a policy named by make_cache's spelling, or "cost-benefit"
+/// for a CostBenefitCache alone in its cluster (declared first, the
+/// coordinator outlives its member).
+struct ContractSubject {
+  std::unique_ptr<CostBenefitCoordinator> coordinator;
+  std::unique_ptr<Cache> cache;
+
+  ContractSubject(const std::string& policy, std::size_t capacity) {
+    if (policy == "cost-benefit") {
+      coordinator = std::make_unique<CostBenefitCoordinator>(
+          std::vector<double>(16, 1.0), /*cluster_size=*/1, /*server_latency=*/20.0,
+          /*proxy_latency=*/2.0);
+      cache = std::make_unique<CostBenefitCache>(capacity, *coordinator);
+    } else {
+      cache = make_cache(*policy_from_string(policy), capacity);
+    }
+  }
+};
+
+std::vector<ObjectNum> sorted_contents(const Cache& c) {
+  auto out = c.contents();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class CacheContract : public ::testing::TestWithParam<std::string> {};
+
+// Every policy throws std::logic_error on a contract violation in every
+// build type (an assert would vanish from release builds, where a duplicate
+// insert once went unnoticed), and the rejected call changes nothing: a twin
+// that never saw it keeps making the same decisions. The random stream
+// re-inserts evicted objects, which for ARC are ghost hits and stay legal.
+TEST_P(CacheContract, ViolationsThrowAndLeaveTheCacheUnchanged) {
+  ContractSubject subject(GetParam(), 3);
+  ContractSubject twin(GetParam(), 3);
+  Cache& c = *subject.cache;
+  for (const ObjectNum o : {0U, 1U}) {
+    c.insert(o, 1.0);
+    twin.cache->insert(o, 1.0);
+  }
+  EXPECT_THROW(c.insert(1, 1.0), std::logic_error);
+  EXPECT_THROW(c.access(9, 1.0), std::logic_error);
+  ASSERT_TRUE(c.erase(0));
+  ASSERT_TRUE(twin.cache->erase(0));
+  EXPECT_THROW(c.access(0, 1.0), std::logic_error);
+  EXPECT_EQ(sorted_contents(c), sorted_contents(*twin.cache));
+
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) {
+    const auto o = static_cast<ObjectNum>(rng.next_below(12));
+    if (c.contains(o)) {
+      c.access(o, 1.0);
+      twin.cache->access(o, 1.0);
+      EXPECT_THROW(c.insert(o, 1.0), std::logic_error);
+    } else {
+      const auto ins = c.insert(o, 1.0);
+      const auto twin_ins = twin.cache->insert(o, 1.0);
+      ASSERT_EQ(ins.inserted, twin_ins.inserted) << i;
+      ASSERT_EQ(ins.evicted, twin_ins.evicted) << i;
+      if (!c.contains(o)) {
+        EXPECT_THROW(c.access(o, 1.0), std::logic_error);
+      }
+    }
+    ASSERT_EQ(sorted_contents(c), sorted_contents(*twin.cache)) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPolicy, CacheContract,
+                         ::testing::Values("lru", "lfu", "gd", "tinylfu-lru", "w-tinylfu",
+                                           "arc", "cost-benefit"),
+                         [](const ::testing::TestParamInfo<std::string>& policy) {
+                           std::string name = policy.param;
+                           std::erase(name, '-');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace webcache::cache

@@ -162,6 +162,36 @@ TEST(GoldenExports, ShardedEngineEveryScheme) {
   });
 }
 
+sim::SimConfig with_policies(sim::Scheme scheme, cache::PolicyKind proxy,
+                             cache::PolicyKind client) {
+  auto cfg = golden_config(scheme);
+  cfg.proxy_policy = proxy;
+  cfg.client_policy = client;
+  return cfg;
+}
+
+/// The modern policies in each tier they can take. Every other policy test
+/// compares runs of one build with each other; these pin the outcome.
+TEST(GoldenExports, PolicyOverrides) {
+  using cache::PolicyKind;
+  using sim::Scheme;
+  expect_digests({
+      {"NC w-tinylfu", with_policies(Scheme::kNC, PolicyKind::kWTinyLfu, PolicyKind::kDefault),
+       0xa1c1fda4cef60abdULL},
+      {"SC arc", with_policies(Scheme::kSC, PolicyKind::kArc, PolicyKind::kDefault),
+       0x25b1070614dff7a3ULL},
+      {"NC-EC tinylfu-lru/arc",
+       with_policies(Scheme::kNC_EC, PolicyKind::kTinyLfuLru, PolicyKind::kArc),
+       0x69ca7d882ca72b34ULL},
+      {"Hier-GD w-tinylfu/arc",
+       with_policies(Scheme::kHierGD, PolicyKind::kWTinyLfu, PolicyKind::kArc),
+       0xfe6e785138dc9375ULL},
+      {"Squirrel w-tinylfu clients",
+       with_policies(Scheme::kSquirrel, PolicyKind::kDefault, PolicyKind::kWTinyLfu),
+       0x5ce578dc3804c9edULL},
+  });
+}
+
 /// More cooperating proxies than one 64-bit word has bits.
 sim::SimConfig at_72_proxies(sim::Scheme scheme) {
   auto cfg = golden_config(scheme);

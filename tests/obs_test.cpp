@@ -167,18 +167,6 @@ TEST(ObsSnapshots, DisabledByDefault) {
   EXPECT_NE(out.str().find("\"rows\": []"), std::string::npos);
 }
 
-TEST(ObsSnapshots, CsvHasColumnsForCountersAndGauges) {
-  obs::Registry reg;
-  reg.counter("c").inc();
-  reg.gauge("g").set(2.5);
-  reg.snapshot(1);
-  std::ostringstream out;
-  reg.write_snapshots_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("at,c,g"), std::string::npos);
-  EXPECT_NE(csv.find("1,1,2.5"), std::string::npos);
-}
-
 TEST(ObsTracer, RingKeepsTheTailAndCountsDrops) {
   obs::Registry reg;
   reg.enable_tracing(4);

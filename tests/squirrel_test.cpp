@@ -29,7 +29,6 @@ SimConfig squirrel_config(ClientNum clients = 100, std::size_t per_client = 5) {
 TEST(Squirrel, SchemeMetadata) {
   EXPECT_EQ(to_string(Scheme::kSquirrel), "Squirrel");
   EXPECT_EQ(scheme_from_string("Squirrel"), std::optional<Scheme>(Scheme::kSquirrel));
-  EXPECT_TRUE(exploits_client_caches(Scheme::kSquirrel));
   EXPECT_FALSE(proxies_cooperate(Scheme::kSquirrel));
   // Squirrel is an extension, not one of the paper's seven.
   for (const auto s : kAllSchemes) EXPECT_NE(s, Scheme::kSquirrel);

@@ -156,46 +156,6 @@ TEST(ProWGen, SizesAreUnitByDefault) {
   for (const auto& r : trace.requests) ASSERT_EQ(r.size, 1u);
 }
 
-TEST(ProWGen, SizeModelProducesHeavyTail) {
-  auto cfg = small_config();
-  cfg.generate_sizes = true;
-  const auto trace = ProWGen(cfg).generate();
-  ObjectSize max_size = 0;
-  double mean = 0;
-  for (const auto& r : trace.requests) {
-    max_size = std::max(max_size, r.size);
-    mean += static_cast<double>(r.size);
-  }
-  mean /= static_cast<double>(trace.size());
-  EXPECT_GT(max_size, static_cast<ObjectSize>(20.0 * mean));  // Pareto tail
-  EXPECT_GT(mean, 1000.0);                                    // lognormal body in bytes
-}
-
-TEST(ProWGen, SizeCorrelationModes) {
-  auto cfg = small_config();
-  cfg.generate_sizes = true;
-  cfg.size_correlation = SizeCorrelation::kNegative;
-  const auto trace = ProWGen(cfg).generate();
-  const auto stats = analyze(trace);
-  // Negative correlation: popular objects (low ids) smaller than tail.
-  std::unordered_map<ObjectNum, ObjectSize> size_of;
-  for (const auto& r : trace.requests) size_of[r.object] = r.size;
-  double head = 0, tail = 0;
-  int head_n = 0, tail_n = 0;
-  for (const auto& [o, s] : size_of) {
-    if (o < 100) {
-      head += static_cast<double>(s);
-      ++head_n;
-    } else if (o >= stats.distinct_objects - 100) {
-      tail += static_cast<double>(s);
-      ++tail_n;
-    }
-  }
-  ASSERT_GT(head_n, 0);
-  ASSERT_GT(tail_n, 0);
-  EXPECT_LT(head / head_n, tail / tail_n);
-}
-
 TEST(ProWGen, RejectsInvalidConfigs) {
   auto c = small_config();
   c.distinct_objects = 0;

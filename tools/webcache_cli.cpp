@@ -62,19 +62,18 @@
 //   --audit-interval N      run the cross-layer invariant auditor every N
 //                           requests; any violation exits non-zero
 //
-// Environment:
+// Environment (each unset or empty means 0; a value that is not an integer
+// in [0, 1024] is a usage error):
 //   WEBCACHE_THREADS     worker threads for sweep (default 0 = one per core;
 //                        results are bitwise identical regardless).
 //   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
 //                        simulation (0 = sequential engine; any value >= 1
-//                        yields byte-identical results). A value that is
-//                        not an integer in [0, 1024] is a usage error.
+//                        yields byte-identical results).
 //
 // Integer flags take plain non-negative integers that fit their field;
 // percentages must be finite and >= 0. Anything else is a usage error.
 //
 // Exit code 0 on success, 2 on usage errors.
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -128,11 +127,12 @@ using namespace webcache;
   std::exit(2);
 }
 
-/// The --shards default from WEBCACHE_SIM_SHARDS; a malformed value is a
-/// usage error.
-unsigned sim_shards_default() {
+/// Runs one of core's strict integer parses; the std::invalid_argument it
+/// throws for a malformed value is a usage error.
+template <typename Parse>
+auto or_usage(Parse&& parse) -> decltype(parse()) {
   try {
-    return core::sim_shards_from_env();
+    return parse();
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
@@ -198,14 +198,9 @@ class Flags {
   [[nodiscard]] T integer(const std::string& key, std::type_identity_t<T> fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
-    T value{};
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-      usage("flag --" + key + " needs an integer in [0, " +
-            std::to_string(std::numeric_limits<T>::max()) + "], got '" + text + "'");
-    }
-    return value;
+    return static_cast<T>(or_usage([&] {
+      return core::parse_integer("flag --" + key, it->second, std::numeric_limits<T>::max());
+    }));
   }
 
   void reject_unknown(const std::vector<std::string>& known) const {
@@ -298,7 +293,7 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
-  cfg.sim_shards = flags.integer<unsigned>("shards", sim_shards_default());
+  cfg.sim_shards = flags.integer<unsigned>("shards", or_usage(core::sim_shards_from_env));
 
   // Policy overrides; without a flag each scheme keeps its default.
   const auto parse_policy = [&flags](const std::string& flag) {
@@ -512,15 +507,8 @@ int cmd_sweep(const Flags& flags) {
   sweep.client_cache_percent = flags.percent("client-cache-pct", 0.1);
   sweep.collect_observability = flags.has("metrics-out");
   sweep.snapshot_interval = flags.integer("snapshot-interval", 0);
-  if (const char* env = std::getenv("WEBCACHE_THREADS")) {
-    char* end = nullptr;
-    const unsigned long t = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      sweep.threads = static_cast<unsigned>(t);
-    } else {
-      std::cerr << "ignoring invalid WEBCACHE_THREADS=" << env << "\n";
-    }
-  }
+  sweep.threads = static_cast<unsigned>(
+      or_usage([] { return core::integer_from_env("WEBCACHE_THREADS", 1024); }));
 
   if (flags.has("schemes")) {
     sweep.schemes.clear();
