@@ -42,7 +42,6 @@ int main() {
       cfg.proxy_capacity = std::max<std::size_t>(
           1, static_cast<std::size_t>(static_cast<double>(infinite) * pct / 100.0));
       cfg.client_cache_capacity = std::max<std::size_t>(1, infinite / 1000);
-      cfg.sim_shards = bench::bench_sim_shards();
       // run_single would run its NC baseline under the override too.
       const auto baseline = sim::run_simulation(cfg, trace);
       cfg.scheme = sim::Scheme::kHierGD;

@@ -1,25 +1,19 @@
-// Shared plumbing for the figure-reproduction benches.
+// Shared plumbing for the figure, ablation and extension benches.
 //
-// Every bench prints the series of one paper figure: latency gain (%) per
-// proxy-cache size, one column per scheme/parameter value, in a
-// gnuplot-ready table. Absolute numbers depend on the synthetic substrate;
-// the *shape* (ordering, crossovers, trends) is what reproduces the paper —
-// EXPERIMENTS.md records the comparison.
+// `figures` prints the paper's Figures 2-5: latency gain (%) per proxy-cache
+// size, one column per scheme/parameter value, in a gnuplot-ready table.
+// Absolute numbers depend on the synthetic substrate; the *shape* (ordering,
+// crossovers, trends) is what reproduces the paper — EXPERIMENTS.md records
+// the comparison. Every bench runs the paper's sequential engine.
 //
 // Environment knobs:
 //   WEBCACHE_BENCH_SCALE  (default 1.0) scales the request volume, e.g.
-//                         WEBCACHE_BENCH_SCALE=0.1 ./fig2a_cache_size.
+//                         WEBCACHE_BENCH_SCALE=0.1 ./figures fig2a_cache_size.
 //                         Any finite positive value whose request count
 //                         fits 64 bits works; > 1 oversamples.
 //                         An invalid value warns and falls back to 1.0.
 //   WEBCACHE_THREADS      worker threads for run_sweep (default 0 = one per
 //                         core). Results are bitwise identical regardless.
-//   WEBCACHE_SIM_SHARDS   intra-run worker shards WITHIN each simulation
-//                         (default 0 = sequential engine; any value >= 1
-//                         yields byte-identical results — see README
-//                         "Sharded runs"). Composes with WEBCACHE_THREADS:
-//                         threads parallelize across sweep runs, shards
-//                         within each run.
 //   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
 //                         bench's sweeps (same as passing --metrics-out).
 //   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
@@ -28,11 +22,11 @@
 //                         reader instead of generating the ProWGen workload.
 //                         Every sweep in the bench then replays that one
 //                         trace, so it is meant for single-workload benches
-//                         (fig2a, fig5*, abl_*) and the CI golden-diff gate
-//                         that proves streamed == in-memory exports.
+//                         (Figures 2(a) and 5, abl_*) and the CI golden-diff
+//                         gate that proves streamed == in-memory exports.
 // The integer knobs are strict: unset or empty means 0, and a value that is
-// not a plain integer in range ([0, 1024] for the thread and shard counts)
-// stops the bench with exit code 2, as does a malformed --snapshot-interval.
+// not a plain integer in range ([0, 1024] for the thread count) stops the
+// bench with exit code 2, as does a malformed --snapshot-interval.
 #pragma once
 
 #include <chrono>
@@ -86,10 +80,6 @@ inline unsigned bench_threads() {
   return static_cast<unsigned>(
       or_exit([] { return core::integer_from_env("WEBCACHE_THREADS", 1024); }));
 }
-
-/// Intra-run shard count for every simulation a bench runs:
-/// WEBCACHE_SIM_SHARDS, or 0 (the sequential engine).
-inline unsigned bench_sim_shards() { return or_exit(core::sim_shards_from_env); }
 
 /// The paper's default synthetic workload (Section 5.1): one million
 /// requests over 10,000 distinct objects, 50% one-timers, alpha = 0.7.
@@ -160,6 +150,15 @@ class ObsOptions {
     config.snapshot_interval = snapshot_interval_;
   }
 
+  /// This configuration with `tag` in every export's file name, ahead of
+  /// any label ("out.json" -> "out.<tag>.json"): a process that exports
+  /// several figures tags each with its name, so no two share a path.
+  [[nodiscard]] ObsOptions tagged(const std::string& tag) const {
+    ObsOptions copy = *this;
+    if (enabled()) copy.path_ = with_label(path_, tag);
+    return copy;
+  }
+
   /// Writes the sweep's metrics export. Single-sweep benches pass an empty
   /// label (the file goes exactly where --metrics-out points, which the
   /// metrics-gating test relies on); multi-sweep benches pass one label per
@@ -167,16 +166,7 @@ class ObsOptions {
   void write(const core::SweepResult& result, const std::string& bench_name,
              const std::string& label = {}) const {
     if (!enabled()) return;
-    std::string path = path_;
-    if (!label.empty()) {
-      const auto dot = path.find_last_of('.');
-      const auto slash = path.find_last_of('/');
-      if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
-        path = path.substr(0, dot) + "." + label + path.substr(dot);
-      } else {
-        path += "." + label;
-      }
-    }
+    const std::string path = label.empty() ? path_ : with_label(path_, label);
     std::ofstream out(path);
     if (!out) {
       std::cerr << "cannot write " << path << "\n";
@@ -189,6 +179,17 @@ class ObsOptions {
 
  private:
   static constexpr std::uint64_t kMaxInterval = std::numeric_limits<std::uint64_t>::max();
+
+  /// `path` with `label` inserted before its file extension, or appended
+  /// when it has none.
+  static std::string with_label(const std::string& path, const std::string& label) {
+    const auto dot = path.find_last_of('.');
+    const auto slash = path.find_last_of('/');
+    if (dot != std::string::npos && (slash == std::string::npos || dot > slash)) {
+      return path.substr(0, dot) + "." + label + path.substr(dot);
+    }
+    return path + "." + label;
+  }
 
   std::string path_;
   std::uint64_t snapshot_interval_ = 0;

@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
       sweep.schemes = {sim::Scheme::kNC};
       sweep.cache_percents = percents;
       sweep.base.proxy_policy = policy;
-      sweep.base.sim_shards = bench::bench_sim_shards();
       sweep.threads = bench::bench_threads();
       obs.apply(sweep);
       const auto result = core::run_sweep(*source, sweep);
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
       core::SweepConfig sweep;
       sweep.schemes = {sim::Scheme::kHierGD};
       sweep.cache_percents = percents;
-      sweep.base.sim_shards = bench::bench_sim_shards();
       sweep.threads = bench::bench_threads();
       const auto result = core::run_sweep(*source, sweep);
       std::cout << std::setw(14) << "Hier-GD";

@@ -25,7 +25,6 @@ int main() {
     sim::SimConfig cfg;
   };
   std::vector<Variant> variants;
-  const unsigned shards = bench::bench_sim_shards();
 
   // Equal-storage comparison: Squirrel gets the same TOTAL budget Hier-GD
   // deploys (proxy cache + donated client storage), spread over its clients
@@ -39,7 +38,6 @@ int main() {
     c.clients_per_cluster = 100;
     c.client_cache_capacity =
         std::max<std::size_t>(1, (proxy_budget + 100 * per_client_donation) / 100);
-    c.sim_shards = shards;
     variants.push_back({"Squirrel", c});
   }
   {
@@ -49,7 +47,6 @@ int main() {
     c.clients_per_cluster = 100;
     c.client_cache_capacity = per_client_donation;
     c.proxy_capacity = proxy_budget;
-    c.sim_shards = shards;
     variants.push_back({"Hier-GD", c});
   }
   {
@@ -58,7 +55,6 @@ int main() {
     c.scheme = sim::Scheme::kSC;
     c.clients_per_cluster = 100;
     c.proxy_capacity = proxy_budget;
-    c.sim_shards = shards;
     variants.push_back({"SC", c});
   }
 

@@ -33,7 +33,6 @@ int main() {
       cfg.scheme = s;
       cfg.proxy_capacity = std::max<std::size_t>(1, infinite * 30 / 100);
       cfg.client_cache_capacity = std::max<std::size_t>(1, infinite / 1000);
-      cfg.sim_shards = bench::bench_sim_shards();
       std::cout << std::setw(10) << core::run_single(trace, cfg).gain_percent;
     }
     // Upper bound on any cache's hit ratio: 1 - first-references/requests.
@@ -61,7 +60,6 @@ int main() {
       cfg.scheme = s;
       cfg.proxy_capacity = std::max<std::size_t>(1, infinite * 30 / 100);
       cfg.client_cache_capacity = std::max<std::size_t>(1, infinite / 1000);
-      cfg.sim_shards = bench::bench_sim_shards();
       std::cout << std::setw(10) << core::run_single(trace, cfg).gain_percent;
     }
     std::cout << "\n";

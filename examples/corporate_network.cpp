@@ -7,9 +7,12 @@
 // what the protocol overhead was, and what the WAN saw.
 //
 //   $ ./corporate_network [requests]
-#include <cstdlib>
+//
+// A malformed count, or one the workload cannot satisfy, exits 2.
 #include <iomanip>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "workload/prowgen.hpp"
@@ -22,11 +25,21 @@ int main(int argc, char** argv) {
   constexpr ClientNum kWorkstations = 400;
 
   workload::ProWGenConfig wl;
-  wl.total_requests = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 400'000;
+  wl.total_requests = 400'000;
   wl.distinct_objects = 8'000;
   wl.clients = kWorkstations;
   wl.seed = 5;
-  const auto trace = workload::ProWGen(wl).generate();
+  workload::Trace trace;
+  try {
+    if (argc > 1) {
+      wl.total_requests =
+          core::parse_integer("requests", argv[1], std::numeric_limits<std::uint64_t>::max());
+    }
+    trace = workload::ProWGen(wl).generate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
   const auto infinite = core::cluster_infinite_cache_size(trace, kOffices);
   std::cout << "corporate network: " << kOffices << " offices x " << kWorkstations

@@ -4,9 +4,12 @@
 // lines of API.
 //
 //   $ ./quickstart [requests] [distinct-objects]
-#include <cstdlib>
+//
+// A malformed count, or one the workload cannot satisfy, exits 2.
 #include <iomanip>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "workload/prowgen.hpp"
@@ -16,10 +19,23 @@ int main(int argc, char** argv) {
 
   // 1. A ProWGen workload: Zipf popularity, one-timers, temporal locality.
   workload::ProWGenConfig wl;
-  wl.total_requests = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200'000;
-  wl.distinct_objects = argc > 2 ? static_cast<ObjectNum>(std::strtoul(argv[2], nullptr, 10))
-                                 : 5'000;
-  const auto trace = workload::ProWGen(wl).generate();
+  wl.total_requests = 200'000;
+  wl.distinct_objects = 5'000;
+  workload::Trace trace;
+  try {
+    if (argc > 1) {
+      wl.total_requests =
+          core::parse_integer("requests", argv[1], std::numeric_limits<std::uint64_t>::max());
+    }
+    if (argc > 2) {
+      wl.distinct_objects = static_cast<ObjectNum>(core::parse_integer(
+          "distinct-objects", argv[2], std::numeric_limits<ObjectNum>::max()));
+    }
+    trace = workload::ProWGen(wl).generate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   std::cout << "workload: " << trace.size() << " requests over " << trace.universe
             << " distinct objects\n";
 

@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Metrics-export gate (run as a ctest entry): webcache_cli simulate/sweep and
-# the fig2a_cache_size bench must emit documents that validate against
+# `figures fig2a_cache_size` must emit documents that validate against
 # scripts/check_metrics_schema.py — the executable contract behind the
 # "webcache-metrics/1" schema documented in README.md.
 #
-# usage: metrics_gate.sh CLI_BINARY SCHEMA_CHECKER [FIG2A_BINARY]
+# usage: metrics_gate.sh CLI_BINARY SCHEMA_CHECKER [FIGURES_BINARY]
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  echo "usage: $0 CLI_BINARY SCHEMA_CHECKER [FIG2A_BINARY]" >&2
+  echo "usage: $0 CLI_BINARY SCHEMA_CHECKER [FIGURES_BINARY]" >&2
   exit 2
 fi
 cli=$1
 checker=$2
-fig2a=${3:-}
+figures=${3:-}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -33,9 +33,9 @@ if ! head -1 "$work/sim_trace.csv" | grep -q '^seq,time,code,value,aux$'; then
   exit 1
 fi
 
-# The flagship bench must emit a valid sweep document too (ISSUE acceptance).
-if [[ -n "$fig2a" ]]; then
-  WEBCACHE_BENCH_SCALE=0.05 "$fig2a" --metrics-out "$work/fig2a.json" >/dev/null
+# The flagship figure must emit a valid sweep document too.
+if [[ -n "$figures" ]]; then
+  WEBCACHE_BENCH_SCALE=0.05 "$figures" fig2a_cache_size --metrics-out "$work/fig2a.json" >/dev/null
   python3 "$checker" "$work/fig2a.json"
 fi
 

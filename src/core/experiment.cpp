@@ -38,12 +38,6 @@ std::uint64_t integer_from_env(const char* name, std::uint64_t max) {
   return parse_integer(name, env, max);
 }
 
-unsigned sim_shards_from_env() {
-  static const auto shards =
-      static_cast<unsigned>(integer_from_env("WEBCACHE_SIM_SHARDS", 1024));
-  return shards;
-}
-
 ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
                                       unsigned num_proxies) {
   if (num_proxies == 0) {

@@ -1,7 +1,7 @@
 // Public experiment facade: runs the paper's experiment shape — a sweep of
 // proxy cache sizes (as a percentage of the "infinite cache size") for a set
 // of schemes over one trace — and prints latency-gain tables in the layout
-// of the paper's figures. Every bench binary is a thin wrapper around this.
+// of the paper's figures. The `figures` bench is a table of sweeps over this.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +31,6 @@ namespace webcache::core {
 /// Environment variable `name` through parse_integer, or 0 when it is unset
 /// or empty.
 [[nodiscard]] std::uint64_t integer_from_env(const char* name, std::uint64_t max);
-
-/// Default SimConfig::sim_shards, from WEBCACHE_SIM_SHARDS (0 — the classic
-/// sequential engine — when unset or empty). Throws std::invalid_argument,
-/// naming the variable and its value, unless the value is a plain integer in
-/// [0, 1024]: a typo must not silently select the sequential engine, whose
-/// cooperative exports differ by design. The CLI and every bench binary seed
-/// their configs from this, so one environment variable turns on intra-run
-/// sharding across the whole tool surface (see README "Sharded runs").
-[[nodiscard]] unsigned sim_shards_from_env();
 
 /// The "infinite cache size" of one client cluster's request stream: the
 /// number of distinct objects requested more than once by the clients of a

@@ -147,13 +147,15 @@ struct SimConfig {
   /// replaying its clusters' slice of the trace against its own data plane,
   /// with cross-cluster interactions resolved through an epoch-digest
   /// barrier protocol keyed on trace position. Results are byte-identical
-  /// for EVERY sim_shards >= 1 (the value only sets the parallelism), but
-  /// the cooperative schemes' numbers differ in detail from the sequential
-  /// engine because remote lookups consult epoch-start digests (see README
-  /// "Sharded runs"). Configurations whose semantics are inherently global
-  /// — FC/FC-EC (clairvoyant coordinator), interval snapshots, the event
-  /// tracer, checkpoint/audit hooks, or a single proxy — fall back to the
-  /// sequential engine at any value.
+  /// for EVERY sim_shards >= 1 (the value only sets the parallelism). Remote
+  /// lookups consult epoch-start digests: digest-based cooperation, not the
+  /// paper's query-based one, so the cooperative gains fall well below the
+  /// sequential engine's (2 proxies, 10% cache, default epoch: Hier-GD gains
+  /// 16.34% instead of 37.13%; EXPERIMENTS.md, "Digest-based versus
+  /// query-based cooperation"). Configurations whose semantics are
+  /// inherently global — FC/FC-EC (clairvoyant coordinator), interval
+  /// snapshots, the event tracer, checkpoint/audit hooks, or a single proxy
+  /// — fall back to the sequential engine at any value.
   unsigned sim_shards = 0;
   /// Digest refresh period of the sharded engine, in trace positions
   /// (0 = default, 8192). A semantic parameter of the sharded engine:

@@ -5,7 +5,7 @@
 // an infinite LRU stack. Its distribution is the canonical measure of
 // temporal locality (and directly gives the hit ratio of an LRU cache of
 // any size: hits = requests with distance < capacity). Used to validate the
-// ProWGen locality knobs and by the trace_explorer example.
+// ProWGen locality knobs and by `webcache_cli analyze`.
 //
 // Computed in O(R log R) with a Fenwick tree over request positions
 // (Bennett & Kruskal's classic algorithm).

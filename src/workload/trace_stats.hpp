@@ -39,7 +39,7 @@ struct TraceStats {
 
 /// Least-squares estimate of the Zipf slope alpha from the frequency-vs-rank
 /// line in log-log space, over objects referenced more than once. Used by
-/// tests and the trace_explorer example.
+/// tests and `webcache_cli analyze`.
 [[nodiscard]] double estimate_zipf_alpha(const TraceStats& stats);
 
 }  // namespace webcache::workload

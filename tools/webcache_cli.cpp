@@ -38,9 +38,11 @@
 //   --shards N              intra-run sharding: partition ONE simulation
 //                           across N worker threads (clusters round-robin
 //                           over shards; byte-identical results for any
-//                           N >= 1; 0 = classic sequential engine). Default
-//                           from WEBCACHE_SIM_SHARDS. See README
-//                           "Sharded runs" for the determinism contract.
+//                           N >= 1). The sharded engine cooperates through
+//                           epoch-start digests, not the paper's queries,
+//                           so its cooperative gains are lower. Default 0,
+//                           the paper's sequential engine. See README
+//                           "Sharded runs".
 // Observability flags (schema "webcache-metrics/1", see README):
 //   --metrics-out FILE      full registry export; .csv extension selects the
 //                           flat CSV form, anything else writes JSON
@@ -62,13 +64,10 @@
 //   --audit-interval N      run the cross-layer invariant auditor every N
 //                           requests; any violation exits non-zero
 //
-// Environment (each unset or empty means 0; a value that is not an integer
-// in [0, 1024] is a usage error):
+// Environment (unset or empty means 0; a value that is not an integer in
+// [0, 1024] is a usage error):
 //   WEBCACHE_THREADS     worker threads for sweep (default 0 = one per core;
 //                        results are bitwise identical regardless).
-//   WEBCACHE_SIM_SHARDS  default for --shards: worker shards WITHIN one
-//                        simulation (0 = sequential engine; any value >= 1
-//                        yields byte-identical results).
 //
 // Integer flags take plain non-negative integers that fit their field;
 // percentages must be finite and >= 0. Anything else is a usage error.
@@ -293,7 +292,7 @@ sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& tra
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
   cfg.enable_diversion = !flags.has("no-diversion");
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
-  cfg.sim_shards = flags.integer<unsigned>("shards", or_usage(core::sim_shards_from_env));
+  cfg.sim_shards = flags.integer<unsigned>("shards", 0);
 
   // Policy overrides; without a flag each scheme keeps its default.
   const auto parse_policy = [&flags](const std::string& flag) {
