@@ -8,29 +8,23 @@
 //
 // Environment knobs:
 //   WEBCACHE_BENCH_SCALE  (default 1.0) scales the request volume, e.g.
-//                         WEBCACHE_BENCH_SCALE=0.1 ./figures fig2a_cache_size.
-//                         Any finite positive value whose request count
-//                         fits 64 bits works; > 1 oversamples.
-//                         An invalid value warns and falls back to 1.0.
+//                         WEBCACHE_BENCH_SCALE=0.1 ./figures fig2a_cache_size;
+//                         > 1 oversamples. The paper workload needs at least
+//                         15,000 requests, so scale 0.015: below that
+//                         ProWGen rejects it and the bench exits 2. A value
+//                         that is not finite and positive, or whose request
+//                         count does not fit 64 bits, warns and falls back
+//                         to 1.0.
 //   WEBCACHE_THREADS      worker threads for run_sweep (default 0 = one per
 //                         core). Results are bitwise identical regardless.
-//   WEBCACHE_METRICS_OUT  path for a "webcache-metrics/1" JSON export of the
-//                         bench's sweeps (same as passing --metrics-out).
-//   WEBCACHE_SNAPSHOT_INTERVAL  interval-snapshot period in requests for the
-//                         export (same as --snapshot-interval; 0 = off).
-//   WEBCACHE_TRACE_BIN    replay a compiled wctrace/1 file through the mmap
-//                         reader instead of generating the ProWGen workload.
-//                         Every sweep in the bench then replays that one
-//                         trace, so it is meant for single-workload benches
-//                         (Figures 2(a) and 5, abl_*) and the CI golden-diff
-//                         gate that proves streamed == in-memory exports.
-// The integer knobs are strict: unset or empty means 0, and a value that is
-// not a plain integer in range ([0, 1024] for the thread count) stops the
-// bench with exit code 2, as does a malformed --snapshot-interval.
+//                         Unset or empty means 0; a value that is not a
+//                         plain integer in [0, 1024] stops the bench with
+//                         exit code 2, as does a malformed
+//                         --snapshot-interval.
+// A compiled wctrace/1 file replays through `webcache_cli sweep --trace`.
 #pragma once
 
 #include <chrono>
-#include <concepts>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -43,7 +37,6 @@
 #include "core/experiment.hpp"
 #include "workload/prowgen.hpp"
 #include "workload/trace_source.hpp"
-#include "workload/wctrace.hpp"
 
 namespace webcache::bench {
 
@@ -63,8 +56,9 @@ inline double bench_scale() {
   return 1.0;
 }
 
-/// Runs one of core's strict integer parses; the std::invalid_argument it
-/// throws for a malformed value stops the bench with exit code 2.
+/// Runs one of core's strict integer parses or a workload generation; the
+/// std::invalid_argument it throws for a value it rejects stops the bench
+/// with exit code 2.
 template <typename Parse>
 auto or_exit(Parse&& parse) -> decltype(parse()) {
   try {
@@ -95,39 +89,23 @@ inline workload::ProWGenConfig paper_workload() {
   return cfg;
 }
 
-/// The request stream a bench sweeps over. Generates `cfg` in memory unless
-/// WEBCACHE_TRACE_BIN names a compiled wctrace/1 file, in which case that
-/// file replays through the mmap reader in bounded memory (see the env-knob
-/// comment at the top of this header for the sharp edge on multi-workload
-/// benches).
-template <typename MakeTrace>
-  requires std::invocable<MakeTrace&>
-std::shared_ptr<const workload::TraceSource> bench_source(MakeTrace&& make_trace) {
-  if (const char* env = std::getenv("WEBCACHE_TRACE_BIN")) {
-    std::cerr << "# replaying compiled trace " << env << "\n";
-    return workload::open_trace_source(env);
-  }
-  return workload::make_source(make_trace());
-}
-
+/// The ProWGen workload `cfg`, generated in memory. A workload ProWGen
+/// rejects, such as the paper's below WEBCACHE_BENCH_SCALE=0.015, stops the
+/// bench with exit code 2.
 inline std::shared_ptr<const workload::TraceSource> bench_source(
     const workload::ProWGenConfig& cfg) {
-  return bench_source([&cfg] { return workload::ProWGen(cfg).generate(); });
+  return workload::make_source(or_exit([&cfg] { return workload::ProWGen(cfg).generate(); }));
 }
 
 /// Observability plumbing shared by the sweep benches: parses
-/// `--metrics-out FILE` and `--snapshot-interval N` from argv (with
-/// WEBCACHE_METRICS_OUT / WEBCACHE_SNAPSHOT_INTERVAL as env fallbacks),
-/// switches the sweep into collect_observability mode, and writes the
+/// `--metrics-out FILE` and `--snapshot-interval N` from argv, switches the
+/// sweep into collect_observability mode, and writes the
 /// "webcache-metrics/1" JSON export after the run. Benches that run several
 /// sweeps pass a distinct label per sweep; the label is inserted before the
 /// file extension ("out.json" + label "a05" -> "out.a05.json").
 class ObsOptions {
  public:
   ObsOptions(int argc, char** argv) {
-    if (const char* env = std::getenv("WEBCACHE_METRICS_OUT")) path_ = env;
-    snapshot_interval_ = or_exit(
-        [] { return core::integer_from_env("WEBCACHE_SNAPSHOT_INTERVAL", kMaxInterval); });
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--metrics-out" && i + 1 < argc) {
@@ -147,7 +125,7 @@ class ObsOptions {
   /// Turns on registry collection for the sweep when an output was requested.
   void apply(core::SweepConfig& config) const {
     config.collect_observability = enabled();
-    config.snapshot_interval = snapshot_interval_;
+    config.base.snapshot_interval = snapshot_interval_;
   }
 
   /// This configuration with `tag` in every export's file name, ahead of

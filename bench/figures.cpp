@@ -37,7 +37,7 @@ Source paper_source() { return bench::bench_source(bench::paper_workload()); }
 Source ucb_source() {
   workload::UcbLikeConfig ucb;
   ucb.scale = std::max(0.1 * bench::bench_scale(), 0.002);
-  return bench::bench_source([&ucb] { return workload::generate_ucb_like(ucb); });
+  return workload::make_source(workload::generate_ucb_like(ucb));
 }
 
 void zipf_alpha(workload::ProWGenConfig& wl, double alpha) { wl.zipf_alpha = alpha; }

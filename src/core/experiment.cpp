@@ -67,15 +67,11 @@ ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
   return multi;
 }
 
-namespace {
-
 std::size_t capacity_from_percent(double percent, ObjectNum infinite_size) {
   const auto cap = static_cast<std::size_t>(
       std::llround(percent / 100.0 * static_cast<double>(infinite_size)));
   return std::max<std::size_t>(1, cap);
 }
-
-}  // namespace
 
 SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& config) {
   if (config.cache_percents.empty()) {
@@ -95,10 +91,8 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
   result.cache_percents = config.cache_percents;
   result.schemes = config.schemes;
   result.infinite_cache_size = cluster_infinite_cache_size(source, config.base.num_proxies);
-  result.client_cache_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(config.client_cache_percent / 100.0 *
-                          static_cast<double>(result.infinite_cache_size))));
+  result.client_cache_capacity =
+      capacity_from_percent(config.client_cache_percent, result.infinite_cache_size);
 
   const std::size_t num_sizes = config.cache_percents.size();
   const std::size_t num_schemes = config.schemes.size();
@@ -168,7 +162,7 @@ SweepResult run_sweep(const workload::TraceSource& source, const SweepConfig& co
     // A shared registry across concurrent jobs would both race and conflate
     // runs; each job gets its own pre-allocated slot (or a private one).
     c.registry = nullptr;
-    c.snapshot_interval = config.collect_observability ? config.snapshot_interval : 0;
+    if (!config.collect_observability) c.snapshot_interval = 0;  // no registry keeps them
     c.trace_capacity = 0;  // the event tracer is a single-run tool
     // Failure/churn/loss injection only applies to schemes with addressable
     // client caches.
@@ -298,7 +292,7 @@ SingleRun run_single(const workload::TraceSource& source, sim::SimConfig config)
   // NC has no addressable client caches: no churn or P2P loss.
   nc.churn_events.clear();
   nc.p2p_loss_rate = 0.0;
-  nc.checkpoint_hook = {};  // audits target the scheme under test
+  nc.audit_interval.reset();  // audits target the scheme under test
   // The baseline must not pollute (or double-count into) the scheme run's
   // registry; it accounts into a private one.
   nc.registry = std::make_shared<obs::Registry>();

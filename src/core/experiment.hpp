@@ -40,6 +40,11 @@ namespace webcache::core {
 [[nodiscard]] ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
                                                     unsigned num_proxies);
 
+/// A cache of `percent` % of `infinite_size` objects, rounded to the
+/// nearest object and at least one: the rule that sizes every proxy and
+/// client cache of a sweep.
+[[nodiscard]] std::size_t capacity_from_percent(double percent, ObjectNum infinite_size);
+
 struct SweepConfig {
   std::vector<sim::Scheme> schemes{sim::kAllSchemes.begin(), sim::kAllSchemes.end()};
   std::vector<double> cache_percents = default_cache_percents();
@@ -47,6 +52,7 @@ struct SweepConfig {
   /// (paper: 0.1%, so a 100-client cluster pools 10%).
   double client_cache_percent = 0.1;
   /// Template for everything not swept (scheme/capacities are overwritten).
+  /// Its snapshot_interval applies only with collect_observability.
   sim::SimConfig base{};
   /// Worker threads for the independent (size x scheme) runs; 0 = hardware
   /// concurrency.
@@ -57,9 +63,6 @@ struct SweepConfig {
   /// populated by exactly one run, so their contents — and the exported
   /// JSON — are identical for any thread count.
   bool collect_observability = false;
-  /// Snapshot interval forwarded to every run (0 = off; only meaningful
-  /// with collect_observability).
-  std::uint64_t snapshot_interval = 0;
 };
 
 struct SweepResult {

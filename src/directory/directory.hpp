@@ -52,7 +52,7 @@ class LookupDirectory {
   [[nodiscard]] virtual bool may_contain(ObjectNum object) const = 0;
 
   /// Same membership answer as may_contain, but without touching the
-  /// lookup/positive counters — for the invariant auditor, whose probes must
+  /// lookup/positive counters — for Simulator::audit(), whose probes must
   /// not perturb the metrics a run exports.
   [[nodiscard]] virtual bool audit_contains(ObjectNum object) const = 0;
 

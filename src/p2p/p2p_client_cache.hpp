@@ -164,7 +164,7 @@ class P2PClientCache {
 
   /// Structural self-check: location index ↔ per-node caches bidirectional,
   /// dead nodes empty, diversion pointers symmetric and live. Returns a
-  /// description per violation (empty = consistent). Used by fault::audit.
+  /// description per violation (empty = consistent). Used by Simulator::audit.
   [[nodiscard]] std::vector<std::string> audit_violations() const;
 
  private:

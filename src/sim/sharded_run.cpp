@@ -232,6 +232,7 @@ Metrics Simulator::run_sharded() {
   // pure function of the configuration and exports are byte-identical for
   // any shard count.
   for (const auto& lane : st.lanes) registry_->merge(lane->registry);
+  replayed_ = total;
   return metrics_view();
 }
 

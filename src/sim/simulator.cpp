@@ -244,10 +244,10 @@ bool Simulator::sharding_supported(const SimConfig& config) {
   // replacement decisions per request — inherently globally sequential.
   if (config.scheme == Scheme::kFC || config.scheme == Scheme::kFC_EC) return false;
   // Interval snapshots and the event tracer are globally ordered streams of
-  // the sequential engine, as are checkpoint/audit hooks (they probe global
+  // the sequential engine, as are invariant audits (they probe global
   // mid-run state at exact positions).
   if (config.snapshot_interval > 0 || config.trace_capacity > 0) return false;
-  if (config.checkpoint_hook) return false;
+  if (config.audit_interval) return false;
   // A single cluster has nothing to parallelize over.
   return config.num_proxies >= 2;
 }
@@ -260,32 +260,6 @@ const p2p::P2PClientCache* Simulator::p2p_of(unsigned proxy) const {
 
 const directory::LookupDirectory* Simulator::directory_of(unsigned proxy) const {
   return proxy < proxies_.size() ? proxies_[proxy].dir.get() : nullptr;
-}
-
-const cache::Cache* Simulator::proxy_cache_of(unsigned proxy) const {
-  return proxy < proxies_.size() ? proxies_[proxy].cache.get() : nullptr;
-}
-
-const TieredCache* Simulator::tiered_of(unsigned proxy) const {
-  return proxy < proxies_.size() ? proxies_[proxy].tiered.get() : nullptr;
-}
-
-const cache::CostBenefitCache* Simulator::unified_of(unsigned proxy) const {
-  return proxy < proxies_.size() ? proxies_[proxy].unified.get() : nullptr;
-}
-
-const cache::LruCache* Simulator::tier_tracker_of(unsigned proxy) const {
-  return proxy < proxies_.size() ? proxies_[proxy].tier_tracker.get() : nullptr;
-}
-
-const cache::LruCache* Simulator::browser_of(unsigned proxy, ClientNum client) const {
-  if (proxy >= proxies_.size()) return nullptr;
-  const Proxy& p = proxies_[proxy];
-  return client < p.browsers.size() ? p.browsers[client].get() : nullptr;
-}
-
-const DenseMap<double>* Simulator::fetch_costs_of(unsigned proxy) const {
-  return proxy < proxies_.size() ? &proxies_[proxy].fetch_cost : nullptr;
 }
 
 ClientNum Simulator::client_of(ClientNum raw, const Proxy& proxy) const {
@@ -325,7 +299,7 @@ void Simulator::account(Outcomes& out, ServedFrom where, double base, double was
   out.p2p_hop_latency_total.add(hop);
   out.latency_hist.add(latency);
   // Optional tracer: one predictable branch when off.
-  out.registry.record(now_, static_cast<std::uint32_t>(where), latency, wasted);
+  out.registry.record(replayed_, static_cast<std::uint32_t>(where), latency, wasted);
 }
 
 void Simulator::browser_fill(unsigned cluster, ClientNum raw_client, ObjectNum object) {
@@ -390,30 +364,27 @@ Metrics Simulator::run() {
 
   if (sharded_) return run_sharded();
 
-  const std::uint64_t checkpoint = config_.checkpoint_interval;
   const std::uint64_t snapshot = config_.snapshot_interval;
-  bool checked_at_end = false;
+  const std::uint64_t audit_every = config_.audit_interval.value_or(0);
+  bool audited_at_end = false;
   const std::uint64_t total = source_->size();
   // Replay in bounded windows, releasing each consumed one: an mmap source
   // pages sequentially, so its resident set stays bounded by the window.
-  std::uint64_t t = 0;
   workload::for_each_window(*source_, [&](std::span<const Request> win) {
     for (const Request& request : win) {
+      const std::uint64_t t = replayed_;
       churn_.advance(t, [this](const fault::ChurnEvent& e) { apply_churn(e); });
-      now_ = t;
       serve(t, request, static_cast<unsigned>(t % config_.num_proxies));
-      ++t;
-      if (snapshot > 0 && t % snapshot == 0) registry_->snapshot(t);
-      if (checkpoint > 0 && config_.checkpoint_hook && t % checkpoint == 0) {
-        config_.checkpoint_hook(*this, t);
-        checked_at_end = t == total;
+      replayed_ = t + 1;
+      if (snapshot > 0 && replayed_ % snapshot == 0) registry_->snapshot(replayed_);
+      if (audit_every > 0 && replayed_ % audit_every == 0) {
+        audit_or_throw();
+        audited_at_end = replayed_ == total;
       }
     }
   });
   // Always audit the final state, but not twice.
-  if (config_.checkpoint_hook && !checked_at_end) {
-    config_.checkpoint_hook(*this, total);
-  }
+  if (config_.audit_interval && !audited_at_end) audit_or_throw();
   return metrics_view();
 }
 

@@ -24,8 +24,9 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/cost_benefit.hpp"
@@ -48,9 +49,14 @@
 
 namespace webcache::sim {
 
-class Simulator;
-
 enum class DirectoryKind { kExact, kBloom };
+
+/// What Simulator::audit() found.
+struct AuditReport {
+  std::uint64_t checks = 0;  ///< individual assertions evaluated
+  std::vector<std::string> violations;
+  [[nodiscard]] bool ok() const { return violations.empty(); }
+};
 
 struct SimConfig {
   Scheme scheme = Scheme::kNC;
@@ -105,12 +111,11 @@ struct SimConfig {
   /// loss stream is forked off `seed`, so enabling it never perturbs the
   /// workload draws.
   double p2p_loss_rate = 0.0;
-  /// Invoke `checkpoint_hook` after every `checkpoint_interval` requests
-  /// (and once at end-of-trace). 0 with a non-null hook = end-of-trace only.
-  /// The hook receives the simulator mid-run plus the number of requests
-  /// completed; fault::make_audit_hook() supplies the invariant auditor.
-  std::uint64_t checkpoint_interval = 0;
-  std::function<void(const Simulator&, std::uint64_t)> checkpoint_hook{};
+  /// Run Simulator::audit() after every `audit_interval` requests and once
+  /// at the end of the trace; 0 audits at the end only, and no value (the
+  /// default) never audits. run() throws std::logic_error listing every
+  /// violation. Audits change no exported metric.
+  std::optional<std::uint64_t> audit_interval{};
   pastry::OverlayConfig overlay{};
   std::uint64_t seed = 7;
   /// Optional precomputed statistics of the trace this config will run on
@@ -128,9 +133,8 @@ struct SimConfig {
   std::shared_ptr<const std::vector<Uint128>> object_ids{};
   /// Observability registry every component of this simulation binds its
   /// instruments into (schema "webcache-metrics/1"; see README). When null
-  /// the simulator creates a private one — reachable via
-  /// Simulator::registry() — so metrics are always collected; supplying a
-  /// registry lets callers keep it after the Simulator is gone.
+  /// the simulator counts into a private one that dies with it; supply a
+  /// registry to read or export the instruments after the run.
   std::shared_ptr<obs::Registry> registry{};
   /// Capture a counter/gauge snapshot every N requests (0 = off), taken by
   /// run() after the Nth request completes.
@@ -154,8 +158,8 @@ struct SimConfig {
   /// 16.34% instead of 37.13%; EXPERIMENTS.md, "Digest-based versus
   /// query-based cooperation"). Configurations whose semantics are
   /// inherently global — FC/FC-EC (clairvoyant coordinator), interval
-  /// snapshots, the event tracer, checkpoint/audit hooks, or a single proxy
-  /// — fall back to the sequential engine at any value.
+  /// snapshots, the event tracer, invariant audits (audit_interval), or a
+  /// single proxy — fall back to the sequential engine at any value.
   unsigned sim_shards = 0;
   /// Digest refresh period of the sharded engine, in trace positions
   /// (0 = default, 8192). A semantic parameter of the sharded engine:
@@ -179,46 +183,20 @@ class Simulator {
   /// registry's instruments). One-shot.
   Metrics run();
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-
-  /// The observability registry this simulation feeds (the config's, or the
-  /// private fallback). Valid for the simulator's lifetime; exporters read
-  /// it after run().
-  [[nodiscard]] obs::Registry& registry() { return *registry_; }
-  [[nodiscard]] const obs::Registry& registry() const { return *registry_; }
-
-  /// Current Metrics view over the registry (callable mid-run from
-  /// instrumentation hooks; run() returns the final one).
-  [[nodiscard]] Metrics metrics_view() const;
+  /// Checks the consistency properties no single layer can check alone:
+  /// per-cache size/contents/victim agreement and greedy-dual heap order,
+  /// the cooperation index against the caches, Pastry leaf-set and
+  /// routing-table well-formedness, P2P residency with diversion-pointer
+  /// symmetry, the directory contract (a Bloom directory never lies
+  /// negatively; an exact one mirrors residency until crashes make a
+  /// loss-bounded ghost count legal) and the outcome ledger (every request
+  /// replayed so far served exactly once). Read-only and counter-free, so
+  /// an audited run exports the same bytes as an unaudited one.
+  [[nodiscard]] AuditReport audit() const;
 
   /// Introspection for tests/ablations (null unless the scheme uses them).
   [[nodiscard]] const p2p::P2PClientCache* p2p_of(unsigned proxy) const;
   [[nodiscard]] const directory::LookupDirectory* directory_of(unsigned proxy) const;
-
-  // --- read-only introspection for the invariant auditor -------------------
-  /// The proxy-tier cache: NC/SC/FC's LFU/cost-benefit cache or Hier-GD's
-  /// greedy-dual cache (or their policy overrides); null for the
-  /// tiered/unified/Squirrel schemes.
-  [[nodiscard]] const cache::Cache* proxy_cache_of(unsigned proxy) const;
-  [[nodiscard]] const TieredCache* tiered_of(unsigned proxy) const;
-  [[nodiscard]] const cache::CostBenefitCache* unified_of(unsigned proxy) const;
-  [[nodiscard]] const cache::LruCache* tier_tracker_of(unsigned proxy) const;
-  [[nodiscard]] const cache::LruCache* browser_of(unsigned proxy, ClientNum client) const;
-  [[nodiscard]] const DenseMap<double>* fetch_costs_of(unsigned proxy) const;
-  /// Distinct objects of the trace (object ids run below it).
-  [[nodiscard]] ObjectNum universe() const { return source_->distinct_objects(); }
-
-  /// The cooperation index's sets; what each holds is per scheme:
-  ///   SC / FC    kPrimary = proxy cache membership
-  ///   SC-EC      kPrimary = tier 1 (proxy), kSecondary = tier 2 (P2P)
-  ///   FC-EC      kPrimary = tier tracker, kSecondary = unified cache
-  ///   Hier-GD    kPrimary = proxy cache membership, kDir = clusters whose
-  ///              lookup directory registered the object (sharded engine only)
-  /// Non-cooperative schemes leave every set empty.
-  enum CoopSet : std::uint8_t { kPrimary, kSecondary, kDir };
-  /// Live in the sequential engine; the epoch-start digests in the sharded
-  /// engine.
-  [[nodiscard]] const ClusterSets& residency(CoopSet set) const { return coop_[set]; }
 
   /// True when `config` actually runs the sharded engine at sim_shards >= 1;
   /// false means any sim_shards value falls back to the sequential engine
@@ -254,6 +232,16 @@ class Simulator {
     Histogram& hops_hist;     ///< Pastry hops per P2P operation
     net::MessageCounters msg;
   };
+
+  /// The cooperation index's sets; what each holds is per scheme:
+  ///   SC / FC    kPrimary = proxy cache membership
+  ///   SC-EC      kPrimary = tier 1 (proxy), kSecondary = tier 2 (P2P)
+  ///   FC-EC      kPrimary = tier tracker, kSecondary = unified cache
+  ///   Hier-GD    kPrimary = proxy cache membership, kDir = clusters whose
+  ///              lookup directory registered the object (sharded engine only)
+  /// Non-cooperative schemes leave every set empty. Live in the sequential
+  /// engine; the epoch-start digests in the sharded engine.
+  enum CoopSet : std::uint8_t { kPrimary, kSecondary, kDir };
 
   /// A request's touch of another cluster (defined in sim/sharded.hpp).
   struct RemoteOp;
@@ -339,6 +327,12 @@ class Simulator {
   /// id): its own machine, or the next live neighbour after churn.
   [[nodiscard]] ClientNum client_of(ClientNum raw, const Proxy& proxy) const;
 
+  /// The Metrics view over the registry's instruments.
+  [[nodiscard]] Metrics metrics_view() const;
+
+  /// audit(), throwing std::logic_error that lists every violation.
+  void audit_or_throw() const;
+
   // --- intra-run sharding (sim/sharded_run.cpp) ----------------------------
   /// The sharded engine's state: per-cluster lanes (registry, outcomes,
   /// churn/loss substreams, digest change log) and the per-shard outboxes.
@@ -360,7 +354,9 @@ class Simulator {
   fault::LossModel loss_;
   std::shared_ptr<obs::Registry> registry_;  // never null after construction
   Outcomes out_;
-  std::uint64_t now_ = 0;  ///< trace position of the request in flight
+  /// Requests replayed so far; in the sequential engine also the trace
+  /// position of the request in flight. audit() checks the ledger against it.
+  std::uint64_t replayed_ = 0;
   bool ran_ = false;
   std::array<ClusterSets, 3> coop_;        ///< indexed by CoopSet
   std::unique_ptr<ShardedState> sharded_;  ///< non-null = sharded engine runs

@@ -15,7 +15,9 @@ std::vector<std::uint64_t> lru_stack_distances(const Trace& trace) {
   // some object. The distance of a re-reference at time t to an object last
   // seen at time s is the number of occupied positions in (s, t) — i.e. the
   // count of distinct objects touched in between.
-  FenwickTree occupied(n);
+  // Sized from `distances`, whose allocation bounds it: from `n`, g++ 12 at
+  // -O3 warns the tree's allocation may exceed the maximum object size.
+  FenwickTree occupied(distances.size());
   std::unordered_map<ObjectNum, std::size_t> last_seen;
   last_seen.reserve(trace.universe);
 

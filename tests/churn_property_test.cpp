@@ -1,7 +1,7 @@
-// Property-based driver for the churn engine and the invariant-audit
-// framework (fault::*): schedule expansion is a pure function of its spec,
-// the engine dispatches by trace position only, the cross-layer auditor
-// passes at every checkpoint across the full scheme matrix, and two
+// Property-based tests for the churn engine (fault::*) and the simulator's
+// invariant audit: schedule expansion is a pure function of its spec, the
+// engine dispatches by trace position only, Simulator::audit() passes at
+// every audit interval across the full scheme matrix, and two
 // differential oracles pin the physics — churn never *helps* a scheme, and
 // Hier-GD under churn stays below its ideal pooled-cache (NC-EC) bound.
 // Finally, the churn determinism test extends the repo's byte-identical
@@ -19,7 +19,6 @@
 #include "core/experiment.hpp"
 #include "fault/churn_engine.hpp"
 #include "fault/churn_schedule.hpp"
-#include "fault/invariant_auditor.hpp"
 #include "fault/loss_model.hpp"
 #include "obs/registry.hpp"
 #include "sim/simulator.hpp"
@@ -179,7 +178,7 @@ TEST(LossModel, IsDeterministicBoundedAndValidated) {
 
 // --- invariant audits across the scheme matrix ------------------------------
 
-// Every scheme must pass the cross-layer audit at every checkpoint; the
+// Every scheme must pass the cross-layer audit at every audit point; the
 // addressable schemes (Hier-GD, Squirrel) are additionally audited while a
 // heavy churn schedule and P2P message loss are active.
 TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
@@ -191,8 +190,7 @@ TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
         scheme == sim::Scheme::kHierGD || scheme == sim::Scheme::kSquirrel;
     for (const std::uint64_t seed : {99ull, 424242ull}) {
       auto cfg = base_config(scheme);
-      cfg.checkpoint_interval = 4'000;
-      cfg.checkpoint_hook = fault::make_audit_hook();
+      cfg.audit_interval = 4'000;
       if (addressable) {
         auto spec = heavy_spec(trace.size());
         spec.seed = seed;
@@ -202,7 +200,7 @@ TEST(InvariantAudit, PassesAtEveryCheckpointForAllSchemes) {
       } else if (seed != 99ull) {
         continue;  // no churn to reseed; the run would be identical
       }
-      const auto m = sim::run_simulation(cfg, trace);  // audit hook throws on violation
+      const auto m = sim::run_simulation(cfg, trace);  // throws on an audit violation
       EXPECT_EQ(m.requests, trace.size()) << sim::to_string(scheme);
       EXPECT_EQ(m.total_hits() + m.server_fetches, trace.size())
           << sim::to_string(scheme) << " seed " << seed;
@@ -216,8 +214,7 @@ TEST(InvariantAudit, PassesUnderChurnForBothDirectoryKinds) {
     for (const std::uint64_t seed : {2003ull, 7919ull}) {
       auto cfg = base_config(sim::Scheme::kHierGD);
       cfg.directory = kind;
-      cfg.checkpoint_interval = 4'000;
-      cfg.checkpoint_hook = fault::make_audit_hook();
+      cfg.audit_interval = 4'000;
       auto spec = heavy_spec(trace.size());
       spec.seed = seed;
       cfg.churn_events = fault::make_schedule(spec, trace.size(), cfg.num_proxies,
@@ -233,7 +230,7 @@ TEST(InvariantAudit, ReportsRealCheckCoverage) {
   auto cfg = base_config(sim::Scheme::kHierGD);
   sim::Simulator sim(cfg, trace);
   (void)sim.run();
-  const auto report = fault::audit(sim, trace.size());
+  const auto report = sim.audit();
   EXPECT_TRUE(report.ok()) << report.violations.front();
   EXPECT_GT(report.checks, 1'000u);  // walks caches, overlay, directory, ledger
 }
@@ -251,7 +248,7 @@ TEST(InvariantAudit, CoverageDoesNotShrinkAbove64Proxies) {
       cfg.clients_per_cluster = 10;
       sim::Simulator sim(cfg, trace);
       (void)sim.run();
-      const auto report = fault::audit(sim, trace.size());
+      const auto report = sim.audit();
       EXPECT_TRUE(report.ok()) << sim::to_string(scheme) << ": " << report.violations.front();
       checks[proxies - 64] = report.checks;
     }
@@ -376,7 +373,7 @@ TEST(ChurnDeterminism, SweepJsonIsByteIdenticalAcrossThreadCountsUnderChurn) {
   cfg.cache_percents = {20.0, 60.0};
   cfg.schemes = {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kHierGD};
   cfg.collect_observability = true;
-  cfg.snapshot_interval = 5'000;
+  cfg.base.snapshot_interval = 5'000;
   cfg.base.churn_events = fault::make_schedule(heavy_spec(trace.size()), trace.size(),
                                                cfg.base.num_proxies,
                                                cfg.base.clients_per_cluster);
@@ -396,19 +393,16 @@ TEST(ChurnDeterminism, SweepJsonIsByteIdenticalAcrossThreadCountsUnderChurn) {
   EXPECT_NE(a.str().find("fault.crashes"), std::string::npos);
 }
 
-// Auditing is read-only: a run with checkpoint audits must export the same
-// counters as the identical run without them.
-TEST(ChurnDeterminism, AuditHooksDoNotPerturbExportedMetrics) {
+// Auditing is read-only: an audited run must export the same counters as the
+// identical run without audits.
+TEST(ChurnDeterminism, AuditsDoNotPerturbExportedMetrics) {
   const auto trace = churn_trace(20'000, 2'000);
   const auto run_with = [&](bool audited) {
     auto cfg = base_config(sim::Scheme::kHierGD);
     cfg.registry = std::make_shared<obs::Registry>();
     cfg.churn_events = fault::make_schedule(heavy_spec(trace.size()), trace.size(),
                                             cfg.num_proxies, cfg.clients_per_cluster);
-    if (audited) {
-      cfg.checkpoint_interval = 2'000;
-      cfg.checkpoint_hook = fault::make_audit_hook();
-    }
+    if (audited) cfg.audit_interval = 2'000;
     (void)sim::run_simulation(cfg, trace);
     std::ostringstream out;
     cfg.registry->write_json_body(out, 0);

@@ -212,6 +212,14 @@ TEST(Integration, ClusterInfiniteCacheSizeMatchesDefinition) {
   EXPECT_THROW((void)core::cluster_infinite_cache_size(t, 0), std::invalid_argument);
 }
 
+// One sizing rule for every cache, the proxy's and the clients': the
+// nearest object, and never zero.
+TEST(Integration, CapacityFromPercentRoundsToTheNearestObject) {
+  EXPECT_EQ(core::capacity_from_percent(25.0, 1'234), 309u);  // 308.5
+  EXPECT_EQ(core::capacity_from_percent(10.0, 1'234), 123u);  // 123.4
+  EXPECT_EQ(core::capacity_from_percent(0.0, 1'234), 1u);
+}
+
 TEST(Integration, RunSingleComputesGain) {
   const auto trace = paper_like_trace(20'000, 1'000);
   sim::SimConfig cfg;

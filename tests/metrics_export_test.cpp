@@ -126,12 +126,14 @@ TEST(MetricsExport, SweepJsonIsByteIdenticalAcrossThreadCounts) {
   cfg.cache_percents = {20.0, 60.0};
   cfg.schemes = {sim::Scheme::kNC, sim::Scheme::kSC, sim::Scheme::kHierGD};
   cfg.collect_observability = true;
-  cfg.snapshot_interval = 5'000;
+  cfg.base.snapshot_interval = 5'000;
 
   cfg.threads = 1;
   const auto serial = core::run_sweep(trace, cfg);
   cfg.threads = 8;
   const auto parallel = core::run_sweep(trace, cfg);
+  // The base config's interval reaches every run.
+  EXPECT_EQ(serial.registries[1][2]->snapshots().size(), trace.size() / 5'000);
 
   std::ostringstream a;
   std::ostringstream b;

@@ -140,6 +140,11 @@ TEST(ShardedDeterminism, UnsupportedConfigsFallBackToTheSequentialEngine) {
   snap.snapshot_interval = 1'000;
   EXPECT_FALSE(sim::Simulator::sharding_supported(snap));
 
+  // Invariant audits read global state at exact positions, even at the end.
+  auto audited = shard_config(sim::Scheme::kHierGD);
+  audited.audit_interval = 0;
+  EXPECT_FALSE(sim::Simulator::sharding_supported(audited));
+
   // A single proxy has no clusters to partition.
   auto solo = shard_config(sim::Scheme::kHierGD);
   solo.num_proxies = 1;

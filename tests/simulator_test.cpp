@@ -281,8 +281,8 @@ TEST_P(SchemeParam, HitLatencyIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeParam, ::testing::ValuesIn(kAllSchemes),
-                         [](const auto& info) {
-                           std::string name{to_string(info.param)};
+                         [](const auto& test_param) {
+                           std::string name{to_string(test_param.param)};
                            for (auto& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -6,6 +6,7 @@
 //   webcache_cli trace info --trace trace.wct [--verify]
 //   webcache_cli analyze  --trace trace.txt [--squid]
 //   webcache_cli simulate --scheme Hier-GD [workload/cluster flags]
+//                         [--cache-pct X]
 //                         [--churn-crashes N --churn-recover-after N
 //                          --churn-joins N --churn-repair-every N
 //                          --churn-start N --churn-seed N --churn-loss X
@@ -26,7 +27,7 @@
 //   --requests N --objects N --alpha X --one-timers X --stack X --seed N
 //   --amplifier X --recency-bias X
 // Cluster flags:
-//   --proxies N --clients N --cache-pct X --client-cache-pct X
+//   --proxies N --clients N --client-cache-pct X
 //   --directory exact|bloom --bloom-fpr X --no-diversion
 //   --ts-tc X --ts-tl X --tp2p-tl X --browser-cache N
 //   --proxy-policy P        proxy-tier replacement/admission policy override
@@ -61,8 +62,13 @@
 //   --churn-seed N          schedule seed (default 2003)
 //   --churn-loss X          P2P message loss probability in [0, 1); each
 //                           lost transfer costs one retry (an extra Tp2p)
-//   --audit-interval N      run the cross-layer invariant auditor every N
-//                           requests; any violation exits non-zero
+//   --audit-interval N      run the cross-layer invariant audit every N
+//                           requests and at the end (0: at the end only);
+//                           any violation exits non-zero
+//
+// Cache sizes are percentages of the infinite cache size, rounded to the
+// nearest object (core::capacity_from_percent), so `simulate --cache-pct X`
+// and `sweep --cache-pcts X` build the same caches.
 //
 // Environment (unset or empty means 0; a value that is not an integer in
 // [0, 1024] is a usage error):
@@ -87,7 +93,6 @@
 
 #include "core/experiment.hpp"
 #include "fault/churn_schedule.hpp"
-#include "fault/invariant_auditor.hpp"
 #include "workload/prowgen.hpp"
 #include "workload/squid_log.hpp"
 #include "workload/stack_distance.hpp"
@@ -118,7 +123,7 @@ using namespace webcache;
       "           [--metrics-out FILE --trace-out FILE --trace-capacity N\n"
       "            --snapshot-interval N]\n"
       "  sweep    [--schemes A,B,...] [--cache-pcts 10,20,...] [--csv FILE]\n"
-      "           [same workload/cluster flags as simulate]\n"
+      "           [workload/cluster flags as simulate, without --cache-pct]\n"
       "           [--metrics-out FILE --snapshot-interval N]\n"
       "schemes: NC SC FC NC-EC SC-EC FC-EC Hier-GD Squirrel\n"
       "--trace accepts the text format or a compiled wctrace/1 binary (.wct);\n"
@@ -219,9 +224,9 @@ const std::vector<std::string> kWorkloadFlags = {
     "amplifier", "recency-bias", "clients", "seed",
 };
 const std::vector<std::string> kClusterFlags = {
-    "proxies", "cache-pct", "client-cache-pct", "directory", "bloom-fpr",
-    "no-diversion", "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "shards",
-    "proxy-policy", "client-policy",
+    "proxies", "client-cache-pct", "directory", "bloom-fpr", "no-diversion",
+    "ts-tc", "ts-tl", "tp2p-tl", "browser-cache", "shards", "proxy-policy",
+    "client-policy",
 };
 const std::vector<std::string> kChurnFlags = {
     "churn-crashes", "churn-recover-after", "churn-joins", "churn-repair-every",
@@ -268,20 +273,14 @@ std::shared_ptr<const workload::TraceSource> source_from(const Flags& flags) {
   return workload::make_source(trace_from(flags));
 }
 
-sim::SimConfig cluster_from(const Flags& flags, const workload::TraceSource& trace) {
+/// The cluster flags as a SimConfig; the cache sizes are left to the
+/// caller.
+sim::SimConfig cluster_from(const Flags& flags) {
   sim::SimConfig cfg;
   cfg.num_proxies = flags.integer<unsigned>("proxies", 2);
   cfg.clients_per_cluster = flags.integer<ClientNum>("clients", 100);
   cfg.latencies = net::LatencyModel::from_ratios(
       flags.num("ts-tc", 10.0), flags.num("ts-tl", 20.0), flags.num("tp2p-tl", 1.4));
-
-  const auto infinite = core::cluster_infinite_cache_size(trace, cfg.num_proxies);
-  const double cache_pct = flags.percent("cache-pct", 30.0);
-  const double client_pct = flags.percent("client-cache-pct", 0.1);
-  cfg.proxy_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cache_pct / 100.0 * static_cast<double>(infinite)));
-  cfg.client_cache_capacity = std::max<std::size_t>(
-      1, static_cast<std::size_t>(client_pct / 100.0 * static_cast<double>(infinite)));
 
   const auto dir = flags.str("directory", "exact");
   if (dir == "bloom") {
@@ -423,7 +422,7 @@ int cmd_analyze(const Flags& flags) {
 }
 
 /// Expands the --churn-* / --audit-interval flags into the config's churn
-/// schedule, loss model, and audit checkpoints.
+/// schedule, loss model, and audit interval.
 void apply_churn_flags(const Flags& flags, sim::SimConfig& cfg,
                        std::uint64_t trace_length) {
   fault::ChurnSpec spec;
@@ -438,26 +437,27 @@ void apply_churn_flags(const Flags& flags, sim::SimConfig& cfg,
                                             cfg.clients_per_cluster);
   }
   cfg.p2p_loss_rate = flags.num("churn-loss", 0.0);
-  if (flags.has("audit-interval")) {
-    cfg.checkpoint_interval = flags.integer("audit-interval", 0);
-    cfg.checkpoint_hook = fault::make_audit_hook();
-  }
+  if (flags.has("audit-interval")) cfg.audit_interval = flags.integer("audit-interval", 0);
 }
 
 int cmd_simulate(const Flags& flags) {
   auto known = kWorkloadFlags;
   known.insert(known.end(), kClusterFlags.begin(), kClusterFlags.end());
   known.insert(known.end(), kChurnFlags.begin(), kChurnFlags.end());
-  known.insert(known.end(), {"scheme", "trace", "squid", "metrics-out", "trace-out",
-                             "trace-capacity", "snapshot-interval"});
+  known.insert(known.end(), {"scheme", "cache-pct", "trace", "squid", "metrics-out",
+                             "trace-out", "trace-capacity", "snapshot-interval"});
   flags.reject_unknown(known);
 
   const auto scheme = sim::scheme_from_string(flags.str("scheme", "Hier-GD"));
   if (!scheme) usage("unknown scheme: " + flags.str("scheme", ""));
 
   const auto source = source_from(flags);
-  auto cfg = cluster_from(flags, *source);
+  auto cfg = cluster_from(flags);
   cfg.scheme = *scheme;
+  const auto infinite = core::cluster_infinite_cache_size(*source, cfg.num_proxies);
+  cfg.proxy_capacity = core::capacity_from_percent(flags.percent("cache-pct", 30.0), infinite);
+  cfg.client_cache_capacity =
+      core::capacity_from_percent(flags.percent("client-cache-pct", 0.1), infinite);
   cfg.snapshot_interval = flags.integer("snapshot-interval", 0);
   apply_churn_flags(flags, cfg, source->size());
   if (flags.has("trace-out")) {
@@ -502,10 +502,10 @@ int cmd_sweep(const Flags& flags) {
   const auto source = source_from(flags);
 
   core::SweepConfig sweep;
-  sweep.base = cluster_from(flags, *source);
+  sweep.base = cluster_from(flags);
+  sweep.base.snapshot_interval = flags.integer("snapshot-interval", 0);
   sweep.client_cache_percent = flags.percent("client-cache-pct", 0.1);
   sweep.collect_observability = flags.has("metrics-out");
-  sweep.snapshot_interval = flags.integer("snapshot-interval", 0);
   sweep.threads = static_cast<unsigned>(
       or_usage([] { return core::integer_from_env("WEBCACHE_THREADS", 1024); }));
 
