@@ -19,8 +19,7 @@
 //                         core). Results are bitwise identical regardless.
 //                         Unset or empty means 0; a value that is not a
 //                         plain integer in [0, 1024] stops the bench with
-//                         exit code 2, as does a malformed
-//                         --snapshot-interval.
+//                         exit code 2.
 // A compiled wctrace/1 file replays through `webcache_cli sweep --trace`.
 #pragma once
 
@@ -56,6 +55,12 @@ inline double bench_scale() {
   return 1.0;
 }
 
+/// Prints "error: <message>" and stops the bench with exit code 2.
+[[noreturn]] inline void exit_with_error(const std::string& message) {
+  std::cerr << "error: " << message << "\n";
+  std::exit(2);
+}
+
 /// Runs one of core's strict integer parses or a workload generation; the
 /// std::invalid_argument it throws for a value it rejects stops the bench
 /// with exit code 2.
@@ -64,8 +69,7 @@ auto or_exit(Parse&& parse) -> decltype(parse()) {
   try {
     return parse();
   } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    std::exit(2);
+    exit_with_error(e.what());
   }
 }
 
@@ -102,20 +106,26 @@ inline std::shared_ptr<const workload::TraceSource> bench_source(
 /// sweep into collect_observability mode, and writes the
 /// "webcache-metrics/1" JSON export after the run. Benches that run several
 /// sweeps pass a distinct label per sweep; the label is inserted before the
-/// file extension ("out.json" + label "a05" -> "out.a05.json").
+/// file extension ("out.json" + label "a05" -> "out.a05.json"). Any other
+/// argument, a flag without its value, a malformed interval or an export
+/// that cannot be written stops the bench with an "error: ..." line and
+/// exit code 2.
 class ObsOptions {
  public:
   ObsOptions(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--metrics-out" && i + 1 < argc) {
-        path_ = argv[++i];
-      } else if (arg == "--snapshot-interval" && i + 1 < argc) {
-        const char* value = argv[++i];
+      if (arg != "--metrics-out" && arg != "--snapshot-interval") {
+        exit_with_error("unknown bench argument '" + arg +
+                        "'; the flags are --metrics-out FILE and --snapshot-interval N");
+      }
+      if (i + 1 == argc) exit_with_error(arg + " needs a value");
+      const char* value = argv[++i];
+      if (arg == "--metrics-out") {
+        path_ = value;
+      } else {
         snapshot_interval_ = or_exit(
             [value] { return core::parse_integer("--snapshot-interval", value, kMaxInterval); });
-      } else {
-        std::cerr << "ignoring unknown bench argument: " << arg << "\n";
       }
     }
   }
@@ -146,10 +156,7 @@ class ObsOptions {
     if (!enabled()) return;
     const std::string path = label.empty() ? path_ : with_label(path_, label);
     std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot write " << path << "\n";
-      return;
-    }
+    if (!out) exit_with_error("cannot write " + path);
     const std::string name = label.empty() ? bench_name : bench_name + " " + label;
     core::write_metrics_json(out, result, name);
     std::cout << "# [metrics written to " << path << "]\n";

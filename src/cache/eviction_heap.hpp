@@ -1,8 +1,14 @@
 // Position-indexed 4-ary min-heap for cache eviction orderings.
 //
-// LfuCache and CostBenefitCache used to keep their victim order in a
-// std::set<tuple> — a red-black tree that pays a node allocation per insert
-// and pointer-chasing erase+insert on *every hit*. An earlier replacement
+// CostBenefitCache keeps its victim order here. It is the one policy that
+// needs a real priority queue: the coordinator reprices cached copies up and
+// down (replica counts, clairvoyant decay). LFU-DA and greedy-dual do not:
+// each has a floor that never falls, which makes O(1) FIFO lists exact for
+// them (one per live key, one per cost; see lfu.hpp and greedy_dual.hpp).
+//
+// The order used to live in a std::set<tuple> — a red-black tree that pays
+// a node allocation per insert and pointer-chasing erase+insert on *every
+// hit*. An earlier replacement
 // used a lazy-deletion binary heap (push a fresh node per re-key, skip stale
 // nodes when they surface); profiling showed the stale-purge pops and
 // periodic compactions dominating, so the heap is now fully indexed: an
@@ -17,8 +23,8 @@
 // priority embeds the policy's monotone re-key sequence number, so priorities
 // of distinct objects never compare equal and the minimum node is exactly
 // the element std::set::begin() would have produced — including all
-// tie-breaks (e.g. the LFU-DA aging-floor recency tie). The heap's internal
-// layout never influences which object is the minimum.
+// tie-breaks (e.g. equal cost-benefit values after decay to zero). The
+// heap's internal layout never influences which object is the minimum.
 #pragma once
 
 #include <algorithm>

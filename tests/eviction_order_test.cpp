@@ -1,15 +1,18 @@
 // Golden-sequence tests for the caches with a non-trivial victim order.
 //
 // LfuCache, GreedyDualCache and CostBenefitCache historically kept their
-// victim order in a std::set<std::tuple<...>>; LFU and cost-benefit now
-// share the indexed EvictionHeap, and greedy-dual keeps one FIFO list per
-// cost. These tests rebuild the original std::set implementations locally
-// and drive both through identical recorded traces (~10k pseudo-random
-// operations), asserting that every insert returns the exact same victim,
-// that peek_victim() agrees after every operation, and that the final
-// contents match. Any divergence in tie-breaking (equal LFU-DA keys after
-// aging, equal greedy-dual credits, equal cost-benefit values after
-// clairvoyant decay to zero) would surface as a wrong victim.
+// victim order in a std::set<std::tuple<...>>; cost-benefit now keeps it in
+// the indexed EvictionHeap, LFU-DA in one FIFO list per live key and
+// greedy-dual in one FIFO list per cost. These tests rebuild the original
+// std::set implementations locally and drive both through identical
+// recorded traces (~10k pseudo-random operations per configuration),
+// asserting that every insert returns the exact same victim, that
+// peek_victim() agrees after every operation, and that the final contents
+// match; the LFU-DA and greedy-dual drivers also compare the aging floor or
+// inflation and every live object's count or credit after every step. Any
+// divergence in tie-breaking (equal LFU-DA keys after aging, equal
+// greedy-dual credits, equal cost-benefit values after clairvoyant decay to
+// zero) would surface as a wrong victim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,6 +106,11 @@ class RefLfu {
     return out;
   }
 
+  std::size_t size() const { return entries_.size(); }
+  std::uint64_t aging_floor() const { return aging_floor_; }
+  std::uint64_t frequency(ObjectNum o) const { return entries_.at(o).freq; }
+  std::uint64_t key(ObjectNum o) const { return entries_.at(o).key; }
+
  private:
   struct Entry {
     std::uint64_t freq;
@@ -116,27 +124,36 @@ class RefLfu {
   std::map<ObjectNum, Entry> entries_;
 };
 
-TEST(EvictionOrder, LfuDynamicAgingMatchesSetReference) {
-  constexpr std::size_t kCapacity = 64;
-  constexpr ObjectNum kObjects = 400;  // ~6x capacity: constant eviction churn
+// The op mix of the simulator's LFU-DA caches (inserts, hits, and the
+// erases of a tier-2 promotion) with two stressors. Erasing every 7th step
+// leaves gaps at the low keys, so not-full inserts land below keys an
+// earlier victim search has already passed. A hot phase then keeps one
+// object hot until its key runs several times the capacity above the floor,
+// so keys that share a ring slot coexist; draining everything else leaves
+// that key alone, far above the floor. After every step the victim, the
+// floor, the size and every live object's count must match the reference.
+void drive_lfu(std::size_t capacity) {
+  // ~6x capacity: constant eviction churn.
+  const auto objects = static_cast<ObjectNum>(std::max<std::size_t>(64, 6 * capacity));
+  const ObjectNum hot = objects;  // outside every random draw: never erased by one
   constexpr int kSteps = 10'000;
+  const int hot_steps = static_cast<int>(12 * capacity) + 200;
+  const int refill_steps = static_cast<int>(4 * capacity) + 100;
 
-  cache::LfuCache real(kCapacity);
-  RefLfu ref(kCapacity);
-  TraceRng rng(2003);
+  cache::LfuCache real(capacity);
+  RefLfu ref(capacity);
+  TraceRng rng(2003 + capacity);
 
-  for (int step = 0; step < kSteps; ++step) {
-    // Skewed object choice (square of a uniform draw) so some objects grow
-    // large frequencies while a long tail of one-timers churns the victim
-    // end of the order — the regime where tie-breaks matter.
-    const auto u = rng.below(kObjects);
-    const ObjectNum o = static_cast<ObjectNum>((u * u) / kObjects);
-
-    if (step % 97 == 96) {
-      // Exercise lazy deletion: erase a (possibly absent) random object.
-      const auto target = static_cast<ObjectNum>(rng.below(kObjects));
-      EXPECT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
-    } else if (real.contains(o)) {
+  const auto check = [&](int step) {
+    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
+    ASSERT_EQ(real.aging_floor(), ref.aging_floor()) << "step " << step;
+    ASSERT_EQ(real.size(), ref.size()) << "step " << step;
+    for (const ObjectNum live : ref.contents()) {
+      ASSERT_EQ(real.frequency(live), ref.frequency(live)) << "step " << step << " object " << live;
+    }
+  };
+  const auto touch = [&](ObjectNum o, int step) {
+    if (real.contains(o)) {
       ASSERT_TRUE(ref.contains(o)) << "step " << step;
       real.access(o, 1.0);
       ref.access(o);
@@ -147,9 +164,59 @@ TEST(EvictionOrder, LfuDynamicAgingMatchesSetReference) {
       ASSERT_EQ(got.inserted, want.inserted) << "step " << step;
       ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
     }
-    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
+  };
+  // Skewed object choice (square of a uniform draw) so some objects grow
+  // large frequencies while a long tail of one-timers churns the victim end
+  // of the order — the regime where tie-breaks matter. One step in seven
+  // erases a (possibly absent) random object instead.
+  const auto churn = [&](int step) {
+    const auto u = rng.below(objects);
+    const ObjectNum o = static_cast<ObjectNum>((u * u) / objects);
+    if (step % 7 == 6) {
+      const auto target = static_cast<ObjectNum>(rng.below(objects));
+      ASSERT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
+    } else {
+      ASSERT_NO_FATAL_FAILURE(touch(o, step));
+    }
+  };
+
+  int step = 0;
+  for (; step < kSteps; ++step) {
+    ASSERT_NO_FATAL_FAILURE(churn(step));
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  for (const int end = step + hot_steps; step < end; ++step) {
+    if (step % 2 == 0) {
+      ASSERT_NO_FATAL_FAILURE(touch(hot, step));
+    } else {
+      ASSERT_NO_FATAL_FAILURE(churn(step));
+    }
+    ASSERT_NO_FATAL_FAILURE(check(step));
+  }
+  // A capacity-1 cache evicts the hot object on every other insert.
+  if (capacity > 1) {
+    ASSERT_TRUE(ref.contains(hot));
+    ASSERT_GE(ref.key(hot) - ref.aging_floor(), 4 * capacity);
+  }
+  for (const ObjectNum live : ref.contents()) {
+    if (live == hot) continue;
+    ASSERT_TRUE(real.erase(live)) << "step " << step;
+    ASSERT_TRUE(ref.erase(live)) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(check(step));
+    ++step;
+  }
+  for (const int end = step + refill_steps; step < end; ++step) {
+    ASSERT_NO_FATAL_FAILURE(churn(step));
+    ASSERT_NO_FATAL_FAILURE(check(step));
   }
   EXPECT_EQ(sorted(real.contents()), sorted(ref.contents()));
+}
+
+TEST(EvictionOrder, LfuDynamicAgingMatchesSetReference) {
+  for (const std::size_t capacity : {1U, 8U, 64U, 512U}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ASSERT_NO_FATAL_FAILURE(drive_lfu(capacity));
+  }
 }
 
 // LFU-DA aging-floor ties, pinned explicitly: after the floor rises, a burst
@@ -177,6 +244,39 @@ TEST(EvictionOrder, LfuDaAgingFloorTieBreaksBySeq) {
     ASSERT_EQ(got.evicted, want.evicted) << "object " << o;
     ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "object " << o;
     ASSERT_EQ(real.aging_floor(), 6u + (o - 100) / kCapacity) << "object " << o;
+  }
+}
+
+// A victim far above the floor that shares its ring slot with an older
+// entry of a higher key: keys 16 and 32 fall in one slot of any ring of up
+// to 16 slots, and no live key is within a turn of the floor (0). The
+// search must take the lowest key it saw, not that slot's head.
+TEST(EvictionOrder, LfuDaVictimFarAboveTheFloor) {
+  constexpr std::size_t kCapacity = 3;
+  cache::LfuCache real(kCapacity);
+  RefLfu ref(kCapacity);
+  const auto hit = [&](ObjectNum o, int times) {
+    for (int i = 0; i < times; ++i) {
+      real.access(o, 1.0);
+      ref.access(o);
+    }
+  };
+  for (ObjectNum o = 0; o < 2; ++o) {
+    real.insert(o, 1.0);
+    ref.insert(o);
+  }
+  hit(0, 31);  // key 32, re-keyed first
+  hit(1, 15);  // key 16
+  ASSERT_EQ(real.peek_victim(), ref.peek_victim());
+  ASSERT_EQ(real.peek_victim(), ObjectNum{1});
+  // A newcomer lands at key 1, below both; once full, the next insert
+  // evicts it and raises the floor to 1.
+  for (ObjectNum o = 10; o < 13; ++o) {
+    const InsertResult got = real.insert(o, 1.0);
+    const InsertResult want = ref.insert(o);
+    ASSERT_EQ(got.evicted, want.evicted) << "object " << o;
+    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "object " << o;
+    ASSERT_EQ(real.aging_floor(), ref.aging_floor()) << "object " << o;
   }
 }
 
