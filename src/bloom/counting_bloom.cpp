@@ -9,7 +9,12 @@ namespace webcache::bloom {
 namespace {
 constexpr double kLn2 = 0.6931471805599453;
 
+/// Checked before any sizing: outside (0, 1) the formula yields a negative,
+/// infinite or NaN count.
 std::size_t optimal_counters(std::size_t n, double p) {
+  if (!(p > 0.0 && p < 1.0)) {
+    throw std::invalid_argument("CountingBloomFilter: target_fpr must be in (0, 1)");
+  }
   if (n == 0) n = 1;
   const double m = -static_cast<double>(n) * std::log(p) / (kLn2 * kLn2);
   return std::max<std::size_t>(64, static_cast<std::size_t>(std::ceil(m)));
@@ -25,11 +30,7 @@ unsigned optimal_hashes(std::size_t m, std::size_t n) {
 CountingBloomFilter::CountingBloomFilter(std::size_t expected_items, double target_fpr)
     : CountingBloomFilter(
           optimal_counters(expected_items, target_fpr),
-          optimal_hashes(optimal_counters(expected_items, target_fpr), expected_items)) {
-  if (!(target_fpr > 0.0 && target_fpr < 1.0)) {
-    throw std::invalid_argument("CountingBloomFilter: target_fpr must be in (0, 1)");
-  }
-}
+          optimal_hashes(optimal_counters(expected_items, target_fpr), expected_items)) {}
 
 CountingBloomFilter::CountingBloomFilter(std::size_t counters, unsigned hashes)
     : counters_(std::max<std::size_t>(counters, 1)),
@@ -37,6 +38,8 @@ CountingBloomFilter::CountingBloomFilter(std::size_t counters, unsigned hashes)
       cells_(counters_, 0) {}
 
 std::size_t CountingBloomFilter::probe(const Uint128& key, unsigned i) const {
+  // h2 is forced odd so the probe sequence cycles through the full table for
+  // power-of-two sizes too.
   const std::uint64_t h1 = key.hi;
   const std::uint64_t h2 = key.lo | 1;
   return static_cast<std::size_t>((h1 + static_cast<std::uint64_t>(i) * h2) %

@@ -1,12 +1,19 @@
-// Counting Bloom filter (Fan et al., "Summary Cache", ToN 2000).
+// Counting Bloom filter (Fan et al., "Summary Cache", ToN 2000), the one
+// Bloom filter in the simulator. It backs three structures:
 //
-// The P2P-cache lookup directory churns constantly: every destaged object
-// adds an entry and every client-cache eviction removes one. A plain Bloom
-// filter cannot delete, so the proxy-side Bloom directory uses 4-bit
-// counters exactly as Summary Cache does; 4 bits overflow with probability
-// ~1.37e-15 per counter, which the implementation clamps (saturating) so an
-// overflowing counter degrades to a permanent false positive rather than a
-// false negative.
+//  * the proxy's Bloom lookup directory (Section 4.2 of the paper), which
+//    churns constantly: every destaged object adds an entry and every
+//    client-cache eviction removes one. A plain Bloom filter cannot delete,
+//    so 4-bit counters are used exactly as Summary Cache does; they overflow
+//    with probability ~1.37e-15 per counter, and saturate, so an overflow
+//    degrades to a permanent false positive rather than a false negative;
+//  * TinyLFU's count-min frequency sketch (estimate(), halve());
+//  * TinyLFU's doorkeeper, which only inserts and clears: without erase() a
+//    counter is nonzero exactly where a plain filter's bit would be set, so
+//    may_contain() answers as a bit array would.
+//
+// Probes double-hash over the key's two 64-bit limbs (Kirsch-Mitzenmacher),
+// so an already uniform key needs no re-hashing.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +26,13 @@ namespace webcache::bloom {
 /// Bloom filter with 4-bit saturating counters supporting erase().
 class CountingBloomFilter {
  public:
-  /// Same sizing rule as BloomFilter: counters = -n ln p / (ln 2)^2.
+  /// Sizes the filter for `expected_items` at `target_fpr` false-positive
+  /// probability using the standard optima m = -n ln p / (ln 2)^2 counters
+  /// and k = (m/n) ln 2 probes. Throws std::invalid_argument unless
+  /// 0 < target_fpr < 1.
   CountingBloomFilter(std::size_t expected_items, double target_fpr);
+
+  /// Explicit geometry: `counters` cells and `hashes` probes per key.
   CountingBloomFilter(std::size_t counters, unsigned hashes);
 
   void insert(const Uint128& key);

@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/rng.hpp"
+
 namespace webcache::cache {
 
 namespace {
 
-std::uint64_t splitmix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// ~8 sketch counters / doorkeeper bits per cached object; the floor keeps
+/// ~8 sketch and doorkeeper counters per cached object; the floor keeps
 /// tiny client caches (capacity < 8) from degenerating to an always-full
 /// filter.
 std::size_t filter_cells(std::size_t capacity) {
@@ -30,7 +25,7 @@ AdmissionFilter::AdmissionFilter(std::size_t capacity)
 
 Uint128 AdmissionFilter::key_of(ObjectNum object) {
   const auto z = static_cast<std::uint64_t>(object);
-  return {splitmix(z), splitmix(~z)};
+  return {SplitMix64(z).next(), SplitMix64(~z).next()};
 }
 
 bool AdmissionFilter::record_access(ObjectNum object) {

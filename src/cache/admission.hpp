@@ -5,20 +5,21 @@
 // scan/one-timer-heavy workloads that lets worthless objects flush valuable
 // residents. TinyLFU keeps an approximate frequency histogram of the recent
 // request stream — here the existing Summary-Cache counting Bloom from
-// src/bloom used as a count-min sketch, fronted by a plain-Bloom doorkeeper
-// that absorbs the one-hit-wonder mass — and admits a candidate only when its
-// estimated frequency beats the incumbent victim's. A periodic halving of
-// every sketch counter (the "reset" aging step) keeps the histogram tracking
-// the recent window; it is keyed to the filter's own operation count, which
-// under both the sequential and the sharded engine is a deterministic
-// function of the cache's request subsequence, so all exports stay
-// byte-identical across threads, shards, and streamed or in-memory replay.
+// src/bloom used as a count-min sketch, fronted by a doorkeeper that absorbs
+// the one-hit-wonder mass — and admits a candidate only when its estimated
+// frequency beats the incumbent victim's. The doorkeeper is a second counting
+// Bloom that is only inserted into and cleared, so it answers as a plain
+// (bit-array) Bloom filter would. A periodic halving of every sketch counter
+// (the "reset" aging step) keeps the histogram tracking the recent window;
+// it is keyed to the filter's own operation count, which under both the
+// sequential and the sharded engine is a deterministic function of the
+// cache's request subsequence, so all exports stay byte-identical across
+// threads, shards, and streamed or in-memory replay.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
-#include "bloom/bloom_filter.hpp"
 #include "bloom/counting_bloom.hpp"
 #include "cache/cache.hpp"
 
@@ -26,8 +27,8 @@ namespace webcache::cache {
 
 /// Approximate frequency histogram of the recent request stream with a
 /// TinyLFU admission duel. Sized from the cache capacity it fronts: the
-/// sketch carries ~8 4-bit counters and the doorkeeper ~8 bits per cached
-/// object, and one sample period spans 10x the capacity in references.
+/// sketch and the doorkeeper each carry ~8 counters per cached object, and
+/// one sample period spans 10x the capacity in references.
 class AdmissionFilter {
  public:
   explicit AdmissionFilter(std::size_t capacity);
@@ -37,7 +38,7 @@ class AdmissionFilter {
   bool record_access(ObjectNum object);
 
   /// Estimated reference count within the current sample window: the sketch's
-  /// count-min estimate plus the doorkeeper bit.
+  /// count-min estimate plus one when the doorkeeper holds the object.
   [[nodiscard]] unsigned estimate(ObjectNum object) const;
 
   /// The admission duel: cache the candidate only when its estimated
@@ -49,9 +50,6 @@ class AdmissionFilter {
 
   [[nodiscard]] std::uint64_t halvings() const { return halvings_; }
   [[nodiscard]] std::uint64_t sample_period() const { return sample_period_; }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return sketch_.memory_bytes() + doorkeeper_.memory_bytes();
-  }
 
  private:
   /// ObjectNum -> uniformly distributed 128-bit key for the bloom probes
@@ -59,7 +57,7 @@ class AdmissionFilter {
   static Uint128 key_of(ObjectNum object);
 
   bloom::CountingBloomFilter sketch_;
-  bloom::BloomFilter doorkeeper_;
+  bloom::CountingBloomFilter doorkeeper_;
   std::uint64_t sample_period_;
   std::uint64_t ops_ = 0;
   std::uint64_t halvings_ = 0;

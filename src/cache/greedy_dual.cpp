@@ -28,7 +28,9 @@ void GreedyDualCache::access(ObjectNum object, double cost) {
 
 InsertResult GreedyDualCache::insert(ObjectNum object, double cost) {
   check_cost(cost, "GreedyDualCache::insert: cost must be >= 0");
-  if (contains(object)) throw std::logic_error("GreedyDualCache::insert: object already cached");
+  if (index_.find(object) != nullptr) {
+    throw std::logic_error("GreedyDualCache::insert: object already cached");
+  }
   if (capacity_ == 0) return {};
 
   InsertResult result;

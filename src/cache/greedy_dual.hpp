@@ -21,6 +21,12 @@
 // run passes a handful of distinct costs (the latency model's fetch levels
 // plus the 0 re-key of a P2P fetch), so a linear scan over the list heads
 // finds it.
+//
+// With one constant cost the policy is exactly LRU, which is how LruCache
+// (cache/lru.hpp) runs on it. All entries share one list, and since L never
+// decreases, an entry set later never has a lower credit: the (credit, seq)
+// order is the order of last use, and the list's head is the least recently
+// used entry. At cost 0 every credit and L itself stay 0.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +37,7 @@
 
 namespace webcache::cache {
 
-class GreedyDualCache final : public Cache {
+class GreedyDualCache : public Cache {
  public:
   explicit GreedyDualCache(std::size_t capacity) : Cache(capacity) {}
 

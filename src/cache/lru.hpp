@@ -1,35 +1,24 @@
-// Least-Recently-Used cache: classic doubly-linked recency list over an
-// unordered index; all operations O(1). Used for the private browser caches
-// and FC-EC's tier tracker, as a selectable policy (alone or behind TinyLFU
-// admission), and as the reference recency structure in tests.
+// Least-Recently-Used cache: greedy-dual at a constant cost. Greedy-dual
+// with every cost equal evicts in order of last use (see greedy_dual.hpp),
+// so pinning the cost to 0 makes GreedyDualCache an O(1) LRU over its one
+// FIFO list, with inflation staying 0. Used for the private browser caches
+// and FC-EC's tier tracker, and as a selectable policy (alone or behind
+// TinyLFU admission).
 #pragma once
 
-#include <list>
-
-#include "cache/cache.hpp"
-#include "common/dense_map.hpp"
+#include "cache/greedy_dual.hpp"
 
 namespace webcache::cache {
 
-class LruCache final : public Cache {
+class LruCache final : public GreedyDualCache {
  public:
-  explicit LruCache(std::size_t capacity) : Cache(capacity) {}
+  using GreedyDualCache::GreedyDualCache;
 
-  [[nodiscard]] std::size_t size() const override { return index_.size(); }
-  [[nodiscard]] bool contains(ObjectNum object) const override {
-    return index_.contains(object);
+  /// Recency alone orders the cache: the caller's cost is ignored.
+  void access(ObjectNum object, double /*cost*/) override { GreedyDualCache::access(object, 0.0); }
+  InsertResult insert(ObjectNum object, double /*cost*/) override {
+    return GreedyDualCache::insert(object, 0.0);
   }
-
-  void access(ObjectNum object, double cost) override;
-  InsertResult insert(ObjectNum object, double cost) override;
-  bool erase(ObjectNum object) override;
-  [[nodiscard]] std::optional<ObjectNum> peek_victim() const override;
-  [[nodiscard]] std::vector<ObjectNum> contents() const override;
-
- private:
-  // Front = most recently used.
-  std::list<ObjectNum> order_;
-  FlatMap<std::list<ObjectNum>::iterator> index_;
 };
 
 }  // namespace webcache::cache

@@ -316,6 +316,18 @@ RouteResult Overlay::route_from(std::uint32_t origin, const Uint128& key) {
   // they are chosen, and without a crash since the last repair there are
   // none.
   const auto forward = [&](const NodeId& next) { forward_to(slot_of(next), next); };
+  // Lowers `best` to the closest live leaf-set member and collects the stale
+  // members in `dead`.
+  const auto scan_live_leaves = [&](NodeId& best, std::vector<NodeId>& dead) {
+    node->leaves.visit_members([&](const NodeId& member) {
+      if (!contains(member)) {
+        dead.push_back(member);
+      } else if (closer_to(key, member, best)) {
+        best = member;
+      }
+      return false;
+    });
+  };
   constexpr unsigned kMaxHops = 256;  // loop guard; never hit in practice
 
   while (hops < kMaxHops) {
@@ -334,14 +346,7 @@ RouteResult Overlay::route_from(std::uint32_t origin, const Uint128& key) {
       // Scan for the closest live member; collect stale references.
       NodeId best = current;
       std::vector<NodeId> dead;
-      node->leaves.visit_members([&](const NodeId& member) {
-        if (!contains(member)) {
-          dead.push_back(member);
-        } else if (closer_to(key, member, best)) {
-          best = member;
-        }
-        return false;
-      });
+      scan_live_leaves(best, dead);
       for (const auto& d : dead) on_dead_reference(*node, d);
       if (best == current) break;  // delivered locally
       forward(best);
@@ -370,14 +375,7 @@ RouteResult Overlay::route_from(std::uint32_t origin, const Uint128& key) {
       });
     } else {
       std::vector<NodeId> dead;
-      node->leaves.visit_members([&](const NodeId& member) {
-        if (!contains(member)) {
-          dead.push_back(member);
-        } else if (closer_to(key, member, best)) {
-          best = member;
-        }
-        return false;
-      });
+      scan_live_leaves(best, dead);
       node->table.for_each_populated([&](const NodeId& entry) {
         if (!contains(entry)) {
           dead.push_back(entry);

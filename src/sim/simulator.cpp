@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/sharded.hpp"
 
@@ -143,6 +145,18 @@ Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
     }
   }
 
+  // Hier-GD's and Squirrel's P2P client caches differ only in their name.
+  const auto make_p2p = [this](std::string name_prefix, obs::Registry& reg) {
+    p2p::P2PConfig pc;
+    pc.clients = config_.clients_per_cluster;
+    pc.per_client_capacity = config_.client_cache_capacity;
+    pc.capacity_spread = config_.capacity_spread;
+    pc.overlay = config_.overlay;
+    pc.enable_diversion = config_.enable_diversion;
+    pc.client_policy = config_.client_policy;
+    pc.name_prefix = std::move(name_prefix);
+    return std::make_unique<p2p::P2PClientCache>(pc, object_ids_, &reg);
+  };
   proxies_.resize(config_.num_proxies);
   for (unsigned p = 0; p < config_.num_proxies; ++p) {
     Proxy& proxy = proxies_[p];
@@ -199,15 +213,7 @@ Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
         break;
       case Scheme::kHierGD: {
         proxy.cache = cache::make_cache(proxy_policy, config_.proxy_capacity);
-        p2p::P2PConfig pc;
-        pc.clients = config_.clients_per_cluster;
-        pc.per_client_capacity = config_.client_cache_capacity;
-        pc.capacity_spread = config_.capacity_spread;
-        pc.overlay = config_.overlay;
-        pc.enable_diversion = config_.enable_diversion;
-        pc.client_policy = config_.client_policy;
-        pc.name_prefix = "cluster" + std::to_string(p);
-        proxy.p2p = std::make_unique<p2p::P2PClientCache>(pc, object_ids_, &reg);
+        proxy.p2p = make_p2p("cluster" + std::to_string(p), reg);
         proxy.fetch_cost.reserve(universe);
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
@@ -221,20 +227,11 @@ Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
         }
         break;
       }
-      case Scheme::kSquirrel: {
+      case Scheme::kSquirrel:
         // Proxy-less: only the federated browser caches exist. No lookup
         // directory — requests route straight to the object's home node.
-        p2p::P2PConfig pc;
-        pc.clients = config_.clients_per_cluster;
-        pc.per_client_capacity = config_.client_cache_capacity;
-        pc.capacity_spread = config_.capacity_spread;
-        pc.overlay = config_.overlay;
-        pc.enable_diversion = config_.enable_diversion;
-        pc.client_policy = config_.client_policy;
-        pc.name_prefix = "org" + std::to_string(p);
-        proxy.p2p = std::make_unique<p2p::P2PClientCache>(pc, object_ids_, &reg);
+        proxy.p2p = make_p2p("org" + std::to_string(p), reg);
         break;
-      }
     }
   }
 }
@@ -535,6 +532,19 @@ void Simulator::step_basic(std::uint64_t t, const Request& request, unsigned clu
 
 // --- NC-EC / SC-EC ------------------------------------------------------------
 
+std::pair<int, ServedFrom> Simulator::remote_holder(unsigned cluster, ObjectNum object) {
+  if (const int holder = coop_[kPrimary].first_in_ring(object, cluster); holder >= 0) {
+    return {holder, ServedFrom::kRemoteProxy};
+  }
+  if (const int holder = coop_[kSecondary].first_in_ring(object, cluster); holder >= 0) {
+    Outcomes& out = *proxies_[cluster].out;
+    out.msg.push_requests.inc();
+    out.msg.push_transfers.inc();
+    return {holder, ServedFrom::kRemoteP2P};
+  }
+  return {-1, ServedFrom::kOriginServer};
+}
+
 void Simulator::step_tiered_ec(std::uint64_t t, const Request& request, unsigned cluster) {
   Proxy& local = proxies_[cluster];
   const ObjectNum object = request.object;
@@ -549,18 +559,8 @@ void Simulator::step_tiered_ec(std::uint64_t t, const Request& request, unsigned
     return;
   }
 
-  // SC-EC: prefer a remote proxy hit (Tc) over a remote P2P hit (Tc + Tp2p),
-  // where the remote cluster's client cache pushes the object up through its
-  // own proxy. Either way the holder refreshes its copy in place.
-  ServedFrom served = ServedFrom::kOriginServer;
-  int holder = coop_[kPrimary].first_in_ring(object, cluster);
-  if (holder >= 0) {
-    served = ServedFrom::kRemoteProxy;
-  } else if ((holder = coop_[kSecondary].first_in_ring(object, cluster)) >= 0) {
-    served = ServedFrom::kRemoteP2P;
-    local.out->msg.push_requests.inc();
-    local.out->msg.push_transfers.inc();
-  }
+  // SC-EC: the holder refreshes its copy in place.
+  const auto [holder, served] = remote_holder(cluster, object);
   if (holder >= 0) {
     RemoteOp op{.pos = t,
                 .object = object,
@@ -612,15 +612,7 @@ void Simulator::step_fc_ec(const Request& request, unsigned cluster) {
   // identifies remote tier-1 holders. The unified-cache scan runs only when
   // no remote cluster tracks the object, so every remote holder it finds is
   // a tier-2 one.
-  ServedFrom served = ServedFrom::kOriginServer;
-  int holder = coop_[kPrimary].first_in_ring(object, cluster);
-  if (holder >= 0) {
-    served = ServedFrom::kRemoteProxy;
-  } else if ((holder = coop_[kSecondary].first_in_ring(object, cluster)) >= 0) {
-    served = ServedFrom::kRemoteP2P;
-    local.out->msg.push_requests.inc();
-    local.out->msg.push_transfers.inc();
-  }
+  const auto [holder, served] = remote_holder(cluster, object);
   if (holder >= 0) proxies_[static_cast<unsigned>(holder)].unified->access(object, 0.0);
 
   const auto ins = local.unified->insert(object, lat.fetch_cost(served));

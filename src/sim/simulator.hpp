@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cost_benefit.hpp"
@@ -322,6 +323,13 @@ class Simulator {
 
   /// Marks an object as recently proxy-resident for FC-EC attribution.
   void track_tier1(unsigned cluster, ObjectNum object);
+
+  /// SC-EC / FC-EC: the first cluster after `cluster` in ring order whose
+  /// kPrimary set holds `object` (a remote proxy hit, Tc), else the first
+  /// whose kSecondary set does (a remote P2P hit, Tc + Tp2p, which that
+  /// cluster's client cache pushes up through its proxy: counted here).
+  /// {-1, kOriginServer} when no cluster holds it.
+  std::pair<int, net::ServedFrom> remote_holder(unsigned cluster, ObjectNum object);
 
   /// The live client that issues a request from `raw` (the trace's client
   /// id): its own machine, or the next live neighbour after churn.

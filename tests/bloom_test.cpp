@@ -1,7 +1,9 @@
-#include "bloom/bloom_filter.hpp"
 #include "bloom/counting_bloom.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <stdexcept>
 
 #include "common/sha1.hpp"
 
@@ -9,66 +11,6 @@ namespace webcache::bloom {
 namespace {
 
 Uint128 key(std::uint64_t i) { return Sha1::hash128("key/" + std::to_string(i)); }
-
-TEST(BloomFilter, NoFalseNegatives) {
-  BloomFilter f(1000, 0.01);
-  for (std::uint64_t i = 0; i < 1000; ++i) f.insert(key(i));
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(f.may_contain(key(i))) << i;
-  }
-}
-
-TEST(BloomFilter, FalsePositiveRateNearTarget) {
-  constexpr std::size_t kN = 10'000;
-  constexpr double kTarget = 0.01;
-  BloomFilter f(kN, kTarget);
-  for (std::uint64_t i = 0; i < kN; ++i) f.insert(key(i));
-
-  std::size_t fp = 0;
-  constexpr std::size_t kProbes = 20'000;
-  for (std::uint64_t i = 0; i < kProbes; ++i) {
-    if (f.may_contain(key(1'000'000 + i))) ++fp;
-  }
-  const double rate = static_cast<double>(fp) / kProbes;
-  EXPECT_LT(rate, kTarget * 3.0);
-  EXPECT_GT(rate, kTarget / 10.0);  // a filter with no FPs at all is suspicious
-}
-
-TEST(BloomFilter, EstimatedFprTracksTheory) {
-  BloomFilter f(5000, 0.02);
-  for (std::uint64_t i = 0; i < 5000; ++i) f.insert(key(i));
-  EXPECT_NEAR(f.estimated_fpr(), f.theoretical_fpr(5000), 0.01);
-}
-
-TEST(BloomFilter, ClearEmptiesFilter) {
-  BloomFilter f(100, 0.01);
-  for (std::uint64_t i = 0; i < 100; ++i) f.insert(key(i));
-  f.clear();
-  EXPECT_EQ(f.inserted_count(), 0u);
-  EXPECT_EQ(f.fill_ratio(), 0.0);
-  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_FALSE(f.may_contain(key(i)));
-}
-
-TEST(BloomFilter, TighterTargetUsesMoreMemory) {
-  const BloomFilter loose(10'000, 0.1);
-  const BloomFilter tight(10'000, 0.001);
-  EXPECT_GT(tight.memory_bytes(), loose.memory_bytes());
-  EXPECT_GT(tight.hash_count(), loose.hash_count());
-}
-
-TEST(BloomFilter, RejectsBadTarget) {
-  EXPECT_THROW(BloomFilter(100, 0.0), std::invalid_argument);
-  EXPECT_THROW(BloomFilter(100, 1.0), std::invalid_argument);
-}
-
-TEST(BloomFilter, ExplicitGeometryRespected) {
-  const BloomFilter f(std::size_t{1024}, 3u);
-  EXPECT_EQ(f.bit_count(), 1024u);
-  EXPECT_EQ(f.hash_count(), 3u);
-  EXPECT_EQ(f.memory_bytes(), 1024u / 8);
-}
-
-// --- counting bloom ---------------------------------------------------------
 
 TEST(CountingBloom, InsertEraseRestoresAbsence) {
   CountingBloomFilter f(1000, 0.01);
@@ -113,10 +55,27 @@ TEST(CountingBloom, SaturationCountsDuplicates) {
 
 TEST(CountingBloom, ClearResets) {
   CountingBloomFilter f(100, 0.01);
-  f.insert(key(1));
+  for (int i = 0; i < 40; ++i) f.insert(key(1));
+  ASSERT_GT(f.saturation_events(), 0u);
   f.clear();
   EXPECT_FALSE(f.may_contain(key(1)));
   EXPECT_EQ(f.saturation_events(), 0u);
+}
+
+TEST(CountingBloom, ClearEmptiesFilter) {
+  CountingBloomFilter f(100, 0.01);
+  for (std::uint64_t i = 0; i < 100; ++i) f.insert(key(i));
+  f.clear();
+  EXPECT_EQ(f.estimated_fpr(), 0.0);
+  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_FALSE(f.may_contain(key(i))) << i;
+}
+
+TEST(CountingBloom, NoFalseNegatives) {
+  CountingBloomFilter f(1000, 0.01);
+  for (std::uint64_t i = 0; i < 1000; ++i) f.insert(key(i));
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(f.may_contain(key(i))) << i;
+  }
 }
 
 TEST(CountingBloom, EstimatedFprGrowsWithLoad) {
@@ -124,6 +83,55 @@ TEST(CountingBloom, EstimatedFprGrowsWithLoad) {
   const double empty = f.estimated_fpr();
   for (std::uint64_t i = 0; i < 1000; ++i) f.insert(key(i));
   EXPECT_GT(f.estimated_fpr(), empty);
+}
+
+TEST(CountingBloom, FalsePositiveRateNearTarget) {
+  constexpr std::size_t kN = 10'000;
+  constexpr double kTarget = 0.01;
+  CountingBloomFilter f(kN, kTarget);
+  for (std::uint64_t i = 0; i < kN; ++i) f.insert(key(i));
+
+  std::size_t fp = 0;
+  constexpr std::size_t kProbes = 20'000;
+  for (std::uint64_t i = 0; i < kProbes; ++i) {
+    if (f.may_contain(key(1'000'000 + i))) ++fp;
+  }
+  const double rate = static_cast<double>(fp) / kProbes;
+  EXPECT_LT(rate, kTarget * 3.0);
+  EXPECT_GT(rate, kTarget / 10.0);  // a filter with no FPs at all is suspicious
+}
+
+TEST(CountingBloom, EstimatedFprTracksTheory) {
+  constexpr std::size_t kN = 5000;
+  CountingBloomFilter f(kN, 0.02);
+  for (std::uint64_t i = 0; i < kN; ++i) f.insert(key(i));
+  // (1 - e^{-kn/m})^k after n inserts into m counters with k probes.
+  const double k = f.hash_count();
+  const double m = static_cast<double>(f.counter_count());
+  const double theory = std::pow(1.0 - std::exp(-k * static_cast<double>(kN) / m), k);
+  EXPECT_NEAR(f.estimated_fpr(), theory, 0.01);
+}
+
+TEST(CountingBloom, TighterTargetUsesMoreMemory) {
+  const CountingBloomFilter loose(10'000, 0.1);
+  const CountingBloomFilter tight(10'000, 0.001);
+  EXPECT_GT(tight.memory_bytes(), loose.memory_bytes());
+  EXPECT_GT(tight.hash_count(), loose.hash_count());
+}
+
+TEST(CountingBloom, RejectsBadTarget) {
+  EXPECT_THROW(CountingBloomFilter(100, 0.0), std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(100, 1.0), std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(100, -0.5), std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(100, 1.5), std::invalid_argument);
+  EXPECT_THROW(CountingBloomFilter(100, std::nan("")), std::invalid_argument);
+}
+
+TEST(CountingBloom, ExplicitGeometryRespected) {
+  const CountingBloomFilter f(std::size_t{1024}, 3u);
+  EXPECT_EQ(f.counter_count(), 1024u);
+  EXPECT_EQ(f.hash_count(), 3u);
+  EXPECT_EQ(f.memory_bytes(), 1024u);  // one byte per 4-bit counter
 }
 
 }  // namespace

@@ -12,12 +12,15 @@
 // inflation and every live object's count or credit after every step. Any
 // divergence in tie-breaking (equal LFU-DA keys after aging, equal
 // greedy-dual credits, equal cost-benefit values after clairvoyant decay to
-// zero) would surface as a wrong victim.
+// zero) would surface as a wrong victim. LRU and ARC have no historical
+// implementation to rebuild; their references are naive list models of the
+// textbook algorithms, driven the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,9 +28,11 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/arc.hpp"
 #include "cache/cost_benefit.hpp"
 #include "cache/greedy_dual.hpp"
 #include "cache/lfu.hpp"
+#include "cache/lru.hpp"
 
 namespace {
 
@@ -598,6 +603,246 @@ TEST(EvictionOrder, CostBenefitClusterMatchesSetReference) {
   }
   for (unsigned p = 0; p < kProxies; ++p) {
     EXPECT_EQ(sorted(real[p]->contents()), sorted(ref.contents(p))) << "proxy " << p;
+  }
+}
+
+// --- reference LRU: a naive list, most recently used first --------------------
+
+class RefLru {
+ public:
+  explicit RefLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool contains(ObjectNum o) const {
+    return std::find(order_.begin(), order_.end(), o) != order_.end();
+  }
+
+  void access(ObjectNum o) {
+    order_.remove(o);
+    order_.push_front(o);
+  }
+
+  InsertResult insert(ObjectNum o) {
+    InsertResult result;
+    result.inserted = true;
+    if (order_.size() >= capacity_) {
+      result.evicted = order_.back();
+      order_.pop_back();
+    }
+    order_.push_front(o);
+    return result;
+  }
+
+  bool erase(ObjectNum o) {
+    const std::size_t before = order_.size();
+    order_.remove(o);
+    return order_.size() != before;
+  }
+
+  std::optional<ObjectNum> peek_victim() const {
+    if (order_.empty()) return std::nullopt;
+    return order_.back();
+  }
+
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::list<ObjectNum> order_;
+};
+
+// LRU ignores the cost its caller passes, so every step passes a different
+// one: a cache that let cost into its order would evict like greedy-dual and
+// diverge. One step in seven erases a (possibly absent) random object.
+void drive_lru(std::size_t capacity) {
+  const auto objects = static_cast<ObjectNum>(4 * capacity + 16);
+  constexpr int kSteps = 10'000;
+
+  cache::LruCache real(capacity);
+  RefLru ref(capacity);
+  TraceRng rng(1970 + capacity);
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto u = rng.below(objects);
+    const ObjectNum o = static_cast<ObjectNum>((u * u) / objects);
+    const double cost = static_cast<double>(rng.below(1000)) / 8.0;
+
+    ObjectNum touched = o;
+    if (step % 7 == 6) {
+      touched = static_cast<ObjectNum>(rng.below(objects));
+      ASSERT_EQ(real.erase(touched), ref.erase(touched)) << "step " << step;
+    } else if (real.contains(o)) {
+      ASSERT_TRUE(ref.contains(o)) << "step " << step;
+      real.access(o, cost);
+      ref.access(o);
+    } else {
+      ASSERT_FALSE(ref.contains(o)) << "step " << step;
+      const InsertResult got = real.insert(o, cost);
+      const InsertResult want = ref.insert(o);
+      ASSERT_EQ(got.inserted, want.inserted) << "step " << step;
+      ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+    }
+    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
+    ASSERT_EQ(real.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(real.contains(touched), ref.contains(touched)) << "step " << step;
+  }
+}
+
+TEST(EvictionOrder, LruMatchesListReference) {
+  for (const std::size_t capacity : {1U, 8U, 64U, 512U}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ASSERT_NO_FATAL_FAILURE(drive_lru(capacity));
+  }
+}
+
+// --- reference ARC: the Megiddo-Modha pseudocode ----------------------------
+//
+// ARC(c) as published (Megiddo & Modha, FAST 2003, Fig. 4), case by case over
+// four naive lists, most recently used first. p is a page count, so the
+// adaptation ratios |B2|/|B1| and |B1|/|B2| round down. The Cache contract
+// maps Case I to access() and Cases II-IV to insert(): a ghost hit is a miss,
+// so the caller offers the page again. Two rules cover what the pseudocode
+// never meets, a cache left short by erase(): erase() drops the page from
+// whichever list holds it (forgetting a ghost reports false), and a miss that
+// finds a free slot fills it without REPLACE.
+
+class RefArc {
+ public:
+  explicit RefArc(std::size_t c) : c_(c) {}
+
+  bool contains(ObjectNum x) const { return in(t1_, x) || in(t2_, x); }
+
+  // Case I: move x to the MRU position in T2.
+  void access(ObjectNum x) {
+    t1_.remove(x);
+    t2_.remove(x);
+    t2_.push_front(x);
+  }
+
+  InsertResult insert(ObjectNum x) {
+    InsertResult result;
+    result.inserted = true;
+    if (in(b1_, x)) {
+      // Case II: p = min(p + d1, c), d1 = 1 if |B1| >= |B2| else |B2|/|B1|.
+      const std::size_t d1 = b1_.size() >= b2_.size() ? 1 : b2_.size() / b1_.size();
+      p_ = std::min(p_ + d1, c_);
+      result.evicted = replace(/*x_in_b2=*/false);
+      b1_.remove(x);
+      t2_.push_front(x);
+    } else if (in(b2_, x)) {
+      // Case III: p = max(p - d2, 0), d2 = 1 if |B2| >= |B1| else |B1|/|B2|.
+      const std::size_t d2 = b2_.size() >= b1_.size() ? 1 : b1_.size() / b2_.size();
+      p_ = p_ > d2 ? p_ - d2 : 0;
+      result.evicted = replace(/*x_in_b2=*/true);
+      b2_.remove(x);
+      t2_.push_front(x);
+    } else {
+      // Case IV: x is in none of the four lists.
+      const std::size_t l1 = t1_.size() + b1_.size();
+      const std::size_t total = l1 + t2_.size() + b2_.size();
+      if (l1 == c_) {
+        // Case A: L1 has exactly c pages.
+        if (t1_.size() < c_) {
+          b1_.pop_back();
+          result.evicted = replace(/*x_in_b2=*/false);
+        } else {
+          // B1 is empty: T1's LRU page leaves the cache without a ghost.
+          result.evicted = t1_.back();
+          t1_.pop_back();
+        }
+      } else if (total >= c_) {
+        // Case B: L1 has fewer than c pages.
+        if (total == 2 * c_) b2_.pop_back();
+        result.evicted = replace(/*x_in_b2=*/false);
+      }
+      t1_.push_front(x);
+    }
+    return result;
+  }
+
+  bool erase(ObjectNum x) {
+    const bool cached = contains(x);
+    for (std::list<ObjectNum>* l : {&t1_, &t2_, &b1_, &b2_}) l->remove(x);
+    return cached;
+  }
+
+  // The page a Case IV miss would evict from a full cache: T1's LRU when T2
+  // is empty (then T1 holds all c pages and Case A applies), else the page
+  // REPLACE demotes for an x outside B2.
+  std::optional<ObjectNum> peek_victim() const {
+    if (t1_.empty() && t2_.empty()) return std::nullopt;
+    if (t2_.empty() || (!t1_.empty() && t1_.size() > p_)) return t1_.back();
+    return t2_.back();
+  }
+
+  std::size_t p() const { return p_; }
+  std::size_t ghost_size() const { return b1_.size() + b2_.size(); }
+  std::size_t size() const { return t1_.size() + t2_.size(); }
+
+ private:
+  static bool in(const std::list<ObjectNum>& l, ObjectNum x) {
+    return std::find(l.begin(), l.end(), x) != l.end();
+  }
+
+  // REPLACE(x, p): demote T1's LRU page to B1's MRU position when T1 is
+  // non-empty and exceeds p (or equals p for an x in B2), else T2's to B2.
+  std::optional<ObjectNum> replace(bool x_in_b2) {
+    if (size() < c_) return std::nullopt;
+    const bool from_t1 = !t1_.empty() && (t1_.size() > p_ || (x_in_b2 && t1_.size() == p_));
+    std::list<ObjectNum>& from = from_t1 ? t1_ : t2_;
+    std::list<ObjectNum>& ghost = from_t1 ? b1_ : b2_;
+    const ObjectNum victim = from.back();
+    from.pop_back();
+    ghost.push_front(victim);
+    return victim;
+  }
+
+  std::size_t c_;
+  std::size_t p_ = 0;
+  std::list<ObjectNum> t1_, t2_, b1_, b2_;
+};
+
+// Skewed draws over 4c + 16 objects revisit pages while they sit in T1 or T2
+// and after they fall into B1 or B2, so both ghost hits and both adaptation
+// directions occur; one step in seven erases a random page, cached, ghost or
+// unknown. After every step the victim, p, the ghost count and the size must
+// match the reference.
+void drive_arc(std::size_t capacity) {
+  const auto objects = static_cast<ObjectNum>(4 * capacity + 16);
+  constexpr int kSteps = 10'000;
+
+  cache::ArcCache real(capacity);
+  RefArc ref(capacity);
+  TraceRng rng(2003 + capacity);
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto u = rng.below(objects);
+    const ObjectNum o = static_cast<ObjectNum>((u * u) / objects);
+
+    if (step % 7 == 6) {
+      const auto target = static_cast<ObjectNum>(rng.below(objects));
+      ASSERT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
+    } else if (real.contains(o)) {
+      ASSERT_TRUE(ref.contains(o)) << "step " << step;
+      real.access(o, 1.0);
+      ref.access(o);
+    } else {
+      ASSERT_FALSE(ref.contains(o)) << "step " << step;
+      const InsertResult got = real.insert(o, 1.0);
+      const InsertResult want = ref.insert(o);
+      ASSERT_EQ(got.inserted, want.inserted) << "step " << step;
+      ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+    }
+    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
+    ASSERT_EQ(real.target_p(), ref.p()) << "step " << step;
+    ASSERT_EQ(real.ghost_size(), ref.ghost_size()) << "step " << step;
+    ASSERT_EQ(real.size(), ref.size()) << "step " << step;
+  }
+}
+
+TEST(EvictionOrder, ArcMatchesFourListReference) {
+  for (const std::size_t capacity : {1U, 4U, 32U, 256U}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ASSERT_NO_FATAL_FAILURE(drive_arc(capacity));
   }
 }
 
