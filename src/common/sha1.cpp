@@ -17,41 +17,35 @@ void Sha1::reset() {
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  // The message schedule rolls through 16 words: word t replaces word t-16.
+  std::uint32_t w[16];
   for (int t = 0; t < 16; ++t) {
     w[t] = (static_cast<std::uint32_t>(block[t * 4]) << 24) |
            (static_cast<std::uint32_t>(block[t * 4 + 1]) << 16) |
            (static_cast<std::uint32_t>(block[t * 4 + 2]) << 8) |
            static_cast<std::uint32_t>(block[t * 4 + 3]);
   }
-  for (int t = 16; t < 80; ++t) {
-    w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
-  }
+  const auto word = [&w](int t) {
+    if (t < 16) return w[t];
+    const std::uint32_t next =
+        rotl(w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15], 1);
+    w[t & 15] = next;
+    return next;
+  };
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3], e = state_[4];
-
-  for (int t = 0; t < 80; ++t) {
-    std::uint32_t f, k;
-    if (t < 20) {
-      f = (b & c) | ((~b) & d);
-      k = 0x5A827999u;
-    } else if (t < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (t < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + w[t] + k;
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wt) {
+    const std::uint32_t temp = rotl(a, 5) + f + e + wt + k;
     e = d;
     d = c;
     c = rotl(b, 30);
     b = a;
     a = temp;
-  }
+  };
+  for (int t = 0; t < 20; ++t) round((b & c) | (~b & d), 0x5A827999u, word(t));
+  for (int t = 20; t < 40; ++t) round(b ^ c ^ d, 0x6ED9EBA1u, word(t));
+  for (int t = 40; t < 60; ++t) round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, word(t));
+  for (int t = 60; t < 80; ++t) round(b ^ c ^ d, 0xCA62C1D6u, word(t));
 
   state_[0] += a;
   state_[1] += b;
@@ -91,18 +85,18 @@ void Sha1::update(const void* data, std::size_t len) {
 Sha1::Digest Sha1::digest() {
   const std::uint64_t bits = total_bits_;
 
-  // Pad: 0x80, zeros, then the 64-bit big-endian bit count.
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t length_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  // Pad: 0x80, zeros, then the 64-bit big-endian bit count in the last 8
+  // bytes of a block. The buffer always has room for the 0x80 byte.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {  // no room left for the count: zero out this block
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  // Bypass total_bits_ accounting for the length field itself.
-  std::memcpy(buffer_.data() + 56, length_bytes, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
   process_block(buffer_.data());
   buffer_len_ = 0;
 

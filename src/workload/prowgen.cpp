@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <list>
+#include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fenwick.hpp"
@@ -22,25 +21,32 @@ namespace {
 /// of the stream) rather than hurt it.
 constexpr std::size_t kRecencyWindow = 256;
 
+/// Objects per block of the stack and pool mass sums; a draw scans one
+/// block. Measured (Xeon, 2 GHz): 16 generates the UCB-like trace at
+/// scale 0.25 as fast as 32 and the paper workload 25 % faster; 64
+/// generates the paper workload slower than per-object sums did.
+constexpr std::size_t kBlockObjects = 16;
+
 }  // namespace
 
 ProWGen::ProWGen(ProWGenConfig config) : config_(config) {
+  // Each range check is negated so that NaN fails it.
   if (config_.distinct_objects == 0) {
     throw std::invalid_argument("ProWGen: distinct_objects must be >= 1");
   }
-  if (config_.one_timer_fraction < 0.0 || config_.one_timer_fraction > 1.0) {
+  if (!(config_.one_timer_fraction >= 0.0 && config_.one_timer_fraction <= 1.0)) {
     throw std::invalid_argument("ProWGen: one_timer_fraction must be in [0, 1]");
   }
-  if (config_.zipf_alpha < 0.0) {
-    throw std::invalid_argument("ProWGen: zipf_alpha must be >= 0");
+  if (!(config_.zipf_alpha >= 0.0 && std::isfinite(config_.zipf_alpha))) {
+    throw std::invalid_argument("ProWGen: zipf_alpha must be finite and >= 0");
   }
-  if (config_.lru_stack_fraction <= 0.0 || config_.lru_stack_fraction > 1.0) {
+  if (!(config_.lru_stack_fraction > 0.0 && config_.lru_stack_fraction <= 1.0)) {
     throw std::invalid_argument("ProWGen: lru_stack_fraction must be in (0, 1]");
   }
-  if (config_.temporal_amplifier < 1.0) {
-    throw std::invalid_argument("ProWGen: temporal_amplifier must be >= 1");
+  if (!(config_.temporal_amplifier >= 1.0 && std::isfinite(config_.temporal_amplifier))) {
+    throw std::invalid_argument("ProWGen: temporal_amplifier must be finite and >= 1");
   }
-  if (config_.recency_bias < 0.0 || config_.recency_bias > 1.0) {
+  if (!(config_.recency_bias >= 0.0 && config_.recency_bias <= 1.0)) {
     throw std::invalid_argument("ProWGen: recency_bias must be in [0, 1]");
   }
   if (config_.clients == 0) {
@@ -55,6 +61,13 @@ ProWGen::ProWGen(ProWGenConfig config) : config_(config) {
     throw std::invalid_argument(
         "ProWGen: total_requests too small for the object universe (need at least " +
         std::to_string(needed) + ")");
+  }
+  // With no multi-referenced object, nothing can absorb the requests beyond
+  // one per object.
+  if (multi == 0 && config_.total_requests != one_timers) {
+    throw std::invalid_argument(
+        "ProWGen: total_requests must equal distinct_objects (" + std::to_string(one_timers) +
+        ") when every object is a one-timer");
   }
 }
 
@@ -125,21 +138,48 @@ void ProWGen::generate(const RequestSink& sink) const {
       1, static_cast<std::size_t>(
              std::llround(cfg.lru_stack_fraction * static_cast<double>(std::max<ObjectNum>(multi, 1)))));
 
-  FenwickTree stack_mass(universe);
-  FenwickTree pool_mass(universe);
-  std::vector<std::uint64_t> remaining = count;
+  // An object's remaining count is its stack weight while it sits in the
+  // LRU stack and its pool weight otherwise. The two masses are summed per
+  // block of kBlockObjects consecutive objects: a draw descends a block
+  // tree, then scans one block. A draw u in [0, 1) lands on the first
+  // object whose cumulative mass exceeds u * mass; every cumulative mass is
+  // an integer, so that is the first to exceed the integer floor(u * mass).
+  std::vector<std::uint64_t>& remaining = count;
+  std::vector<bool> in_stack(universe, false);
+  const std::size_t blocks = (universe + kBlockObjects - 1) / kBlockObjects;
+  FenwickTree stack_mass(blocks);
+  FenwickTree pool_mass(blocks);
   for (ObjectNum o = 0; o < universe; ++o) {
-    pool_mass.set(o, static_cast<double>(remaining[o]));
+    pool_mass.add(o / kBlockObjects, static_cast<std::int64_t>(remaining[o]));
   }
+  const auto draw = [&](bool from_stack, double u) {
+    const FenwickTree& mass = from_stack ? stack_mass : pool_mass;
+    const auto [block, offset] =
+        mass.find(static_cast<std::uint64_t>(u * static_cast<double>(mass.total())));
+    std::uint64_t left = offset;
+    for (auto o = static_cast<ObjectNum>(block * kBlockObjects);; ++o) {
+      const std::uint64_t w = in_stack[o] == from_stack ? remaining[o] : 0;
+      if (w > left) return o;
+      left -= w;
+    }
+  };
 
-  std::list<ObjectNum> stack;  // front = most recently referenced
-  std::unordered_map<ObjectNum, std::list<ObjectNum>::iterator> stack_pos;
-  stack_pos.reserve(stack_capacity * 2);
-
-  const auto demote_to_pool = [&](ObjectNum o) {
-    const double w = static_cast<double>(remaining[o]);
-    stack_mass.set(o, 0.0);
-    pool_mass.set(o, w);
+  // The stack, intrusive over object ids: head = most recently referenced.
+  constexpr ObjectNum kNil = std::numeric_limits<ObjectNum>::max();
+  std::vector<ObjectNum> prev(universe, kNil);
+  std::vector<ObjectNum> next(universe, kNil);
+  ObjectNum head = kNil;
+  ObjectNum tail = kNil;
+  std::size_t stack_size = 0;
+  const auto unlink = [&](ObjectNum o) {
+    (prev[o] == kNil ? head : next[prev[o]]) = next[o];
+    (next[o] == kNil ? tail : prev[next[o]]) = prev[o];
+  };
+  const auto push_front = [&](ObjectNum o) {
+    prev[o] = kNil;
+    next[o] = head;
+    (head == kNil ? tail : prev[head]) = o;
+    head = o;
   };
 
   // Recent-reference window: a circular buffer of the last W requests,
@@ -164,16 +204,16 @@ void ProWGen::generate(const RequestSink& sink) const {
     return recent[(newest + recent.size() - depth) % recent.size()];
   };
 
+  // Scale the recency bias so temporal_amplifier = 1 degrades to the pure
+  // popularity/mass model (no clustering beyond natural re-reference).
+  const double effective_bias = cfg.recency_bias * (1.0 - 1.0 / cfg.temporal_amplifier);
+
   for (std::uint64_t t = 0; t < cfg.total_requests; ++t) {
-    const double ms = stack_mass.total();
-    const double mp = pool_mass.total();
+    const auto ms = static_cast<double>(stack_mass.total());
+    const auto mp = static_cast<double>(pool_mass.total());
     const double boosted = cfg.temporal_amplifier * ms;
     const bool from_stack =
         ms > 0.0 && (mp <= 0.0 || stream_rng.next_double() * (boosted + mp) < boosted);
-
-    // Scale the recency bias so temporal_amplifier = 1 degrades to the pure
-    // popularity/mass model (no clustering beyond natural re-reference).
-    const double effective_bias = cfg.recency_bias * (1.0 - 1.0 / cfg.temporal_amplifier);
 
     ObjectNum object;
     bool chosen = false;
@@ -182,17 +222,13 @@ void ProWGen::generate(const RequestSink& sink) const {
       // Only objects still in the LRU stack are eligible for a temporally
       // local re-reference — the stack size gates how much of the recent
       // window can cluster (the ProWGen semantics of the knob).
-      if (remaining[candidate] > 0 && stack_pos.contains(candidate)) {
+      if (remaining[candidate] > 0 && in_stack[candidate]) {
         object = candidate;
         chosen = true;
       }
     }
     if (!chosen) {
-      if (from_stack) {
-        object = static_cast<ObjectNum>(stack_mass.find(stream_rng.next_double() * ms));
-      } else {
-        object = static_cast<ObjectNum>(pool_mass.find(stream_rng.next_double() * mp));
-      }
+      object = draw(from_stack, stream_rng.next_double());
     }
 
     if (recent.size() < kRecencyWindow) {
@@ -210,23 +246,26 @@ void ProWGen::generate(const RequestSink& sink) const {
     });
 
     // Consume one reference and refresh the object's recency.
+    const std::size_t block = object / kBlockObjects;
     --remaining[object];
-    const double w = static_cast<double>(remaining[object]);
-    if (const auto it = stack_pos.find(object); it != stack_pos.end()) {
-      stack_mass.set(object, w);
-      stack.splice(stack.begin(), stack, it->second);
+    if (in_stack[object]) {
+      stack_mass.add(block, -1);
+      unlink(object);
     } else {
-      pool_mass.set(object, 0.0);
-      stack_mass.set(object, w);
-      stack.push_front(object);
-      stack_pos[object] = stack.begin();
-      if (stack.size() > stack_capacity) {
-        const ObjectNum evicted = stack.back();
-        stack.pop_back();
-        stack_pos.erase(evicted);
-        demote_to_pool(evicted);
+      pool_mass.add(block, -static_cast<std::int64_t>(remaining[object]) - 1);
+      stack_mass.add(block, static_cast<std::int64_t>(remaining[object]));
+      in_stack[object] = true;
+      if (++stack_size > stack_capacity) {
+        const ObjectNum evicted = tail;
+        unlink(evicted);
+        --stack_size;
+        in_stack[evicted] = false;
+        const auto w = static_cast<std::int64_t>(remaining[evicted]);
+        stack_mass.add(evicted / kBlockObjects, -w);
+        pool_mass.add(evicted / kBlockObjects, w);
       }
     }
+    push_front(object);
   }
 }
 

@@ -25,14 +25,13 @@ std::vector<std::uint64_t> lru_stack_distances(const Trace& trace) {
     const ObjectNum object = trace.requests[t].object;
     if (const auto it = last_seen.find(object); it != last_seen.end()) {
       const std::size_t s = it->second;
-      const double between = occupied.prefix_sum(t) - occupied.prefix_sum(s + 1);
-      distances[t] = static_cast<std::uint64_t>(between + 0.5);
-      occupied.set(s, 0.0);  // that position is no longer the most recent
+      distances[t] = occupied.prefix_sum(t) - occupied.prefix_sum(s + 1);
+      occupied.add(s, -1);  // that position is no longer the most recent
       it->second = t;
     } else {
       last_seen.emplace(object, t);
     }
-    occupied.set(t, 1.0);
+    occupied.add(t, 1);
   }
   return distances;
 }

@@ -63,6 +63,16 @@ TEST(ObjectIdTable, StableAndDistinct) {
   EXPECT_EQ(*table, *again);
 }
 
+TEST(ObjectIdTable, PinnedRingIds) {
+  // The ring placement of every object id follows from these bytes.
+  const auto table = build_object_id_table(300'000);
+  ASSERT_EQ(table->size(), 300'000u);
+  EXPECT_EQ((*table)[0].to_hex(), "2d5f233eba1d791401d77f609ec82e42");
+  EXPECT_EQ((*table)[1].to_hex(), "40cc6c01e8b45c057521d81f285951d7");
+  EXPECT_EQ((*table)[65'535].to_hex(), "a4b3668d07f52db4a5fb48ae559a61a9");
+  EXPECT_EQ((*table)[299'999].to_hex(), "a6c4ddf972889d6b7d511bd3734a8825");
+}
+
 TEST(BloomDirectory, NoFalseNegatives) {
   const auto table = build_object_id_table(2000);
   BloomDirectory d(table, 500, 0.01);

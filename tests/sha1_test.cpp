@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace webcache {
 namespace {
@@ -44,6 +45,28 @@ TEST(Sha1, ExactBlockBoundary) {
   Sha1 b;
   for (char c : s) b.update(&c, 1);
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(Sha1, PaddingBoundaryVectors) {
+  // Messages whose byte i is 'a' + i % 26. At 55 bytes the pad and the
+  // length fit one block; from 56 they spill into a second; 64 and 120
+  // end exactly at a block or a length-field boundary. Expected digests
+  // from python3's hashlib.sha1.
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "a617d006d1ca12671785098a19a87fe58443bde9"},
+      {56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe"},
+      {57, "e1b3b34da0f7b299090824d9aa81fff6711a79ad"},
+      {63, "fc8a5ab77259625085ead3ec96515b3b8d933fad"},
+      {64, "93249d4c2f8903ebf41ac358473148ae6ddd7042"},
+      {65, "cf2a63cc308225cf07b498d2309a01dd0df52f67"},
+      {119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb"},
+      {120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393"},
+  };
+  for (const auto& [length, hex] : vectors) {
+    std::string message(length, '\0');
+    for (std::size_t i = 0; i < length; ++i) message[i] = static_cast<char>('a' + i % 26);
+    EXPECT_EQ(Sha1::to_hex(Sha1::hash(message)), hex) << length << " bytes";
+  }
 }
 
 TEST(Sha1, IncrementalMatchesOneShot) {

@@ -30,6 +30,8 @@
 //   --proxies N --clients N --client-cache-pct X
 //   --directory exact|bloom --bloom-fpr X --no-diversion
 //   --ts-tc X --ts-tl X --tp2p-tl X --browser-cache N
+//   (every real-valued flag must be finite; --bloom-fpr is a rate in
+//   (0, 1), checked whichever directory is chosen)
 //   --proxy-policy P        proxy-tier replacement/admission policy override
 //                           (default | lru | lfu | gd | tinylfu-lru |
 //                           w-tinylfu | arc); "default" keeps each scheme's
@@ -180,11 +182,14 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// A finite number: junk, NaN and infinities are usage errors.
   [[nodiscard]] double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const auto value = parse_number(it->second);
-    if (!value) usage("flag --" + key + " needs a number, got '" + it->second + "'");
+    if (!value || !std::isfinite(*value)) {
+      usage("flag --" + key + " needs a finite number, got '" + it->second + "'");
+    }
     return *value;
   }
 
@@ -288,7 +293,12 @@ sim::SimConfig cluster_from(const Flags& flags) {
   } else if (dir != "exact") {
     usage("--directory must be exact or bloom");
   }
+  // Checked whichever directory is chosen: a rate the exact directory
+  // ignores is still a mistake.
   cfg.bloom_target_fpr = flags.num("bloom-fpr", cfg.bloom_target_fpr);
+  if (!(cfg.bloom_target_fpr > 0.0 && cfg.bloom_target_fpr < 1.0)) {
+    usage("flag --bloom-fpr needs a rate in (0, 1), got '" + flags.str("bloom-fpr", "") + "'");
+  }
   cfg.enable_diversion = !flags.has("no-diversion");
   cfg.browser_cache_capacity = flags.integer<std::size_t>("browser-cache", 0);
   cfg.sim_shards = flags.integer<unsigned>("shards", 0);
