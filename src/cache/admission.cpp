@@ -42,6 +42,7 @@ bool AdmissionFilter::record_access(ObjectNum object) {
     doorkeeper_.clear();
     ops_ = 0;
     ++halvings_;
+    if (halvings_counter_ != nullptr) halvings_counter_->inc();
     return true;
   }
   return false;
@@ -54,6 +55,21 @@ unsigned AdmissionFilter::estimate(ObjectNum object) const {
   return estimate;
 }
 
+bool AdmissionFilter::consider(ObjectNum candidate, std::optional<ObjectNum> victim) {
+  const bool admitted = !victim.has_value() || admit(candidate, *victim);
+  for (obs::Counter* counter : {considered_, admitted ? accepts_ : rejects_}) {
+    if (counter != nullptr) counter->inc();
+  }
+  return admitted;
+}
+
+void AdmissionFilter::bind_observability(obs::Registry& registry, const std::string& prefix) {
+  considered_ = &registry.counter(prefix + "admission_considered");
+  accepts_ = &registry.counter(prefix + "admission_accepts");
+  rejects_ = &registry.counter(prefix + "admission_rejects");
+  halvings_counter_ = &registry.counter(prefix + "sketch_halvings");
+}
+
 AdmittedCache::AdmittedCache(std::unique_ptr<Cache> inner)
     : Cache(inner->capacity()), filter_(inner->capacity()), inner_(std::move(inner)) {}
 
@@ -63,7 +79,7 @@ void AdmittedCache::access(ObjectNum object, double cost) {
   if (!inner_->contains(object)) {
     throw std::logic_error("AdmittedCache::access: object not cached");
   }
-  note_sampled(filter_.record_access(object));
+  filter_.record_access(object);
   obs_hit();
   inner_->access(object, cost);
 }
@@ -72,31 +88,17 @@ InsertResult AdmittedCache::insert(ObjectNum object, double cost) {
   if (inner_->contains(object)) {
     throw std::logic_error("AdmittedCache::insert: object already cached");
   }
-  note_sampled(filter_.record_access(object));
+  filter_.record_access(object);
   if (capacity_ == 0) return {};
-  if (policy_considered_ != nullptr) policy_considered_->inc();
-  if (inner_->full()) {
-    const auto victim = inner_->peek_victim();
-    if (victim.has_value() && !filter_.admit(object, *victim)) {
-      if (policy_rejects_ != nullptr) policy_rejects_->inc();
-      obs_declined();
-      return {};
-    }
+  if (!filter_.consider(object, inner_->full() ? inner_->peek_victim() : std::nullopt)) {
+    obs_declined();
+    return {};
   }
-  if (policy_accepts_ != nullptr) policy_accepts_->inc();
   InsertResult result = inner_->insert(object, cost);
   if (result.inserted) obs_inserted();
   if (result.evicted.has_value()) obs_evicted();
   if (!result.inserted) obs_declined();
   return result;
-}
-
-void AdmittedCache::bind_policy_observability(obs::Registry& registry,
-                                              const std::string& prefix) {
-  policy_considered_ = &registry.counter(prefix + "policy.admission_considered");
-  policy_accepts_ = &registry.counter(prefix + "policy.admission_accepts");
-  policy_rejects_ = &registry.counter(prefix + "policy.admission_rejects");
-  policy_halvings_ = &registry.counter(prefix + "policy.sketch_halvings");
 }
 
 }  // namespace webcache::cache

@@ -76,12 +76,12 @@ void CostBenefitCoordinator::on_copy_added(ObjectNum object, CostBenefitCache* c
 }
 
 void CostBenefitCoordinator::on_copy_removed(ObjectNum object, CostBenefitCache* cache) {
-  auto* holders = find_holders(object);
-  assert(holders != nullptr);
-  std::erase(*holders, cache);
-  if (holders->size() == 1) {
+  assert(find_holders(object) != nullptr);
+  auto& holders = holders_[object];
+  std::erase(holders, cache);
+  if (holders.size() == 1) {
     // The survivor became the sole copy: price it up.
-    holders->front()->reprice(object, copy_value(object, 1));
+    holders.front()->reprice(object, copy_value(object, 1));
   }
 }
 

@@ -83,9 +83,6 @@ class CostBenefitCoordinator {
   // replica lookups become one array read.
   std::vector<std::vector<CostBenefitCache*>> holders_;
 
-  std::vector<CostBenefitCache*>* find_holders(ObjectNum object) {
-    return object < holders_.size() && !holders_[object].empty() ? &holders_[object] : nullptr;
-  }
   [[nodiscard]] const std::vector<CostBenefitCache*>* find_holders(ObjectNum object) const {
     return object < holders_.size() && !holders_[object].empty() ? &holders_[object] : nullptr;
   }

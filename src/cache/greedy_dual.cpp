@@ -16,19 +16,20 @@ void check_cost(double cost, const char* what) {
 
 void GreedyDualCache::access(ObjectNum object, double cost) {
   check_cost(cost, "GreedyDualCache::access: cost must be >= 0");
-  const std::uint32_t* at = index_.find(object);
+  const std::uint32_t* at = lists_.find(object);
   if (at == nullptr) throw std::logic_error("GreedyDualCache::access: object not cached");
   obs_hit();
   // A hit restores the credit to the (inflated) cost; the old value is
   // irrelevant, so the node just moves to the tail of its new cost's list.
   const std::uint32_t node = *at;
-  unlink(node);
+  lists_.unlink(node);
   place(node, cost);
 }
 
 InsertResult GreedyDualCache::insert(ObjectNum object, double cost) {
   check_cost(cost, "GreedyDualCache::insert: cost must be >= 0");
-  if (index_.find(object) != nullptr) {
+  // Not contains(): LruCache derives from this class, so that is a virtual call.
+  if (lists_.find(object) != nullptr) {
     throw std::logic_error("GreedyDualCache::insert: object already cached");
   }
   if (capacity_ == 0) return {};
@@ -36,111 +37,75 @@ InsertResult GreedyDualCache::insert(ObjectNum object, double cost) {
   InsertResult result;
   result.inserted = true;
   obs_inserted();
-  std::uint32_t at;
-  if (size_ >= capacity_) {
-    // The victim's node is reused for the newcomer.
-    at = victim();
-    const Node& v = nodes_[at];
+  if (lists_.size() >= capacity_) {
+    // The victim's node is freed, and the newcomer takes it back below.
+    const std::uint32_t v = victim();
     // Deduct the minimum credit from everyone by raising the floor.
-    inflation_ = v.credit;
-    unlink(at);
-    index_.erase(v.object);
-    result.evicted = v.object;
+    inflation_ = lists_.node(v).credit;
+    result.evicted = lists_.node(v).object;
+    lists_.erase(v);
     obs_evicted();
-  } else if (free_ != kNil) {
-    at = free_;
-    free_ = nodes_[at].next;
-    ++size_;
-  } else {
-    at = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-    ++size_;
   }
-  nodes_[at].object = object;
-  place(at, cost);
-  index_.set(object, at);
+  place(lists_.insert(object), cost);
   return result;
 }
 
 bool GreedyDualCache::erase(ObjectNum object) {
-  const std::uint32_t* at = index_.find(object);
+  const std::uint32_t* at = lists_.find(object);
   if (at == nullptr) return false;
-  const std::uint32_t node = *at;
-  unlink(node);
-  index_.erase(object);
-  nodes_[node].next = free_;
-  free_ = node;
-  --size_;
+  lists_.erase(*at);
   return true;
 }
 
 std::optional<ObjectNum> GreedyDualCache::peek_victim() const {
-  if (size_ == 0) return std::nullopt;
-  return nodes_[victim()].object;
+  if (lists_.size() == 0) return std::nullopt;
+  return lists_.node(victim()).object;
 }
 
-std::vector<ObjectNum> GreedyDualCache::contents() const {
-  std::vector<ObjectNum> out;
-  out.reserve(size_);
-  for (const CostList& list : lists_) {
-    for (std::uint32_t at = list.head; at != kNil; at = nodes_[at].next) {
-      out.push_back(nodes_[at].object);
-    }
-  }
-  return out;
-}
+std::vector<ObjectNum> GreedyDualCache::contents() const { return lists_.objects(); }
 
 double GreedyDualCache::credit(ObjectNum object) const {
-  const std::uint32_t* at = index_.find(object);
-  return at == nullptr ? 0.0 : nodes_[*at].credit - inflation_;
+  const std::uint32_t* at = lists_.find(object);
+  return at == nullptr ? 0.0 : lists_.node(*at).credit - inflation_;
 }
 
 void GreedyDualCache::place(std::uint32_t at, double cost) {
-  // Find the cost's list, or reuse an emptied one, or open a new one.
-  std::uint32_t list = kNil;
-  std::uint32_t spare = kNil;
-  for (std::uint32_t i = 0; i < lists_.size(); ++i) {
-    if (lists_[i].cost == cost) {
+  // Find the cost's list, or reuse an emptied one, or open a new one. The
+  // node is already unlinked, so a list it alone held counts as emptied.
+  std::uint32_t list = Lists::kNil;
+  std::uint32_t spare = Lists::kNil;
+  for (std::uint32_t i = 0; i < costs_.size(); ++i) {
+    if (costs_[i] == cost) {
       list = i;
       break;
     }
-    if (spare == kNil && lists_[i].head == kNil) spare = i;
+    if (spare == Lists::kNil && lists_.list(i).size == 0) spare = i;
   }
-  if (list == kNil) {
-    if (spare == kNil) {
-      spare = static_cast<std::uint32_t>(lists_.size());
-      lists_.emplace_back();
+  if (list == Lists::kNil) {
+    if (spare == Lists::kNil) {
+      spare = static_cast<std::uint32_t>(costs_.size());
+      costs_.emplace_back();
+      lists_.resize_lists(costs_.size());
     }
     list = spare;
-    lists_[list].cost = cost;
+    costs_[list] = cost;
   }
 
-  Node& n = nodes_[at];
+  Lists::Node& n = lists_.node(at);
   n.credit = cost + inflation_;
   n.seq = ++seq_;
-  n.list = list;
-  CostList& l = lists_[list];
-  n.prev = l.tail;
-  n.next = kNil;
-  (l.tail == kNil ? l.head : nodes_[l.tail].next) = at;
-  l.tail = at;
-}
-
-void GreedyDualCache::unlink(std::uint32_t at) {
-  const Node& n = nodes_[at];
-  CostList& l = lists_[n.list];
-  (n.prev == kNil ? l.head : nodes_[n.prev].next) = n.next;
-  (n.next == kNil ? l.tail : nodes_[n.next].prev) = n.prev;
+  lists_.append(at, list);
 }
 
 std::uint32_t GreedyDualCache::victim() const {
-  std::uint32_t best = kNil;
-  for (const CostList& l : lists_) {
-    if (l.head == kNil) continue;
-    const Node& h = nodes_[l.head];
-    if (best == kNil || h.credit < nodes_[best].credit ||
-        (h.credit == nodes_[best].credit && h.seq < nodes_[best].seq)) {
-      best = l.head;
+  std::uint32_t best = Lists::kNil;
+  for (std::uint32_t l = 0; l < costs_.size(); ++l) {
+    const std::uint32_t head = lists_.list(l).head;
+    if (head == Lists::kNil) continue;
+    const Lists::Node& h = lists_.node(head);
+    if (best == Lists::kNil || h.credit < lists_.node(best).credit ||
+        (h.credit == lists_.node(best).credit && h.seq < lists_.node(best).seq)) {
+      best = head;
     }
   }
   return best;

@@ -16,11 +16,12 @@
 //
 // O(1) per operation: L never decreases and costs are >= 0, so entries that
 // share a cost were given non-decreasing credits (cost + L) in the order
-// they were set. One FIFO list per distinct cost is therefore already sorted
-// by (credit, seq), and the victim is the smallest list head. A simulator
-// run passes a handful of distinct costs (the latency model's fetch levels
-// plus the 0 re-key of a P2P fetch), so a linear scan over the list heads
-// finds it.
+// they were set. One FIFO list of the shared list store
+// (cache/node_lists.hpp) per distinct cost is therefore already sorted by
+// (credit, seq), and the victim is the smallest list head. A simulator run
+// passes a handful of distinct costs (the latency model's fetch levels plus
+// the 0 re-key of a P2P fetch), so a linear scan over the list heads finds
+// it.
 //
 // With one constant cost the policy is exactly LRU, which is how LruCache
 // (cache/lru.hpp) runs on it. All entries share one list, and since L never
@@ -33,7 +34,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/object_index.hpp"
+#include "cache/node_lists.hpp"
 
 namespace webcache::cache {
 
@@ -41,9 +42,9 @@ class GreedyDualCache : public Cache {
  public:
   explicit GreedyDualCache(std::size_t capacity) : Cache(capacity) {}
 
-  [[nodiscard]] std::size_t size() const override { return size_; }
+  [[nodiscard]] std::size_t size() const override { return lists_.size(); }
   [[nodiscard]] bool contains(ObjectNum object) const override {
-    return index_.find(object) != nullptr;
+    return lists_.find(object) != nullptr;
   }
 
   /// On a hit, the object's credit resets to `cost` (plus inflation).
@@ -57,7 +58,7 @@ class GreedyDualCache : public Cache {
   InsertResult insert(ObjectNum object, double cost) override;
 
   bool erase(ObjectNum object) override;
-  void reserve_universe(std::size_t universe) override { index_.reserve_universe(universe); }
+  void reserve_universe(std::size_t universe) override { lists_.reserve_universe(universe); }
   [[nodiscard]] std::optional<ObjectNum> peek_victim() const override;
   [[nodiscard]] std::vector<ObjectNum> contents() const override;
 
@@ -69,40 +70,27 @@ class GreedyDualCache : public Cache {
   [[nodiscard]] double inflation() const { return inflation_; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
   // (credit, seq) is the eviction key; seq is unique per entry, so the order
   // is total — identical to the historical std::set<tuple<credit, seq,
-  // object>> victim order. Aligned so no node straddles two cache lines.
-  struct alignas(32) Node {
+  // object>> victim order.
+  struct Entry {
     double credit = 0.0;    ///< cost + inflation when last set
     std::uint64_t seq = 0;  ///< when last set
-    ObjectNum object = 0;
-    std::uint32_t list = 0;     ///< index into lists_
-    std::uint32_t prev = kNil;  ///< neighbours in that list
-    std::uint32_t next = kNil;  ///< (next also links the free nodes)
   };
-  /// Entries of one cost, oldest first. An emptied list keeps its slot and
-  /// is reused for the next new cost.
-  struct CostList {
-    double cost = 0.0;
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-  };
+  using Lists = NodeLists<Entry>;
 
-  /// Sets `at`'s credit for `cost` and appends it to that cost's list.
+  /// Sets the unlinked node `at`'s credit for `cost` and appends it to that
+  /// cost's list.
   void place(std::uint32_t at, double cost);
-  void unlink(std::uint32_t at);
-  /// Node holding the minimum (credit, seq). Precondition: size_ > 0.
+  /// Node holding the minimum (credit, seq). Precondition: size() > 0.
   [[nodiscard]] std::uint32_t victim() const;
 
   double inflation_ = 0.0;
   std::uint64_t seq_ = 0;
-  std::size_t size_ = 0;
-  std::vector<Node> nodes_;
-  std::uint32_t free_ = kNil;  ///< head of the free-node chain
-  std::vector<CostList> lists_;
-  ObjectIndex index_;  ///< object -> index into nodes_
+  Lists lists_;  ///< list l holds the entries of cost costs_[l], oldest first
+  /// The cost of each list. An emptied list keeps its slot and is reused for
+  /// the next new cost.
+  std::vector<double> costs_;
 };
 
 }  // namespace webcache::cache

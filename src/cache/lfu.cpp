@@ -7,14 +7,14 @@
 namespace webcache::cache {
 
 void LfuCache::access(ObjectNum object, double /*cost*/) {
-  const std::uint32_t* at = index_.find(object);
+  const std::uint32_t* at = lists_.find(object);
   if (at == nullptr) throw std::logic_error("LfuCache::access: object not cached");
   obs_hit();
   // LFU-DA re-keys from the current floor on every hit, so a re-warming
   // object immediately out-keys everything the aging has devalued.
   const std::uint32_t node = *at;
-  unlink(node);
-  place(node, ++nodes_[node].freq + aging_floor_);
+  lists_.unlink(node);
+  place(node, ++lists_.node(node).freq + aging_floor_);
 }
 
 InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
@@ -24,117 +24,80 @@ InsertResult LfuCache::insert(ObjectNum object, double /*cost*/) {
   InsertResult result;
   result.inserted = true;
   obs_inserted();
-  std::uint32_t at = kNil;
-  if (size_ >= capacity_) {
-    // The victim's node is reused for the newcomer.
-    at = victim();
-    const Node& v = nodes_[at];
+  if (size() >= capacity_) {
+    // The victim's node is freed, and the newcomer takes it back below.
+    const std::uint32_t v = victim();
     // The victim's key becomes the new floor: everything still cached is
     // effectively aged by that amount (same inflation trick greedy-dual
     // uses, with cost = 1 per access).
-    aging_floor_ = v.key;
-    unlink(at);
-    index_.erase(v.object);
-    result.evicted = v.object;
+    aging_floor_ = lists_.node(v).key;
+    result.evicted = lists_.node(v).object;
+    lists_.erase(v);
     obs_evicted();
-  } else {
-    if (size_ == ring_.size()) grow_ring();
-    if (free_ != kNil) {
-      at = free_;
-      free_ = nodes_[at].next;
-    } else {
-      at = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    ++size_;
+  } else if (size() == lists_.list_count()) {
+    grow_ring();
   }
-  nodes_[at].object = object;
-  nodes_[at].freq = 1;
+  const std::uint32_t at = lists_.insert(object);
+  lists_.node(at).freq = 1;
   place(at, 1 + aging_floor_);
-  index_.set(object, at);
   return result;
 }
 
 bool LfuCache::erase(ObjectNum object) {
-  const std::uint32_t* at = index_.find(object);
+  const std::uint32_t* at = lists_.find(object);
   if (at == nullptr) return false;
-  const std::uint32_t node = *at;
-  unlink(node);
-  index_.erase(object);
-  nodes_[node].next = free_;
-  free_ = node;
-  --size_;
+  lists_.erase(*at);
   return true;
 }
 
 std::optional<ObjectNum> LfuCache::peek_victim() const {
-  if (size_ == 0) return std::nullopt;
-  return nodes_[victim()].object;
+  if (size() == 0) return std::nullopt;
+  return lists_.node(victim()).object;
 }
 
-std::vector<ObjectNum> LfuCache::contents() const {
-  std::vector<ObjectNum> out;
-  out.reserve(size_);
-  for (const Slot& slot : ring_) {
-    for (std::uint32_t at = slot.head; at != kNil; at = nodes_[at].next) {
-      out.push_back(nodes_[at].object);
-    }
-  }
-  return out;
-}
+std::vector<ObjectNum> LfuCache::contents() const { return lists_.objects(); }
 
 std::uint64_t LfuCache::frequency(ObjectNum object) const {
-  const std::uint32_t* at = index_.find(object);
-  return at == nullptr ? 0 : nodes_[*at].freq;
+  const std::uint32_t* at = lists_.find(object);
+  return at == nullptr ? 0 : lists_.node(*at).freq;
 }
 
 void LfuCache::place(std::uint32_t at, std::uint64_t key) {
-  Node& n = nodes_[at];
-  n.key = key;
-  Slot& s = slot_of(key);
-  n.prev = s.tail;
-  n.next = kNil;
-  (s.tail == kNil ? s.head : nodes_[s.tail].next) = at;
-  s.tail = at;
-}
-
-void LfuCache::unlink(std::uint32_t at) {
-  const Node& n = nodes_[at];
-  Slot& s = slot_of(n.key);
-  (n.prev == kNil ? s.head : nodes_[n.prev].next) = n.next;
-  (n.next == kNil ? s.tail : nodes_[n.next].prev) = n.prev;
+  lists_.node(at).key = key;
+  lists_.append(at, static_cast<std::uint32_t>(key & (lists_.list_count() - 1)));
 }
 
 void LfuCache::grow_ring() {
-  const std::size_t old = ring_.size();
-  ring_.resize(old == 0 ? 1 : 2 * old);
+  const std::size_t old = lists_.list_count();
+  lists_.resize_lists(old == 0 ? 1 : 2 * old);
   // Slot s splits into s and s + old. Walking it in order and appending
   // each entry to its new slot keeps every key's entries in (re)key order.
-  for (std::size_t s = 0; s < old; ++s) {
-    std::uint32_t at = ring_[s].head;
-    ring_[s] = Slot{};
-    while (at != kNil) {
-      const std::uint32_t next = nodes_[at].next;
-      place(at, nodes_[at].key);
+  for (std::uint32_t s = 0; s < old; ++s) {
+    for (std::uint32_t at = lists_.take(s); at != Lists::kNil;) {
+      const std::uint32_t next = lists_.node(at).next;
+      place(at, lists_.node(at).key);
       at = next;
     }
   }
 }
 
 std::uint32_t LfuCache::victim() const {
-  const std::uint64_t mask = ring_.size() - 1;
+  const std::uint64_t mask = lists_.list_count() - 1;
+  const auto head = [this, mask](std::uint64_t key) {
+    return lists_.list(static_cast<std::uint32_t>(key & mask)).head;
+  };
   std::uint64_t key = aging_floor_;
   std::uint64_t lowest = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t step = 0; step < ring_.size(); ++step, ++key) {
-    for (std::uint32_t at = ring_[key & mask].head; at != kNil; at = nodes_[at].next) {
-      if (nodes_[at].key == key) return at;
-      lowest = std::min(lowest, nodes_[at].key);
+  for (std::size_t step = 0; step < lists_.list_count(); ++step, ++key) {
+    for (std::uint32_t at = head(key); at != Lists::kNil; at = lists_.node(at).next) {
+      if (lists_.node(at).key == key) return at;
+      lowest = std::min(lowest, lists_.node(at).key);
     }
   }
   // A whole turn met every live node, none at the keys it passed: the
   // lowest key it saw is the minimum, and its slot holds that key's head.
-  std::uint32_t at = ring_[lowest & mask].head;
-  while (nodes_[at].key != lowest) at = nodes_[at].next;
+  std::uint32_t at = head(lowest);
+  while (lists_.node(at).key != lowest) at = lists_.node(at).next;
   return at;
 }
 

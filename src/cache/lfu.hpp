@@ -10,8 +10,8 @@
 // LFU provably cannot when the popularity marginal is fixed).
 // Ties are broken toward the least recently used object.
 //
-// O(1) per operation, with no heap: one intrusive FIFO list per live key.
-// The lists are exact for two reasons.
+// O(1) per operation, with no heap: one FIFO list of the shared list store
+// (cache/node_lists.hpp) per live key. The lists are exact for two reasons.
 //  * Every (re)key appends at its key's tail, so each list is already in
 //    (key, recency) order and its head is that key's least recent entry.
 //  * No live key is ever below the floor L. A newcomer gets L + 1, a hit
@@ -22,8 +22,8 @@
 //    becomes the new floor.
 // Memory is O(capacity), never O(key span): a hot object's key runs above
 // the floor by up to its access count, without bound on a long trace, so
-// the lists hang off a power-of-two ring of heads that grows with the
-// population, and key k lives in slot k mod ring size. A slot may then hold
+// the store's lists form a power-of-two ring that grows with the
+// population, and key k lives in list k mod ring size. A list may then hold
 // several keys in append order; the scan takes the first entry whose key
 // equals the one it is at. A scan that meets no such entry in a whole turn
 // of the ring has seen every live node and jumps to the lowest key among
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/object_index.hpp"
+#include "cache/node_lists.hpp"
 
 namespace webcache::cache {
 
@@ -43,15 +43,15 @@ class LfuCache final : public Cache {
  public:
   explicit LfuCache(std::size_t capacity) : Cache(capacity) {}
 
-  [[nodiscard]] std::size_t size() const override { return size_; }
+  [[nodiscard]] std::size_t size() const override { return lists_.size(); }
   [[nodiscard]] bool contains(ObjectNum object) const override {
-    return index_.find(object) != nullptr;
+    return lists_.find(object) != nullptr;
   }
 
   void access(ObjectNum object, double cost) override;
   InsertResult insert(ObjectNum object, double cost) override;
   bool erase(ObjectNum object) override;
-  void reserve_universe(std::size_t universe) override { index_.reserve_universe(universe); }
+  void reserve_universe(std::size_t universe) override { lists_.reserve_universe(universe); }
   [[nodiscard]] std::optional<ObjectNum> peek_victim() const override;
   [[nodiscard]] std::vector<ObjectNum> contents() const override;
 
@@ -63,37 +63,21 @@ class LfuCache final : public Cache {
   [[nodiscard]] std::uint64_t aging_floor() const { return aging_floor_; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-  /// Aligned so no node straddles two cache lines.
-  struct alignas(32) Node {
+  struct Entry {
     std::uint64_t key = 0;   ///< eviction key: freq + the aging floor at the last access
     std::uint64_t freq = 0;  ///< access count since admission
-    ObjectNum object = 0;
-    std::uint32_t prev = kNil;  ///< neighbours in the key's ring slot
-    std::uint32_t next = kNil;  ///< (next also links the free nodes)
   };
-  /// The entries whose key maps to this slot, oldest (re)key first.
-  struct Slot {
-    std::uint32_t head = kNil;
-    std::uint32_t tail = kNil;
-  };
+  using Lists = NodeLists<Entry>;
 
-  /// Sets `at`'s key and appends it to the tail of that key's slot.
+  /// Sets `at`'s key and appends it to the tail of that key's ring slot.
   void place(std::uint32_t at, std::uint64_t key);
-  void unlink(std::uint32_t at);
   /// Doubles the ring, splitting each slot in order of its entries.
   void grow_ring();
-  [[nodiscard]] Slot& slot_of(std::uint64_t key) { return ring_[key & (ring_.size() - 1)]; }
-  /// Node holding the minimum (key, recency). Precondition: size_ > 0.
+  /// Node holding the minimum (key, recency). Precondition: size() > 0.
   [[nodiscard]] std::uint32_t victim() const;
 
   std::uint64_t aging_floor_ = 0;
-  std::size_t size_ = 0;
-  std::vector<Node> nodes_;
-  std::uint32_t free_ = kNil;  ///< head of the free-node chain
-  std::vector<Slot> ring_;     ///< power-of-two size, at least size_
-  ObjectIndex index_;          ///< object -> index into nodes_
+  Lists lists_;  ///< one list per ring slot; power-of-two count, at least size()
 };
 
 }  // namespace webcache::cache

@@ -1,7 +1,8 @@
 // Least-Recently-Used cache: greedy-dual at a constant cost. Greedy-dual
 // with every cost equal evicts in order of last use (see greedy_dual.hpp),
-// so pinning the cost to 0 makes GreedyDualCache an O(1) LRU over its one
-// FIFO list, with inflation staying 0. Used for the private browser caches
+// so pinning the cost to 0 makes GreedyDualCache an O(1) LRU over one FIFO
+// list of the shared list store (cache/node_lists.hpp), with inflation
+// staying 0. Used for the private browser caches
 // and FC-EC's tier tracker, and as a selectable policy (alone or behind
 // TinyLFU admission).
 #pragma once

@@ -1,11 +1,11 @@
 // Object -> uint32 slot index of the eviction-order structures.
 //
-// EvictionHeap maps each object to its node's heap position, and LfuCache
-// and GreedyDualCache map it to its list node. All start hashed (a FlatMap: a
-// client cache holds a handful of objects out of a universe of millions) and
-// switch to a direct-indexed DenseMap once Cache::reserve_universe()
-// declares a proxy-scale population, turning every probe into one array
-// access. The index is pure bookkeeping: which form it takes never changes
+// EvictionHeap maps each object to its node's heap position, and NodeLists,
+// the list store under LFU-DA, greedy-dual, ARC and W-TinyLFU, maps it to
+// its list node. Both start hashed (a FlatMap: a client cache holds a
+// handful of objects out of a universe of millions) and switch to a
+// direct-indexed DenseMap once Cache::reserve_universe() declares a
+// proxy-scale population, turning every probe into one array access. The index is pure bookkeeping: which form it takes never changes
 // which object a policy evicts.
 #pragma once
 

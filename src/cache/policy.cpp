@@ -34,7 +34,14 @@ std::optional<PolicyKind> policy_from_string(std::string_view name) {
 }
 
 std::string policy_names() {
-  return "default, lru, lfu, gd, tinylfu-lru, w-tinylfu, arc";
+  std::string names;
+  for (const PolicyKind kind : {PolicyKind::kDefault, PolicyKind::kLru, PolicyKind::kLfu,
+                                PolicyKind::kGreedyDual, PolicyKind::kTinyLfuLru,
+                                PolicyKind::kWTinyLfu, PolicyKind::kArc}) {
+    if (!names.empty()) names += ", ";
+    names += to_string(kind);
+  }
+  return names;
 }
 
 std::unique_ptr<Cache> make_cache(PolicyKind kind, std::size_t capacity) {

@@ -14,134 +14,76 @@ WTinyLfuCache::WTinyLfuCache(std::size_t capacity)
       protected_cap_((capacity - std::min(capacity, window_cap_)) * 4 / 5) {}
 
 void WTinyLfuCache::access(ObjectNum object, double /*cost*/) {
-  Entry* entry = index_.find(object);
-  if (entry == nullptr) throw std::logic_error("WTinyLfuCache::access: object not cached");
-  note_sampled(filter_.record_access(object));
+  const std::uint32_t* found = lists_.find(object);
+  if (found == nullptr) throw std::logic_error("WTinyLfuCache::access: object not cached");
+  const std::uint32_t at = *found;
+  filter_.record_access(object);
   obs_hit();
-  switch (entry->segment) {
-    case Segment::kWindow:
-      window_.splice(window_.begin(), window_, entry->pos);
-      break;
-    case Segment::kProtected:
-      protected_.splice(protected_.begin(), protected_, entry->pos);
-      break;
-    case Segment::kProbation: {
-      // A probation hit proves reuse: promote. Overflow demotes the
-      // protected LRU back to probation MRU (objects never leave the cache
-      // on a hit).
-      protected_.splice(protected_.begin(), probation_, entry->pos);
-      entry->segment = Segment::kProtected;
-      if (protected_.size() > protected_cap_) {
-        const ObjectNum demoted = protected_.back();
-        probation_.splice(probation_.begin(), protected_, std::prev(protected_.end()));
-        Entry* moved = index_.find(demoted);
-        moved->pos = probation_.begin();
-        moved->segment = Segment::kProbation;
-      }
-      break;
-    }
+  // A window or protected hit refreshes; a probation hit proves reuse and
+  // promotes. Overflow demotes the protected LRU back to probation MRU
+  // (objects never leave the cache on a hit).
+  lists_.move(at, lists_.node(at).list == kWindow ? kWindow : kProtected);
+  if (lists_.list(kProtected).size > protected_cap_) {
+    lists_.move(lists_.list(kProtected).head, kProbation);
   }
 }
 
 InsertResult WTinyLfuCache::insert(ObjectNum object, double /*cost*/) {
-  if (index_.contains(object)) {
-    throw std::logic_error("WTinyLfuCache::insert: object already cached");
-  }
-  note_sampled(filter_.record_access(object));
+  if (contains(object)) throw std::logic_error("WTinyLfuCache::insert: object already cached");
+  filter_.record_access(object);
   if (capacity_ == 0) return {};
   InsertResult result;
   result.inserted = true;
   obs_inserted();
-  window_.push_front(object);
-  index_[object] = {window_.begin(), Segment::kWindow};
-  if (window_.size() <= window_cap_) return result;
+  lists_.append(lists_.insert(object), kWindow);
+  if (lists_.list(kWindow).size <= window_cap_) return result;
 
   // Window overflow: its LRU becomes the admission candidate. (The candidate
   // is never `object` itself — the window holds >= 2 entries here.)
-  const ObjectNum candidate = window_.back();
+  const std::uint32_t candidate = lists_.list(kWindow).head;
   const std::size_t main_cap = capacity_ - window_cap_;
   if (main_cap == 0) {
     // Degenerate capacity (< 2): pure window LRU.
-    window_.pop_back();
-    index_.erase(candidate);
-    result.evicted = candidate;
+    result.evicted = lists_.node(candidate).object;
+    lists_.erase(candidate);
     obs_evicted();
     return result;
   }
-  if (probation_.size() + protected_.size() < main_cap) {
+  if (lists_.list(kProbation).size + lists_.list(kProtected).size < main_cap) {
     // Main region still filling: no duel needed.
-    probation_.splice(probation_.begin(), window_, std::prev(window_.end()));
-    Entry* moved = index_.find(candidate);
-    moved->pos = probation_.begin();
-    moved->segment = Segment::kProbation;
+    lists_.move(candidate, kProbation);
     return result;
   }
 
-  const ObjectNum victim = probation_.empty() ? protected_.back() : probation_.back();
-  if (policy_considered_ != nullptr) policy_considered_->inc();
-  if (filter_.admit(candidate, victim)) {
-    if (policy_accepts_ != nullptr) policy_accepts_->inc();
-    drop(victim, *index_.find(victim));
-    result.evicted = victim;
-    probation_.splice(probation_.begin(), window_, std::prev(window_.end()));
-    Entry* moved = index_.find(candidate);
-    moved->pos = probation_.begin();
-    moved->segment = Segment::kProbation;
+  const std::uint32_t victim =
+      lists_.list(lists_.list(kProbation).size == 0 ? kProtected : kProbation).head;
+  if (filter_.consider(lists_.node(candidate).object, lists_.node(victim).object)) {
+    result.evicted = lists_.node(victim).object;
+    lists_.erase(victim);
+    lists_.move(candidate, kProbation);
   } else {
     // The candidate lost the frequency duel: it is the eviction.
-    if (policy_rejects_ != nullptr) policy_rejects_->inc();
-    window_.pop_back();
-    index_.erase(candidate);
-    result.evicted = candidate;
+    result.evicted = lists_.node(candidate).object;
+    lists_.erase(candidate);
   }
   obs_evicted();
   return result;
 }
 
 bool WTinyLfuCache::erase(ObjectNum object) {
-  Entry* entry = index_.find(object);
-  if (entry == nullptr) return false;
-  drop(object, *entry);
+  const std::uint32_t* at = lists_.find(object);
+  if (at == nullptr) return false;
+  lists_.erase(*at);
   return true;
 }
 
-void WTinyLfuCache::drop(ObjectNum object, const Entry& entry) {
-  // Copy first: erasing the index slot invalidates `entry` when it aliases
-  // the FlatMap storage.
-  const Entry copy = entry;
-  list_of(copy.segment).erase(copy.pos);
-  index_.erase(object);
-}
-
-void WTinyLfuCache::reserve_universe(std::size_t universe) {
-  // The index never holds more than capacity + 1 entries (insert places the
-  // newcomer before the eviction cascade runs), so this removes every mid-run
-  // rehash regardless of universe size.
-  index_.reserve(std::min(universe, capacity_) + 1);
-}
-
 std::optional<ObjectNum> WTinyLfuCache::peek_victim() const {
-  if (!probation_.empty()) return probation_.back();
-  if (!protected_.empty()) return protected_.back();
-  if (!window_.empty()) return window_.back();
+  for (const std::uint32_t l : {kProbation, kProtected, kWindow}) {
+    if (lists_.list(l).size != 0) return lists_.node(lists_.list(l).head).object;
+  }
   return std::nullopt;
 }
 
-std::vector<ObjectNum> WTinyLfuCache::contents() const {
-  std::vector<ObjectNum> result;
-  result.reserve(index_.size());
-  result.insert(result.end(), window_.begin(), window_.end());
-  result.insert(result.end(), probation_.begin(), probation_.end());
-  result.insert(result.end(), protected_.begin(), protected_.end());
-  return result;
-}
-
-void WTinyLfuCache::bind_policy_observability(obs::Registry& registry,
-                                              const std::string& prefix) {
-  policy_considered_ = &registry.counter(prefix + "policy.admission_considered");
-  policy_accepts_ = &registry.counter(prefix + "policy.admission_accepts");
-  policy_rejects_ = &registry.counter(prefix + "policy.admission_rejects");
-  policy_halvings_ = &registry.counter(prefix + "policy.sketch_halvings");
-}
+std::vector<ObjectNum> WTinyLfuCache::contents() const { return lists_.objects(); }
 
 }  // namespace webcache::cache

@@ -45,18 +45,24 @@ ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
   }
   // Frequency of each object within proxy 0's round-robin substream; the
   // streams are statistically identical, so one cluster stands for all. One
-  // pass, O(distinct objects) working memory.
-  std::vector<std::uint64_t> freq(source.distinct_objects(), 0);
+  // pass, O(distinct objects) working memory. The pass pages in every
+  // record, so it also checks every record's object against the universe:
+  // every run sizes its caches here before it builds universe-sized maps.
+  const ObjectNum universe = source.distinct_objects();
+  std::vector<std::uint64_t> freq(universe, 0);
   std::uint64_t base = 0;  // stream position of the window's first record
   std::uint64_t next = 0;  // next position of proxy 0's substream
   workload::for_each_window(source, [&](std::span<const Request> win) {
+    const auto outside =
+        std::ranges::find_if(win, [universe](const Request& r) { return r.object >= universe; });
+    if (outside != win.end()) {
+      const std::uint64_t at = base + static_cast<std::uint64_t>(outside - win.begin());
+      throw std::invalid_argument("trace request " + std::to_string(at) + " references object " +
+                                  std::to_string(outside->object) + " outside the universe of " +
+                                  std::to_string(universe) + " objects");
+    }
     for (; next < base + win.size(); next += num_proxies) {
-      const ObjectNum object = win[static_cast<std::size_t>(next - base)].object;
-      if (object >= freq.size()) {
-        throw std::invalid_argument(
-            "cluster_infinite_cache_size: request references object outside the universe");
-      }
-      ++freq[object];
+      ++freq[win[static_cast<std::size_t>(next - base)].object];
     }
     base += win.size();
   });

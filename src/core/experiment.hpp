@@ -36,7 +36,8 @@ namespace webcache::core {
 /// number of distinct objects requested more than once by the clients of a
 /// single proxy under round-robin request partitioning (paper Section 5.1).
 /// One pass with O(distinct objects) working memory, so it handles
-/// out-of-core traces.
+/// out-of-core traces. Throws std::invalid_argument when any request, in any
+/// proxy's substream, names an object outside the trace's universe.
 [[nodiscard]] ObjectNum cluster_infinite_cache_size(const workload::TraceSource& source,
                                                     unsigned num_proxies);
 

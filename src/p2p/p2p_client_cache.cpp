@@ -108,20 +108,15 @@ std::size_t P2PClientCache::total_capacity() const {
 }
 
 void P2PClientCache::detach(ObjectNum object, std::size_t idx) {
-  ClientNode& holder = nodes_[idx];
-  holder.cache->erase(object);
-  if (const ClientNum* root_idx = holder.diverted_in.find(object)) {
-    // Tell the root its pointer is dangling.
-    nodes_[*root_idx].diverted_out.erase(object);
-    holder.diverted_in.erase(object);
-  }
-  location_.erase(object);
+  nodes_[idx].cache->erase(object);
+  on_local_eviction(object, idx);
 }
 
 void P2PClientCache::on_local_eviction(ObjectNum victim, std::size_t idx) {
   // "The evicted object from the client cache is simply discarded."
   ClientNode& holder = nodes_[idx];
   if (const ClientNum* root_idx = holder.diverted_in.find(victim)) {
+    // Tell the root its pointer is dangling.
     nodes_[*root_idx].diverted_out.erase(victim);
     holder.diverted_in.erase(victim);
   }

@@ -30,18 +30,18 @@ void TieredCache::destage(ObjectNum object) {
   const double cost = stored == nullptr ? 0.0 : *stored;
   const auto ins = tier2_->insert(object, cost);
   if (!ins.inserted) {
-    cost_.erase(object);  // zero-capacity tier 2: the object leaves entirely
-    notify(object, Where::kMiss);
-    if (counters_) counters_->departures.inc();
+    depart(object);  // zero-capacity tier 2: the object leaves entirely
     return;
   }
   notify(object, Where::kTier2);
   if (counters_) counters_->destages.inc();
-  if (ins.evicted) {
-    cost_.erase(*ins.evicted);
-    notify(*ins.evicted, Where::kMiss);
-    if (counters_) counters_->departures.inc();
-  }
+  if (ins.evicted) depart(*ins.evicted);
+}
+
+void TieredCache::depart(ObjectNum object) {
+  cost_.erase(object);
+  notify(object, Where::kMiss);
+  if (counters_) counters_->departures.inc();
 }
 
 TieredCache::Where TieredCache::access(ObjectNum object, double cost) {
@@ -62,15 +62,9 @@ TieredCache::Where TieredCache::access(ObjectNum object, double cost) {
       if (!ins.inserted) {
         // Tier 1 declined (degenerate zero-capacity proxy): put it back.
         const auto back = tier2_->insert(object, cost);
-        if (back.evicted) {
-          cost_.erase(*back.evicted);
-          notify(*back.evicted, Where::kMiss);
-          if (counters_) counters_->departures.inc();
-        }
+        if (back.evicted) depart(*back.evicted);
         if (!back.inserted) {
-          cost_.erase(object);
-          notify(object, Where::kMiss);
-          if (counters_) counters_->departures.inc();
+          depart(object);
         } else {
           notify(object, Where::kTier2);
         }

@@ -105,6 +105,8 @@ class TieredCache {
 
   /// Moves tier 1's eviction victim down into tier 2.
   void destage(ObjectNum object);
+  /// Records that `object` left the unified cache entirely.
+  void depart(ObjectNum object);
 
   std::unique_ptr<cache::Cache> tier1_;
   std::unique_ptr<cache::Cache> tier2_;

@@ -1,7 +1,6 @@
 #include "workload/squid_log.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -51,7 +50,8 @@ SquidReadResult read_squid_log(std::istream& in, SquidReadOptions options) {
       ++result.lines_malformed;
       continue;
     }
-    if (!(ts >= 0.0) || !std::isfinite(ts)) {
+    // The time is kept in whole milliseconds, which must fit 64 bits.
+    if (!(ts >= 0.0) || !(ts * 1000.0 < 0x1p64)) {
       ++result.lines_malformed;
       continue;
     }

@@ -1,7 +1,10 @@
 #include "workload/trace.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -15,6 +18,11 @@ bool parse_u64(std::string_view token, std::uint64_t& out) {
   const char* last = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc() && ptr == last;
+}
+
+bool all_digits(std::string_view token) {
+  return !token.empty() &&
+         std::all_of(token.begin(), token.end(), [](char c) { return c >= '0' && c <= '9'; });
 }
 
 [[noreturn]] void malformed(std::size_t line_no, const std::string& what,
@@ -48,6 +56,9 @@ struct StringHash {
 ObjectNum read_trace_stream(std::istream& in, const RequestSink& sink) {
   std::unordered_map<std::string, ObjectNum, StringHash, std::equal_to<>> url_ids;
   ObjectNum distinct = 0;
+  // The first object token fixes the kind of every later one: a URL's
+  // first-seen id would otherwise alias the numeric object of that id.
+  std::optional<bool> numeric_ids;
   std::string line;
   std::size_t line_no = 0;
 
@@ -75,9 +86,23 @@ ObjectNum read_trace_stream(std::istream& in, const RequestSink& sink) {
     if (!parse_u64(time_tok, v)) malformed(line_no, "bad time", time_tok);
     r.time = v;
     if (!parse_u64(client_tok, v)) malformed(line_no, "bad client", client_tok);
+    if (v > std::numeric_limits<ClientNum>::max()) {
+      malformed(line_no, "client id does not fit 32 bits", client_tok);
+    }
     r.client = static_cast<ClientNum>(v);
 
-    if (parse_u64(object_tok, v)) {
+    const bool numeric = all_digits(object_tok);
+    if (numeric_ids.has_value() && *numeric_ids != numeric) {
+      const char* what = numeric ? "numeric object id after URLs" : "URL after numeric object ids";
+      malformed(line_no, what, object_tok);
+    }
+    numeric_ids = numeric;
+    if (numeric) {
+      // Id + 1 is the universe, and it must fit an ObjectNum too.
+      if (!parse_u64(object_tok, v) || v >= std::numeric_limits<ObjectNum>::max()) {
+        malformed(line_no, "object id leaves no room for the universe (must be below 4294967295)",
+                  object_tok);
+      }
       r.object = static_cast<ObjectNum>(v);
       distinct = std::max(distinct, r.object + 1);
     } else {

@@ -7,7 +7,9 @@
 //     <time> <client> <object-or-url> [size]
 // where <object-or-url> is either a decimal dense object id or any
 // non-numeric token (e.g. a URL), which the reader maps to dense ids in
-// first-seen order.
+// first-seen order. One file uses one kind throughout. Client ids must fit
+// 32 bits and object ids must be below 2^32 - 1, so the universe (largest
+// id + 1) fits an ObjectNum.
 #pragma once
 
 #include <functional>
@@ -26,7 +28,8 @@ using RequestSink = std::function<void(const Request&)>;
 /// the trace — the bounded-memory half of `trace compile`. Returns the
 /// object universe size (max id + 1, URLs mapped to dense ids in first-seen
 /// order). Throws std::runtime_error naming the 1-based line number and the
-/// offending token on malformed input (empty input is fine).
+/// offending token on malformed input: a bad field, an id that does not fit,
+/// or the first object token of the other kind (empty input is fine).
 ObjectNum read_trace_stream(std::istream& in, const RequestSink& sink);
 
 /// Reads a trace from a stream/file. Throws std::runtime_error on malformed

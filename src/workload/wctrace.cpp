@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -96,8 +97,10 @@ WctraceHeader decode_header(const unsigned char (&bytes)[kWctraceHeaderSize],
         " bytes for " + std::to_string(h.request_count) + " requests, file has " +
         std::to_string(file_bytes) + ")");
   }
-  if (h.distinct_objects > std::uint64_t{std::numeric_limits<ObjectNum>::max()} + 1) {
-    throw std::runtime_error(what + ": object universe too large for this build");
+  if (h.distinct_objects > std::numeric_limits<ObjectNum>::max()) {
+    throw std::runtime_error(what + ": corrupt header (universe of " +
+                             std::to_string(h.distinct_objects) +
+                             " objects, more than an ObjectNum can count)");
   }
   return h;
 }
@@ -119,8 +122,8 @@ struct WctraceWriter::Impl {
   std::size_t buffer_records = 0;
   std::uint64_t count = 0;
   std::uint64_t checksum = kWctraceChecksumSeed;
-  ObjectNum derived_distinct = 0;   ///< max referenced id + 1
-  ObjectNum explicit_distinct = 0;  ///< set_distinct_objects override
+  std::uint64_t derived_distinct = 0;  ///< max referenced id + 1
+  ObjectNum explicit_distinct = 0;     ///< set_distinct_objects override
   bool has_explicit_distinct = false;
   bool finalized = false;
 };
@@ -150,7 +153,7 @@ WctraceWriter::~WctraceWriter() {
 
 void WctraceWriter::append(const Request& request) {
   Impl& im = *impl_;
-  if (request.object + 1 > im.derived_distinct) im.derived_distinct = request.object + 1;
+  im.derived_distinct = std::max(im.derived_distinct, std::uint64_t{request.object} + 1);
   im.buffer.push_back(request);
   ++im.count;
   if (im.buffer.size() >= im.buffer_records) flush();
@@ -188,6 +191,11 @@ WctraceHeader WctraceWriter::finalize() {
   header.request_count = im.count;
   header.distinct_objects =
       im.has_explicit_distinct ? im.explicit_distinct : im.derived_distinct;
+  if (header.distinct_objects > std::numeric_limits<ObjectNum>::max()) {
+    throw std::runtime_error("WctraceWriter: universe of " +
+                             std::to_string(header.distinct_objects) +
+                             " objects is more than an ObjectNum can count");
+  }
   header.checksum = im.checksum;
   unsigned char bytes[kWctraceHeaderSize];
   encode_header(header, bytes);

@@ -8,7 +8,8 @@
 //        8     4  version (1)
 //       12     4  record_size (24 = sizeof(Request))
 //       16     8  request_count
-//       24     8  distinct_objects (object ids are in [0, distinct_objects))
+//       24     8  distinct_objects (object ids are in [0, distinct_objects);
+//                 at most 2^32 - 1, what an ObjectNum can count)
 //       32     8  checksum — FNV-1a over the record bytes, folded 8 bytes at
 //                 a time (see wctrace_checksum_*)
 //       40    24  reserved (zero)
@@ -70,7 +71,8 @@ class WctraceWriter {
   /// Declares the object universe explicitly (e.g. a generator's configured
   /// universe, which may exceed the ids actually referenced). When not set,
   /// the universe is derived as max referenced id + 1. Must cover every
-  /// appended record; finalize() throws otherwise.
+  /// appended record; finalize() throws otherwise, and when a derived
+  /// universe is more than an ObjectNum can count (a record of id 2^32 - 1).
   void set_distinct_objects(ObjectNum distinct);
 
   /// Flushes, writes the header, and closes. Returns the final header.

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,6 +58,26 @@ TEST(AdmissionFilter, IdenticalStreamsYieldIdenticalEstimates) {
   for (ObjectNum object = 0; object < 97; ++object) {
     EXPECT_EQ(a.estimate(object), b.estimate(object)) << "object " << object;
   }
+}
+
+// One counted decision per consider(): a free admit without a victim, else
+// the duel; the halving counter follows record_access().
+TEST(AdmissionFilter, CountsEveryDecisionAndHalving) {
+  cache::AdmissionFilter filter(64);
+  obs::Registry registry;
+  filter.bind_observability(registry, "p.");
+  for (int i = 0; i < 5; ++i) filter.record_access(1);
+  EXPECT_TRUE(filter.consider(7, std::nullopt));  // no victim: free admit
+  EXPECT_TRUE(filter.consider(1, 7));             // frequent beats unseen
+  EXPECT_FALSE(filter.consider(7, 1));
+  EXPECT_FALSE(filter.consider(8, 9));  // ties keep the incumbent
+  EXPECT_EQ(registry.counter("p.admission_considered").value(), 4U);
+  EXPECT_EQ(registry.counter("p.admission_accepts").value(), 2U);
+  EXPECT_EQ(registry.counter("p.admission_rejects").value(), 2U);
+  EXPECT_EQ(registry.counter("p.sketch_halvings").value(), 0U);
+  for (std::uint64_t op = 0; op < filter.sample_period(); ++op) filter.record_access(1000);
+  EXPECT_EQ(registry.counter("p.sketch_halvings").value(), filter.halvings());
+  EXPECT_EQ(filter.halvings(), 1U);
 }
 
 TEST(AdmissionFilter, AdmitsFrequentOverRareAndDecaysOnHalving) {

@@ -12,9 +12,9 @@
 // inflation and every live object's count or credit after every step. Any
 // divergence in tie-breaking (equal LFU-DA keys after aging, equal
 // greedy-dual credits, equal cost-benefit values after clairvoyant decay to
-// zero) would surface as a wrong victim. LRU and ARC have no historical
-// implementation to rebuild; their references are naive list models of the
-// textbook algorithms, driven the same way.
+// zero) would surface as a wrong victim. LRU, ARC and W-TinyLFU have no
+// historical implementation to rebuild; their references are naive list
+// models of the textbook algorithms, driven the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,11 +28,13 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/admission.hpp"
 #include "cache/arc.hpp"
 #include "cache/cost_benefit.hpp"
 #include "cache/greedy_dual.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
+#include "cache/w_tinylfu.hpp"
 
 namespace {
 
@@ -843,6 +845,167 @@ TEST(EvictionOrder, ArcMatchesFourListReference) {
   for (const std::size_t capacity : {1U, 4U, 32U, 256U}) {
     SCOPED_TRACE(testing::Message() << "capacity " << capacity);
     ASSERT_NO_FATAL_FAILURE(drive_arc(capacity));
+  }
+}
+
+// --- reference W-TinyLFU: window LRU, SLRU main region, sketch duel ----------
+//
+// W-TinyLFU(c) as Einziger, Friedman & Manes describe it, over three naive
+// lists, most recently used first: a window of max(1, c/100) entries and a
+// main region of the rest, split into a protected segment of 4/5 of it and a
+// probation segment. A newcomer enters the window. The window's overflow is
+// the candidate: while the main region has room it joins probation; once the
+// main region is full it duels probation's LRU (protected's when probation is
+// empty) and displaces it only with a strictly higher sketch estimate. A
+// probation hit promotes to protected, whose overflow demotes protected's LRU
+// to probation's MRU. A cache with no main region is a plain window LRU. The
+// reference owns its own AdmissionFilter and feeds it every reference the
+// cache records, so both sides duel on identical estimates.
+
+class RefWTinyLfu {
+ public:
+  explicit RefWTinyLfu(std::size_t c)
+      : c_(c),
+        filter_(c),
+        window_cap_(c == 0 ? 0 : std::max<std::size_t>(1, c / 100)),
+        protected_cap_((c - std::min(c, window_cap_)) * 4 / 5) {}
+
+  bool contains(ObjectNum x) const {
+    return in(window_, x) || in(probation_, x) || in(protected_, x);
+  }
+
+  void access(ObjectNum x) {
+    record(x);
+    if (in(window_, x)) {
+      window_.remove(x);
+      window_.push_front(x);
+    } else if (in(protected_, x)) {
+      protected_.remove(x);
+      protected_.push_front(x);
+    } else {
+      probation_.remove(x);
+      protected_.push_front(x);
+      if (protected_.size() > protected_cap_) {
+        probation_.push_front(protected_.back());
+        protected_.pop_back();
+        ++demotions;
+      }
+    }
+  }
+
+  InsertResult insert(ObjectNum x) {
+    record(x);
+    InsertResult result;
+    if (c_ == 0) return result;
+    result.inserted = true;
+    window_.push_front(x);
+    if (window_.size() <= window_cap_) return result;
+    const ObjectNum candidate = window_.back();
+    window_.pop_back();
+    if (c_ == window_cap_) {
+      result.evicted = candidate;
+    } else if (probation_.size() + protected_.size() < c_ - window_cap_) {
+      probation_.push_front(candidate);
+      ++fills;
+    } else {
+      std::list<ObjectNum>& from = probation_.empty() ? protected_ : probation_;
+      const ObjectNum victim = from.back();
+      if (filter_.estimate(candidate) > filter_.estimate(victim)) {
+        from.pop_back();
+        probation_.push_front(candidate);
+        result.evicted = victim;
+        ++accepts;
+      } else {
+        result.evicted = candidate;
+        ++rejects;
+      }
+    }
+    return result;
+  }
+
+  bool erase(ObjectNum x) {
+    const bool cached = contains(x);
+    for (std::list<ObjectNum>* l : {&window_, &probation_, &protected_}) l->remove(x);
+    return cached;
+  }
+
+  std::optional<ObjectNum> peek_victim() const {
+    for (const std::list<ObjectNum>* l : {&probation_, &protected_, &window_}) {
+      if (!l->empty()) return l->back();
+    }
+    return std::nullopt;
+  }
+
+  std::size_t size() const { return window_.size() + probation_.size() + protected_.size(); }
+  std::uint64_t halvings() const { return filter_.halvings(); }
+
+  std::uint64_t accepts = 0;    ///< duels the candidate won
+  std::uint64_t rejects = 0;    ///< duels the candidate lost
+  std::uint64_t demotions = 0;  ///< protected overflows
+  std::uint64_t fills = 0;      ///< candidates admitted to a main region with room
+
+ private:
+  static bool in(const std::list<ObjectNum>& l, ObjectNum x) {
+    return std::find(l.begin(), l.end(), x) != l.end();
+  }
+
+  void record(ObjectNum x) { filter_.record_access(x); }
+
+  std::size_t c_;
+  cache::AdmissionFilter filter_;
+  std::size_t window_cap_;
+  std::size_t protected_cap_;
+  std::list<ObjectNum> window_, probation_, protected_;
+};
+
+// Skewed draws over 4c + 16 objects keep a frequent core that wins duels and
+// a tail of rare objects that loses them, while erasing one random object in
+// seven reopens room in the main region. After every step the evictee, the
+// victim, the size and the sketch's halving count must match the reference.
+// From capacity 3 up, every branch the reference counts must have run.
+void drive_w_tinylfu(std::size_t capacity) {
+  const auto objects = static_cast<ObjectNum>(4 * capacity + 16);
+  constexpr int kSteps = 20'000;
+
+  cache::WTinyLfuCache real(capacity);
+  RefWTinyLfu ref(capacity);
+  TraceRng rng(2017 + capacity);
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto u = rng.below(objects);
+    const ObjectNum o = static_cast<ObjectNum>((u * u) / objects);
+
+    if (step % 7 == 6) {
+      const auto target = static_cast<ObjectNum>(rng.below(objects));
+      ASSERT_EQ(real.erase(target), ref.erase(target)) << "step " << step;
+    } else if (real.contains(o)) {
+      ASSERT_TRUE(ref.contains(o)) << "step " << step;
+      real.access(o, 1.0);
+      ref.access(o);
+    } else {
+      ASSERT_FALSE(ref.contains(o)) << "step " << step;
+      const InsertResult got = real.insert(o, 1.0);
+      const InsertResult want = ref.insert(o);
+      ASSERT_EQ(got.inserted, want.inserted) << "step " << step;
+      ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+    }
+    ASSERT_EQ(real.peek_victim(), ref.peek_victim()) << "step " << step;
+    ASSERT_EQ(real.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(real.filter().halvings(), ref.halvings()) << "step " << step;
+  }
+  if (capacity >= 3) {
+    EXPECT_GT(ref.accepts, 0U);
+    EXPECT_GT(ref.rejects, 0U);
+    EXPECT_GT(ref.demotions, 0U);
+    EXPECT_GT(ref.fills, 0U);
+    EXPECT_GT(ref.halvings(), 0U);
+  }
+}
+
+TEST(EvictionOrder, WTinyLfuMatchesSegmentReference) {
+  for (const std::size_t capacity : {1U, 2U, 3U, 5U, 64U, 100U, 512U, 1000U}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ASSERT_NO_FATAL_FAILURE(drive_w_tinylfu(capacity));
   }
 }
 

@@ -180,7 +180,7 @@ TEST(Wctrace, ChecksumDetectsPayloadCorruption) {
     const MmapTraceSource source(path);
     EXPECT_TRUE(source.verify_checksum());
   }
-  patch_byte(path, kWctraceHeaderSize + 5 * kWctraceRecordSize + 3, 0x5a);
+  patch_byte(path, kWctraceHeaderSize + std::size_t{5} * kWctraceRecordSize + 3, 0x5a);
   const MmapTraceSource source(path);  // header still consistent: opens fine
   EXPECT_FALSE(source.verify_checksum());
   std::filesystem::remove(path);
@@ -192,6 +192,43 @@ TEST(Wctrace, WriterRejectsUniverseSmallerThanReferencedIds) {
   writer.append(Request{0, 0, 41, 1});
   writer.set_distinct_objects(10);  // id 41 does not fit
   EXPECT_THROW((void)writer.finalize(), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+// A header may not promise more objects than an ObjectNum can count, and a
+// writer left to derive the universe from a record of id 2^32 - 1 must not
+// wrap it to 0.
+TEST(Wctrace, RejectsUniverseBeyondObjectIds) {
+  const auto path = temp_path("hugeuniverse.wct");
+  write_wctrace_file(path, small_trace());
+  for (int i = 0; i < 8; ++i) {
+    patch_byte(path, 24 + static_cast<std::size_t>(i), i == 4 ? '\x01' : '\0');  // 2^32
+  }
+  EXPECT_THROW((void)read_wctrace_header(path), std::runtime_error);
+  EXPECT_THROW(MmapTraceSource{path}, std::runtime_error);
+  {
+    WctraceWriter writer(path);
+    writer.append(Request{0, 0, 0xFFFFFFFFu, 1});
+    EXPECT_THROW((void)writer.finalize(), std::runtime_error);
+  }
+  std::filesystem::remove(path);
+}
+
+// Every run sizes its caches through cluster_infinite_cache_size before it
+// builds universe-sized maps, so that pass must reject an object outside
+// the universe wherever it sits, not only in proxy 0's substream.
+TEST(Wctrace, InfiniteCacheSizeRejectsAnOutOfUniverseRecordAtAnyPosition) {
+  const auto trace = small_trace();
+  const auto path = temp_path("outside.wct");
+  write_wctrace_file(path, trace);
+  // Record 11: proxy 1's substream at 2 proxies.
+  const std::size_t object_at = kWctraceHeaderSize + std::size_t{11} * kWctraceRecordSize + 12;
+  const ObjectNum outside = trace.universe;
+  for (std::size_t i = 0; i < 4; ++i) {
+    patch_byte(path, object_at + i, static_cast<char>((outside >> (8 * i)) & 0xFF));
+  }
+  const MmapTraceSource source(path);
+  EXPECT_THROW((void)core::cluster_infinite_cache_size(source, 2), std::invalid_argument);
   std::filesystem::remove(path);
 }
 

@@ -47,6 +47,23 @@ TEST(TraceReader, MissingFieldsAreRejectedWithLineNumber) {
   EXPECT_NE(error.find("line 1"), std::string::npos) << error;
 }
 
+TEST(TraceReader, IdsThatDoNotFitAreRejectedWithLineNumber) {
+  auto error = read_error_of("0 1 2\n1 4294967296 2\n");
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967296"), std::string::npos) << error;
+  error = read_error_of("0 1 2\n1 1 3\n2 1 4294967295\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967295"), std::string::npos) << error;
+}
+
+TEST(TraceReader, SwitchingBetweenIdsAndUrlsIsRejectedWithLineNumber) {
+  auto error = read_error_of("0 0 0\n# comment\n1 0 http://a.com/x\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("http://a.com/x"), std::string::npos) << error;
+  error = read_error_of("0 0 http://a.com/x\n1 0 http://a.com/y\n2 0 7\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
 // --- squid log ----------------------------------------------------------------
 
 constexpr const char* kSampleLog =
@@ -92,6 +109,18 @@ TEST(SquidLog, ZeroSizeBecomesUnit) {
   const auto result = read_squid_log(in);
   ASSERT_EQ(result.trace.size(), 1u);
   EXPECT_EQ(result.trace.requests[0].size, 1u);
+}
+
+// A timestamp whose milliseconds overflow 64 bits is malformed, not a wrapped
+// (or undefined) time.
+TEST(SquidLog, TimestampsBeyond64BitMillisecondsAreMalformed) {
+  std::istringstream in(
+      "18446744073709552.000 1 10.0.0.7 TCP_MISS/200 10 GET http://a.com/x - DIRECT/- -\n"
+      "1e300 1 10.0.0.7 TCP_MISS/200 10 GET http://a.com/y - DIRECT/- -\n"
+      "18446744073709000.000 1 10.0.0.7 TCP_MISS/200 10 GET http://a.com/z - DIRECT/- -\n");
+  const auto result = read_squid_log(in);
+  EXPECT_EQ(result.lines_malformed, 2u);
+  ASSERT_EQ(result.trace.size(), 1u);
 }
 
 TEST(SquidLog, MissingFileThrows) {
