@@ -55,7 +55,7 @@ class ArcCache final : public Cache {
 
  private:
   struct Entry {};
-  using Lists = NodeLists<Entry>;
+  using Lists = NodeLists<Entry, /*kCounted=*/true>;  // decisions read list sizes
   /// List numbers in the store; each list runs LRU (head) to MRU (tail).
   enum : std::uint32_t { kT1, kT2, kB1, kB2 };
 

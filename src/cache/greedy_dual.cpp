@@ -79,7 +79,7 @@ void GreedyDualCache::place(std::uint32_t at, double cost) {
       list = i;
       break;
     }
-    if (spare == Lists::kNil && lists_.list(i).size == 0) spare = i;
+    if (spare == Lists::kNil && lists_.list(i).head == Lists::kNil) spare = i;
   }
   if (list == Lists::kNil) {
     if (spare == Lists::kNil) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "cache/object_index.hpp"
@@ -17,9 +18,16 @@
 namespace webcache::cache {
 
 /// `Payload` is the policy's per-entry state, an empty struct when the list
-/// an entry sits in says everything.
-template <typename Payload>
+/// an entry sits in says everything. `kCounted` keeps a size per list for
+/// the policies whose decisions read one (ARC, W-TinyLFU); the others find an
+/// empty list by its head and pay no counter on the hot path.
+template <typename Payload, bool kCounted = false>
 class NodeLists {
+  struct Uncounted {};
+  struct Counted {
+    std::uint32_t size = 0;  ///< linked nodes
+  };
+
  public:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
@@ -32,10 +40,9 @@ class NodeLists {
   };
   static_assert(sizeof(Node) == 32);
 
-  struct List {
-    std::uint32_t head = kNil;  ///< oldest entry
+  struct List : std::conditional_t<kCounted, Counted, Uncounted> {
+    std::uint32_t head = kNil;  ///< oldest entry, kNil when empty
     std::uint32_t tail = kNil;
-    std::uint32_t size = 0;
   };
 
   explicit NodeLists(std::size_t lists = 0) : lists_(lists) {}
@@ -86,7 +93,7 @@ class NodeLists {
     n.next = kNil;
     (to.tail == kNil ? to.head : nodes_[to.tail].next) = at;
     to.tail = at;
-    ++to.size;
+    if constexpr (kCounted) ++to.size;
   }
 
   void unlink(std::uint32_t at) {
@@ -94,7 +101,7 @@ class NodeLists {
     List& from = lists_[n.list];
     (n.prev == kNil ? from.head : nodes_[n.prev].next) = n.next;
     (n.next == kNil ? from.tail : nodes_[n.next].prev) = n.prev;
-    --from.size;
+    if constexpr (kCounted) --from.size;
   }
 
   /// Moves node `at` to the tail of list `l`, which may be its own.

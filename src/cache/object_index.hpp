@@ -5,8 +5,11 @@
 // its list node. Both start hashed (a FlatMap: a client cache holds a
 // handful of objects out of a universe of millions) and switch to a
 // direct-indexed DenseMap once Cache::reserve_universe() declares a
-// proxy-scale population, turning every probe into one array access. The index is pure bookkeeping: which form it takes never changes
-// which object a policy evicts.
+// proxy-scale population, turning every probe into one array access. The
+// direct form costs 4 bytes per object of the universe: a slot is the bare
+// uint32, and 0xFFFFFFFF, which no heap position or node number reaches,
+// marks an absent object. The index is pure bookkeeping: which form it takes
+// never changes which object a policy evicts.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +29,8 @@ class ObjectIndex {
     direct_.reserve(universe);
     if (!dense_) {
       dense_ = true;
-      hashed_.for_each([this](std::uint32_t key, std::uint32_t slot) { direct_[key] = slot; });
+      hashed_.for_each(
+          [this](std::uint32_t key, std::uint32_t slot) { direct_.set(key, slot); });
       hashed_.clear();
     }
   }
@@ -39,7 +43,7 @@ class ObjectIndex {
   /// Inserts `object` or overwrites its slot.
   void set(ObjectNum object, std::uint32_t slot) {
     if (dense_) {
-      direct_[object] = slot;
+      direct_.set(object, slot);
     } else {
       hashed_[object] = slot;
     }

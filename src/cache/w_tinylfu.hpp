@@ -51,7 +51,7 @@ class WTinyLfuCache final : public Cache {
 
  private:
   struct Entry {};
-  using Lists = NodeLists<Entry>;
+  using Lists = NodeLists<Entry, /*kCounted=*/true>;  // decisions read list sizes
   /// Segment numbers in the store; each runs LRU (head) to MRU (tail).
   enum : std::uint32_t { kWindow, kProbation, kProtected };
 

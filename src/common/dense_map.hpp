@@ -4,11 +4,13 @@
 // generality nothing here needs:
 //
 //   * DenseMap<T> / DenseSet — direct-indexed value array over the dense id
-//     universe, with a per-slot live flag so insert() and erase() are a
-//     single store. The right shape for structures
-//     keyed by "any object in the trace" held once per cluster or proxy
-//     (residency/location indices, per-proxy fetch costs, the exact lookup
-//     directory): one cache-missing array read replaces hash+probe.
+//     universe, one value per slot and nothing else: a DenseMap marks an
+//     absent key with a value it never stores (the maximum of an unsigned
+//     T, NaN for a double), so a slot costs exactly sizeof(T). The right
+//     shape for structures keyed by "any object in the trace" held once per
+//     cluster or proxy (residency/location indices, per-proxy fetch levels,
+//     the exact lookup directory): one cache-missing array read replaces
+//     hash+probe.
 //   * FlatMap<T> — open-addressing linear-probe table with backward-shift
 //     deletion over power-of-two capacity. The right shape for structures
 //     bounded by a *cache's* capacity rather than the universe (a client
@@ -25,8 +27,12 @@
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,51 +40,65 @@
 
 namespace webcache {
 
-/// Direct-indexed map over dense uint32 keys, one live flag per slot. Grows
-/// on demand to the largest key inserted (amortized O(1)), so callers that
-/// know the universe should reserve() it up front.
+/// Direct-indexed map over dense uint32 keys, one T per slot. An absent key
+/// holds the marker kAbsent, which set() refuses in every build type, so no
+/// live value can be mistaken for a hole. Grows on demand to the largest key
+/// set (amortized O(1)), so callers that know the universe should reserve()
+/// it up front.
 template <typename T>
 class DenseMap {
+  static_assert(std::is_unsigned_v<T> || std::is_same_v<T, double>,
+                "DenseMap: T needs a marker value (unsigned integer or double)");
+
  public:
+  /// The value an absent slot holds: the maximum of an unsigned T, NaN for a
+  /// double.
+  static constexpr T kAbsent = [] {
+    if constexpr (std::is_same_v<T, double>) {
+      return std::numeric_limits<double>::quiet_NaN();
+    } else {
+      return std::numeric_limits<T>::max();
+    }
+  }();
+
   DenseMap() = default;
   explicit DenseMap(std::size_t universe) { reserve(universe); }
 
-  /// Preallocates slots for keys [0, universe). Never shrinks.
+  /// Preallocates absent slots for keys [0, universe). Never shrinks.
   void reserve(std::size_t universe) {
-    if (universe > slots_.size()) slots_.resize(universe);
+    if (universe > slots_.size()) slots_.resize(universe, kAbsent);
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// Number of allocated slots (the key universe touched so far).
   [[nodiscard]] std::size_t universe() const { return slots_.size(); }
+  /// Bytes held by the slot array: sizeof(T) per allocated slot.
+  [[nodiscard]] std::size_t memory_bytes() const { return slots_.capacity() * sizeof(T); }
 
   [[nodiscard]] bool contains(std::uint32_t key) const {
-    return key < slots_.size() && slots_[key].live;
+    return key < slots_.size() && !absent(slots_[key]);
   }
 
-  [[nodiscard]] T* find(std::uint32_t key) {
-    return contains(key) ? &slots_[key].value : nullptr;
-  }
+  /// The value stored for `key`, or nullptr when absent. Read-only: every
+  /// write goes through set(). Valid until the slot array grows.
   [[nodiscard]] const T* find(std::uint32_t key) const {
-    return contains(key) ? &slots_[key].value : nullptr;
+    return contains(key) ? &slots_[key] : nullptr;
   }
 
-  /// Inserts a default-constructed value if absent.
-  T& operator[](std::uint32_t key) {
-    if (key >= slots_.size()) slots_.resize(static_cast<std::size_t>(key) + 1);
-    Slot& s = slots_[key];
-    if (!s.live) {
-      s.live = true;
-      s.value = T{};
-      ++size_;
-    }
-    return s.value;
+  /// Inserts `key` or overwrites its value. Throws std::logic_error on the
+  /// marker value, which would silently erase the key.
+  void set(std::uint32_t key, T value) {
+    if (absent(value)) refuse_marker();
+    if (key >= slots_.size()) slots_.resize(static_cast<std::size_t>(key) + 1, kAbsent);
+    T& slot = slots_[key];
+    if (absent(slot)) ++size_;
+    slot = value;
   }
 
   bool erase(std::uint32_t key) {
     if (!contains(key)) return false;
-    slots_[key].live = false;
+    slots_[key] = kAbsent;
     --size_;
     return true;
   }
@@ -87,17 +107,26 @@ class DenseMap {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::uint32_t key = 0; key < slots_.size(); ++key) {
-      if (slots_[key].live) fn(key, slots_[key].value);
+      if (!absent(slots_[key])) fn(key, slots_[key]);
     }
   }
 
  private:
-  struct Slot {
-    bool live = false;
-    T value{};
-  };
+  /// Out of line, so set() stays small enough to inline into the heap's
+  /// sift loops.
+  [[noreturn, gnu::cold, gnu::noinline]] static void refuse_marker() {
+    throw std::logic_error("DenseMap::set: value is the absence marker");
+  }
 
-  std::vector<Slot> slots_;
+  [[nodiscard]] static bool absent(T value) {
+    if constexpr (std::is_same_v<T, double>) {
+      return std::isnan(value);
+    } else {
+      return value == kAbsent;
+    }
+  }
+
+  std::vector<T> slots_;
   std::size_t size_ = 0;
 };
 

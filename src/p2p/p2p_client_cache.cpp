@@ -153,7 +153,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
     const auto ins = root.cache->insert(object, cost);
     if (!ins.inserted) return outcome;  // capacity-0 client caches
     assert(!ins.evicted.has_value());
-    location_[object] = static_cast<std::uint32_t>(root_idx);
+    location_.set(object, static_cast<std::uint32_t>(root_idx));
     outcome.stored = true;
     msg_.store_receipts.inc();
     return outcome;
@@ -172,7 +172,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
       assert(!ins.evicted.has_value());
       peer.diverted_in[object] = static_cast<ClientNum>(root_idx);
       root.diverted_out[object] = peer_idx;
-      location_[object] = peer_idx;
+      location_.set(object, peer_idx);
       outcome.stored = true;
       outcome.diverted = true;
       outcome.hops += 1;  // root -> peer transfer
@@ -190,7 +190,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
     on_local_eviction(*ins.evicted, root_idx);
     outcome.displaced = ins.evicted;
   }
-  location_[object] = static_cast<std::uint32_t>(root_idx);
+  location_.set(object, static_cast<std::uint32_t>(root_idx));
   outcome.stored = true;
   msg_.store_receipts.inc();
   return outcome;

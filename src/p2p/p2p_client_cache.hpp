@@ -212,7 +212,8 @@ class P2PClientCache {
   pastry::Overlay overlay_;
   std::vector<ClientNode> nodes_;
   /// object -> index of the node physically storing it (direct-indexed by
-  /// the dense object id; sized to the id table).
+  /// the dense object id; sized to the id table). 4 bytes per object of the
+  /// universe: no client index reaches DenseMap's 0xFFFFFFFF absence marker.
   DenseMap<std::uint32_t> location_;
   net::MessageCounters msg_;
 };

@@ -252,7 +252,8 @@ void Overlay::repair_all() {
       rebuild_leaf_set(node);
       counters_.repairs.inc();
     }
-    for (unsigned row = 0; row < node.table.rows(); ++row) {
+    // Rows past the allocated ones hold no entry (a refill stays in its row).
+    for (unsigned row = 0; row < node.table.allocated_rows(); ++row) {
       for (unsigned col = 0; col < node.table.columns(); ++col) {
         const auto e = node.table.entry(row, col);
         if (e && !contains(*e)) {

@@ -11,12 +11,12 @@ RoutingTable::RoutingTable(NodeId owner, unsigned bits_per_digit)
   }
   rows_ = 128 / bits_per_digit;
   columns_ = 1u << bits_per_digit;
-  slots_.resize(static_cast<std::size_t>(rows_) * columns_);
 }
 
 std::optional<NodeId> RoutingTable::entry(unsigned row, unsigned column) const {
   if (row >= rows_ || column >= columns_) return std::nullopt;
-  return slots_[index(row, column)];
+  const auto* c = cell(row, column);
+  return c != nullptr ? *c : std::nullopt;
 }
 
 std::optional<std::pair<unsigned, unsigned>> RoutingTable::slot_of(const NodeId& node) const {
@@ -29,13 +29,21 @@ std::optional<std::pair<unsigned, unsigned>> RoutingTable::slot_of(const NodeId&
 bool RoutingTable::insert(const NodeId& node, bool replace) {
   const auto slot = slot_of(node);
   if (!slot) return false;
-  auto& cell = slots_[index(slot->first, slot->second)];
-  if (cell.has_value()) {
-    if (!replace || *cell == node) return false;
-    cell = node;
+  const std::size_t at = index(slot->first, slot->second);
+  if (at >= slots_.size()) {
+    // Allocate whole rows, up to the one that receives the entry, and no
+    // spare capacity: a table deepens a few times over its life.
+    const std::size_t cells = static_cast<std::size_t>(slot->first + 1) * columns_;
+    slots_.reserve(cells);
+    slots_.resize(cells);
+  }
+  auto& c = slots_[at];
+  if (c.has_value()) {
+    if (!replace || *c == node) return false;
+    c = node;
     return true;
   }
-  cell = node;
+  c = node;
   ++populated_count_;
   return true;
 }
@@ -43,9 +51,9 @@ bool RoutingTable::insert(const NodeId& node, bool replace) {
 bool RoutingTable::erase(const NodeId& node) {
   const auto slot = slot_of(node);
   if (!slot) return false;
-  auto& cell = slots_[index(slot->first, slot->second)];
-  if (cell.has_value() && *cell == node) {
-    cell.reset();
+  const std::size_t at = index(slot->first, slot->second);
+  if (at < slots_.size() && slots_[at] == node) {
+    slots_[at].reset();
     --populated_count_;
     return true;
   }
@@ -55,8 +63,8 @@ bool RoutingTable::erase(const NodeId& node) {
 std::optional<NodeId> RoutingTable::next_hop(const Uint128& key) const {
   const unsigned row = owner_.shared_prefix_length(key, bits_per_digit_);
   if (row >= rows_) return std::nullopt;  // key == owner id
-  const unsigned column = key.digit(row, bits_per_digit_);
-  return slots_[index(row, column)];
+  const auto* c = cell(row, key.digit(row, bits_per_digit_));
+  return c != nullptr ? *c : std::nullopt;
 }
 
 std::vector<NodeId> RoutingTable::populated() const {

@@ -3,6 +3,12 @@
 // with the owner and whose digit r equals c. One routing hop corrects one
 // digit, so a lookup takes at most ceil(128/b) hops and in expectation
 // ceil(log_{2^b} N).
+//
+// Only about log_{2^b} N rows can ever fill (in a cluster of 25-100 nodes at
+// b = 4, rows 0-2), so the cells are allocated a whole row at a time, up to
+// the deepest row that has ever held an entry; a row past them reads as
+// empty. The logical shape (rows() x columns()) and the populated() order do
+// not depend on how many rows are allocated.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +63,20 @@ class RoutingTable {
   }
 
   [[nodiscard]] std::size_t populated_count() const { return populated_count_; }
+  /// Rows whose cells are allocated: the deepest row that ever held an
+  /// entry, plus one.
+  [[nodiscard]] unsigned allocated_rows() const {
+    return static_cast<unsigned>(slots_.size() / columns_);
+  }
 
  private:
   [[nodiscard]] std::size_t index(unsigned row, unsigned column) const {
     return static_cast<std::size_t>(row) * columns_ + column;
+  }
+  /// The cell at (row, column), or nullptr when its row is not allocated.
+  [[nodiscard]] const std::optional<NodeId>* cell(unsigned row, unsigned column) const {
+    const std::size_t at = index(row, column);
+    return at < slots_.size() ? &slots_[at] : nullptr;
   }
 
   NodeId owner_;
@@ -68,6 +84,7 @@ class RoutingTable {
   unsigned rows_;
   unsigned columns_;
   std::size_t populated_count_ = 0;
+  /// Row-major cells of the allocated rows only.
   std::vector<std::optional<NodeId>> slots_;
 };
 

@@ -229,11 +229,11 @@ AuditReport Simulator::audit() const {
     }
 
     // Proxy-tier greedy-dual credits: every cached object must have a
-    // recorded fetch cost to destage with.
+    // recorded fetch level to destage with.
     for (const auto object : proxy.cache->contents()) {
-      check.expect(proxy.fetch_cost.contains(object),
+      check.expect(proxy.fetch_level.contains(object),
                    cluster + ": proxy-cached object " + std::to_string(object) +
-                       " has no recorded fetch cost");
+                       " has no recorded fetch level");
     }
   }
   return check.report;

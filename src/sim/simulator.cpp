@@ -214,7 +214,7 @@ Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
       case Scheme::kHierGD: {
         proxy.cache = cache::make_cache(proxy_policy, config_.proxy_capacity);
         proxy.p2p = make_p2p("cluster" + std::to_string(p), reg);
-        proxy.fetch_cost.reserve(universe);
+        proxy.fetch_level.reserve(universe);
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         if (config_.directory == DirectoryKind::kExact) {
@@ -274,8 +274,9 @@ ClientNum Simulator::client_of(ClientNum raw, const Proxy& proxy) const {
 }
 
 double Simulator::credit_of(const Proxy& proxy, ObjectNum object) const {
-  const double* stored = proxy.fetch_cost.find(object);
-  return stored != nullptr ? *stored : config_.latencies.fetch_cost(ServedFrom::kOriginServer);
+  const std::uint8_t* level = proxy.fetch_level.find(object);
+  return config_.latencies.fetch_cost(level != nullptr ? static_cast<ServedFrom>(*level)
+                                                       : ServedFrom::kOriginServer);
 }
 
 void Simulator::account(Outcomes& out, ServedFrom where, double base, double waste, double hop,
@@ -656,21 +657,20 @@ void Simulator::destage_hier_gd(unsigned cluster, ObjectNum victim, ClientNum vi
   }
 }
 
-void Simulator::admit_hier_gd(unsigned cluster, ObjectNum object, double cost,
+void Simulator::admit_hier_gd(unsigned cluster, ObjectNum object, ServedFrom level,
                               ClientNum via_client, double& loss_waste) {
   Proxy& proxy = proxies_[cluster];
   // A sharded push completing in phase 2b can find the object already
   // admitted by a later same-epoch request of its cluster (a local P2P hit);
   // in trace order the push came first and that request was a plain hit.
   // Honour the cache contract (insert() is only for uncached objects) by
-  // refreshing instead.
+  // refreshing instead, at the level recorded when it was admitted.
   if (proxy.cache->contains(object)) {
-    const double* stored = proxy.fetch_cost.find(object);
-    proxy.cache->access(object, stored != nullptr ? *stored : cost);
+    proxy.cache->access(object, credit_of(proxy, object));
     return;
   }
-  proxy.fetch_cost[object] = cost;
-  const auto ins = proxy.cache->insert(object, cost);
+  proxy.fetch_level.set(object, static_cast<std::uint8_t>(level));
+  const auto ins = proxy.cache->insert(object, config_.latencies.fetch_cost(level));
   if (!ins.inserted) return;
   mark(kPrimary, object, cluster, true);
   if (ins.evicted) {
@@ -710,7 +710,7 @@ bool Simulator::step_hier_gd(std::uint64_t t, const Request& request, unsigned c
       out.msg.directory_removes.inc();
       mark(kDir, object, cluster, false);
       // Promote into the proxy; the proxy's eviction destages back down.
-      admit_hier_gd(cluster, object, lat.fetch_cost(ServedFrom::kLocalP2P), client, loss_waste);
+      admit_hier_gd(cluster, object, ServedFrom::kLocalP2P, client, loss_waste);
       account(out, ServedFrom::kLocalP2P, lat.request_latency(ServedFrom::kLocalP2P), 0.0,
               hop_latency, loss_waste);
       return true;
@@ -771,7 +771,7 @@ bool Simulator::step_hier_gd(std::uint64_t t, const Request& request, unsigned c
     }
   }
 
-  admit_hier_gd(cluster, object, lat.fetch_cost(served), client, loss_waste);
+  admit_hier_gd(cluster, object, served, client, loss_waste);
   account(out, served, lat.request_latency(served), waste, hop_latency, loss_waste);
   return true;
 }
@@ -796,8 +796,7 @@ void Simulator::finish_push(const RemoteOp& op) {
   }
 
   double loss_waste = op.loss_waste;
-  admit_hier_gd(op.source, op.object, lat.fetch_cost(served), client_of(op.raw_client, local),
-                loss_waste);
+  admit_hier_gd(op.source, op.object, served, client_of(op.raw_client, local), loss_waste);
   account(out, served, lat.request_latency(served), waste, hop_latency, loss_waste);
 }
 

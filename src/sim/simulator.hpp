@@ -259,10 +259,12 @@ class Simulator {
     // Hier-GD
     std::unique_ptr<p2p::P2PClientCache> p2p;
     std::unique_ptr<directory::LookupDirectory> dir;
-    /// Last-paid retrieval cost per object (Hier-GD's greedy-dual credits),
-    /// direct-indexed by the dense object id (sized to the trace universe).
-    /// Empty at every other scheme, whose credit is the refetch cost.
-    DenseMap<double> fetch_cost;
+    /// Where each object was last fetched from, as a net::ServedFrom code
+    /// (Hier-GD's greedy-dual credit is that level's fetch cost), direct-
+    /// indexed by the dense object id (sized to the trace universe): one
+    /// byte per object instead of the eight its cost would take. Empty at
+    /// every other scheme, whose credit is the refetch cost.
+    DenseMap<std::uint8_t> fetch_level;
     /// Private browser caches, one per client (empty unless enabled).
     std::vector<std::unique_ptr<cache::LruCache>> browsers;
     /// Where this cluster's outcomes and loss draws go: the run's own in the
@@ -313,12 +315,13 @@ class Simulator {
   void destage_hier_gd(unsigned cluster, ObjectNum victim, ClientNum via_client,
                        double& loss_waste);
 
-  /// Hier-GD: admits a fetched object into the proxy's greedy-dual cache.
-  void admit_hier_gd(unsigned cluster, ObjectNum object, double cost, ClientNum via_client,
-                     double& loss_waste);
+  /// Hier-GD: admits an object fetched from `level` into the proxy's
+  /// greedy-dual cache, crediting it with that level's fetch cost.
+  void admit_hier_gd(unsigned cluster, ObjectNum object, net::ServedFrom level,
+                     ClientNum via_client, double& loss_waste);
 
-  /// The object's last-paid retrieval cost at `proxy` (recorded by Hier-GD
-  /// admissions), else its refetch cost.
+  /// The fetch cost of the level `proxy` last fetched the object from
+  /// (recorded by Hier-GD admissions), else its refetch cost.
   [[nodiscard]] double credit_of(const Proxy& proxy, ObjectNum object) const;
 
   /// Marks an object as recently proxy-resident for FC-EC attribution.

@@ -1,9 +1,20 @@
 #include "sim/tiered_cache.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 namespace webcache::sim {
+
+namespace {
+
+/// The cost index marks an absent object with NaN, so a NaN cost could not
+/// be recorded; refuse it before either tier sees it.
+void check_cost(double cost, const char* what) {
+  if (std::isnan(cost)) throw std::invalid_argument(what);
+}
+
+}  // namespace
 
 TieredCache::TieredCache(std::unique_ptr<cache::Cache> tier1,
                          std::unique_ptr<cache::Cache> tier2)
@@ -45,10 +56,11 @@ void TieredCache::depart(ObjectNum object) {
 }
 
 TieredCache::Where TieredCache::access(ObjectNum object, double cost) {
+  check_cost(cost, "TieredCache::access: cost is NaN");
   const Where where = locate(object);
   switch (where) {
     case Where::kTier1:
-      cost_[object] = cost;
+      cost_.set(object, cost);
       tier1_->access(object, cost);
       if (counters_) counters_->tier1_hits.inc();
       break;
@@ -57,7 +69,7 @@ TieredCache::Where TieredCache::access(ObjectNum object, double cost) {
       // Promote: the proxy now serves and holds the object; its tier-1
       // evictee drops into the slot freed below.
       tier2_->erase(object);
-      cost_[object] = cost;
+      cost_.set(object, cost);
       const auto ins = tier1_->insert(object, cost);
       if (!ins.inserted) {
         // Tier 1 declined (degenerate zero-capacity proxy): put it back.
@@ -83,6 +95,7 @@ TieredCache::Where TieredCache::access(ObjectNum object, double cost) {
 }
 
 TieredCache::Where TieredCache::refresh(ObjectNum object, double cost) {
+  check_cost(cost, "TieredCache::refresh: cost is NaN");
   const Where where = locate(object);
   switch (where) {
     case Where::kTier1:
@@ -101,13 +114,14 @@ TieredCache::Where TieredCache::refresh(ObjectNum object, double cost) {
 }
 
 bool TieredCache::admit(ObjectNum object, double cost) {
+  check_cost(cost, "TieredCache::admit: cost is NaN");
   assert(!contains(object) && "TieredCache::admit: object already cached");
   const auto ins = tier1_->insert(object, cost);
   if (!ins.inserted) {
     if (counters_) counters_->declines.inc();
     return false;
   }
-  cost_[object] = cost;
+  cost_.set(object, cost);
   notify(object, Where::kTier1);
   if (counters_) counters_->admissions.inc();
   if (ins.evicted) destage(*ins.evicted);

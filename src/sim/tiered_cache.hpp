@@ -37,7 +37,8 @@ class TieredCache {
   /// Serves a local request for a cached object: tier-1 hits refresh in
   /// place, tier-2 hits promote into tier 1 (destaging tier 1's evictee
   /// down). Returns where the object was found. `cost` is the object's
-  /// refetch cost (greedy-dual credit).
+  /// refetch cost (greedy-dual credit). access(), refresh() and admit()
+  /// throw std::invalid_argument on a NaN cost before touching either tier.
   Where access(ObjectNum object, double cost);
 
   /// Serves a *remote* request (another proxy reading through us): the
@@ -114,7 +115,8 @@ class TieredCache {
   std::unique_ptr<Counters> counters_;  ///< null until bind_observability
   /// Refetch cost of every object currently cached — needed to credit
   /// destaged objects correctly in value-based tiers. Direct-indexed by the
-  /// dense object id (grows to the largest id seen).
+  /// dense object id (grows to the largest id seen), 8 bytes per object:
+  /// NaN marks an uncached one.
   DenseMap<double> cost_;
 };
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,8 +25,8 @@ TEST(DenseMap, InsertFindErase) {
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.find(3), nullptr);
 
-  m[3] = 1.5;
-  m[7] = 2.5;
+  m.set(3, 1.5);
+  m.set(7, 2.5);
   EXPECT_EQ(m.size(), 2u);
   ASSERT_NE(m.find(3), nullptr);
   EXPECT_DOUBLE_EQ(*m.find(3), 1.5);
@@ -33,43 +36,113 @@ TEST(DenseMap, InsertFindErase) {
   EXPECT_TRUE(m.erase(3));
   EXPECT_FALSE(m.erase(3));  // already gone
   EXPECT_FALSE(m.contains(3));
+  EXPECT_EQ(m.find(3), nullptr);
   EXPECT_EQ(m.size(), 1u);
 
-  // A re-inserted key starts from a default value; the erased one never leaks.
-  EXPECT_DOUBLE_EQ(m[3], 0.0);
+  // A re-inserted key holds its new value; the erased one never leaks.
+  m.set(3, 0.0);  // zero is a value, not absence
+  ASSERT_NE(m.find(3), nullptr);
+  EXPECT_DOUBLE_EQ(*m.find(3), 0.0);
   EXPECT_EQ(m.size(), 2u);
 }
 
-TEST(DenseMap, OperatorBracketDefaultConstructsOnce) {
-  DenseMap<int> m(4);
-  EXPECT_EQ(m[2], 0);  // inserted as default
-  m[2] = 42;
-  EXPECT_EQ(m[2], 42);  // second access does not reset
+TEST(DenseMap, SetOverwritesWithoutGrowingTheCount) {
+  DenseMap<std::uint32_t> m(4);
+  m.set(2, 0);
+  EXPECT_EQ(*m.find(2), 0u);
+  m.set(2, 42);
+  EXPECT_EQ(*m.find(2), 42u);  // the second set overwrites
   EXPECT_EQ(m.size(), 1u);
 }
 
 TEST(DenseMap, IterationIsAscendingKeyOrder) {
-  DenseMap<int> m(100);
-  m[42] = 3;
-  m[7] = 1;
-  m[99] = 4;
-  m[13] = 2;  // insertion order differs from key order
+  DenseMap<std::uint32_t> m(100);
+  m.set(42, 3);
+  m.set(7, 1);
+  m.set(99, 4);
+  m.set(13, 2);  // insertion order differs from key order
+  m.set(50, 9);
+  m.erase(50);  // an erased key is not visited
   std::vector<std::uint32_t> keys;
-  m.for_each([&](std::uint32_t k, int v) {
+  m.for_each([&](std::uint32_t k, std::uint32_t v) {
     keys.push_back(k);
-    EXPECT_EQ(v, static_cast<int>(keys.size()));
+    EXPECT_EQ(v, keys.size());
   });
   EXPECT_EQ(keys, (std::vector<std::uint32_t>{7, 13, 42, 99}));
 }
 
 TEST(DenseMap, GrowsOnDemandBeyondReservedUniverse) {
-  DenseMap<int> m(4);
+  DenseMap<std::uint32_t> m(4);
   EXPECT_EQ(m.universe(), 4u);
-  m[100] = 7;  // a key past the reservation grows the slot array
+  EXPECT_FALSE(m.contains(100));  // past the reservation: absent, not an error
+  EXPECT_EQ(m.find(100), nullptr);
+  EXPECT_FALSE(m.erase(100));
+  EXPECT_EQ(m.universe(), 4u);  // reads never grow the map
+  m.set(100, 7);  // a key past the reservation grows the slot array
   EXPECT_GE(m.universe(), 101u);
   EXPECT_TRUE(m.contains(100));
-  EXPECT_EQ(m[100], 7);
-  EXPECT_FALSE(m.contains(50));  // the grown range is not spuriously live
+  EXPECT_EQ(*m.find(100), 7u);
+  for (std::uint32_t k = 4; k < 100; ++k) {
+    EXPECT_FALSE(m.contains(k)) << k;  // the grown range holds the marker
+  }
+  EXPECT_EQ(m.size(), 1u);
+}
+
+// The slot is the bare value for every T the simulator stores: a uint32
+// index, a one-byte level and a double cost.
+template <typename T>
+class DenseMapSlot : public ::testing::Test {};
+using SlotTypes = ::testing::Types<std::uint32_t, std::uint8_t, double>;
+TYPED_TEST_SUITE(DenseMapSlot, SlotTypes);
+
+TYPED_TEST(DenseMapSlot, ReservedKeysReadAbsent) {
+  DenseMap<TypeParam> m(1000);
+  EXPECT_EQ(m.universe(), 1000u);
+  EXPECT_TRUE(m.empty());
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    ASSERT_FALSE(m.contains(k)) << k;
+    ASSERT_EQ(m.find(k), nullptr) << k;
+  }
+  std::size_t visited = 0;
+  m.for_each([&](std::uint32_t, TypeParam) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+}
+
+TYPED_TEST(DenseMapSlot, SetOfTheMarkerThrows) {
+  DenseMap<TypeParam> m(8);
+  m.set(3, TypeParam{1});
+  EXPECT_THROW(m.set(3, DenseMap<TypeParam>::kAbsent), std::logic_error);
+  EXPECT_THROW(m.set(5, DenseMap<TypeParam>::kAbsent), std::logic_error);
+  EXPECT_THROW(m.set(500, DenseMap<TypeParam>::kAbsent), std::logic_error);
+  // The refused writes changed nothing, not even the slot array's size.
+  ASSERT_TRUE(m.contains(3));
+  EXPECT_EQ(*m.find(3), TypeParam{1});
+  EXPECT_FALSE(m.contains(5));
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.universe(), 8u);
+}
+
+TEST(DenseMap, MemoryIsOneBareValuePerSlot) {
+  // A flagged slot took 8, 2 and 16 bytes; the marker form takes 4, 1 and 8.
+  const DenseMap<std::uint32_t> index(1000);
+  const DenseMap<std::uint8_t> level(1000);
+  const DenseMap<double> cost(1000);
+  EXPECT_EQ(index.memory_bytes(), index.universe() * 4);
+  EXPECT_EQ(level.memory_bytes(), level.universe() * 1);
+  EXPECT_EQ(cost.memory_bytes(), cost.universe() * 8);
+}
+
+TEST(DenseMap, MarkersAreTheMaximumAndNaN) {
+  EXPECT_EQ(DenseMap<std::uint32_t>::kAbsent, 0xFFFFFFFFu);
+  EXPECT_EQ(DenseMap<std::uint8_t>::kAbsent, 0xFFu);
+  EXPECT_TRUE(std::isnan(DenseMap<double>::kAbsent));
+  // The largest storable values sit just below the markers.
+  DenseMap<std::uint8_t> m(2);
+  m.set(0, 0xFE);
+  EXPECT_EQ(*m.find(0), 0xFEu);
+  DenseMap<double> d(2);
+  d.set(1, std::numeric_limits<double>::infinity());  // only NaN is refused
+  EXPECT_TRUE(d.contains(1));
 }
 
 // --- DenseSet -----------------------------------------------------------------

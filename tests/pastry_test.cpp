@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -61,6 +62,61 @@ TEST(RoutingTable, InsertEraseAndNextHop) {
   EXPECT_TRUE(rt.erase(peer));
   EXPECT_FALSE(rt.next_hop(key).has_value());
   EXPECT_EQ(rt.populated_count(), 0u);
+}
+
+class RoutingTableRows : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RoutingTableRows, RowsPastTheDeepestAllocatedReadEmpty) {
+  const unsigned b = GetParam();
+  RoutingTable rt(Uint128{}, b);  // owner: the all-zero id
+  EXPECT_EQ(rt.allocated_rows(), 0u);
+  // One set bit at digit d (0 = most significant) puts a peer in row d.
+  const auto in_row = [b](unsigned d) { return Uint128{0, 1} << (128 - (d + 1) * b); };
+  const NodeId shallow = in_row(1);
+  const NodeId deep = in_row(3);
+  const NodeId deepest = Uint128{0, 1};  // differs from the owner in the last digit only
+  ASSERT_TRUE(rt.insert(shallow));
+  EXPECT_EQ(rt.allocated_rows(), 2u);
+
+  for (unsigned row = rt.allocated_rows(); row < rt.rows(); ++row) {
+    for (unsigned col = 0; col < rt.columns(); ++col) {
+      ASSERT_FALSE(rt.entry(row, col).has_value()) << row << "," << col;
+    }
+  }
+  EXPECT_FALSE(rt.next_hop(deep).has_value());
+  EXPECT_FALSE(rt.next_hop(deepest).has_value());
+  EXPECT_FALSE(rt.erase(deep));
+  EXPECT_FALSE(rt.erase(deepest));
+  EXPECT_EQ(rt.allocated_rows(), 2u);  // reads and failed erases allocate nothing
+  EXPECT_EQ(rt.populated_count(), 1u);
+
+  // An entry in row 3 allocates rows 2 and 3; row 2 reads empty.
+  ASSERT_TRUE(rt.insert(deep));
+  EXPECT_EQ(rt.allocated_rows(), 4u);
+  EXPECT_EQ(rt.next_hop(deep), std::optional<NodeId>(deep));
+  EXPECT_FALSE(rt.next_hop(in_row(2)).has_value());
+  EXPECT_EQ(rt.populated(), (std::vector<NodeId>{shallow, deep}));
+  EXPECT_TRUE(rt.erase(deep));
+  EXPECT_FALSE(rt.next_hop(deep).has_value());
+  EXPECT_EQ(rt.populated_count(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bases, RoutingTableRows, ::testing::Values(1u, 4u, 8u));
+
+TEST(Overlay, RoutingTablesAllocateOnlyTheRowsTheyFill) {
+  // At 100 nodes and b = 4 the tables fill about log16(100) rows, not the
+  // 32 a full table has; the deepest allocated row always holds an entry.
+  const auto overlay = make_overlay(100);
+  for (const NodeId& id : overlay.nodes()) {
+    const RoutingTable& rt = overlay.routing_table(id);
+    ASSERT_GE(rt.allocated_rows(), 1u);
+    EXPECT_LE(rt.allocated_rows(), 4u);
+    bool deepest_filled = false;
+    for (unsigned col = 0; col < rt.columns(); ++col) {
+      deepest_filled = deepest_filled || rt.entry(rt.allocated_rows() - 1, col).has_value();
+    }
+    EXPECT_TRUE(deepest_filled);
+  }
 }
 
 TEST(RoutingTable, RejectsBadDigitWidth) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 #include "cache/greedy_dual.hpp"
 #include "cache/lfu.hpp"
 #include "cache/lru.hpp"
@@ -113,6 +117,24 @@ TEST(TieredCache, NoObjectInBothTiers) {
   for (const auto o : t.tier1().contents()) {
     ASSERT_FALSE(t.tier2().contains(o)) << o;
   }
+}
+
+TEST(TieredCache, NanCostThrowsAndLeavesBothTiersUnchanged) {
+  // The cost index marks an uncached object with NaN, so a NaN cost is
+  // refused before either tier moves: each call below would otherwise
+  // reorder a tier's recency list or admit a new object.
+  auto t = make_lru(2, 2);
+  for (ObjectNum o = 1; o <= 4; ++o) t.admit(o, 20.0);  // tier1 {3, 4}, tier2 {1, 2}
+  const auto tiers = [&t] { return std::pair{t.tier1().contents(), t.tier2().contents()}; };
+  const auto before = tiers();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(t.admit(5, nan), std::invalid_argument);
+  EXPECT_THROW(t.access(3, nan), std::invalid_argument);  // tier-1 hit
+  EXPECT_THROW(t.access(1, nan), std::invalid_argument);  // tier-2 hit: would promote
+  EXPECT_THROW(t.refresh(1, nan), std::invalid_argument);
+  EXPECT_EQ(tiers(), before);
+  EXPECT_EQ(t.locate(5), TieredCache::Where::kMiss);
+  EXPECT_EQ(t.size(), 4u);
 }
 
 TEST(TieredCache, RequiresBothTiers) {
