@@ -3,20 +3,20 @@
 // are *dense* uint32 ids, so hashing them into bucket chains pays for
 // generality nothing here needs:
 //
-//   * DenseMap<T> / DenseSet — direct-indexed value array over the dense id
-//     universe, one value per slot and nothing else: a DenseMap marks an
-//     absent key with a value it never stores (the maximum of an unsigned
-//     T, NaN for a double), so a slot costs exactly sizeof(T). The right
-//     shape for structures keyed by "any object in the trace" held once per
-//     cluster or proxy (residency/location indices, per-proxy fetch levels,
-//     the exact lookup directory): one cache-missing array read replaces
-//     hash+probe.
+//   * DenseMap<T> — direct-indexed value array over the dense id universe,
+//     one value per slot and nothing else: an absent key holds a value the
+//     map never stores (the maximum of an unsigned T, NaN for a double), so
+//     a slot costs exactly sizeof(T). The right shape only where a
+//     universe-scale population is read on every request (a proxy cache's
+//     index, Hier-GD's fetch levels, the *-EC tiers' costs): one
+//     cache-missing array read replaces hash+probe.
 //   * FlatMap<T> — open-addressing linear-probe table with backward-shift
 //     deletion over power-of-two capacity. The right shape for structures
 //     bounded by a *cache's* capacity rather than the universe (a client
-//     cache holds ~5 objects out of 10^6; a universe-sized array per client
-//     would be absurd). Lookup is one multiply + shift and a short probe run
-//     over contiguous memory.
+//     cache holds ~5 objects out of 10^6, a cluster's P2P location index and
+//     exact directory ~1,000): memory follows the entries, not the ids.
+//     Lookup is one multiply + shift and a short probe run over contiguous
+//     memory.
 //
 // Both containers are deterministic: given the same operation sequence they
 // produce the same layout and the same iteration order, which keeps every
@@ -130,58 +130,6 @@ class DenseMap {
   std::size_t size_ = 0;
 };
 
-/// Direct-indexed set over dense uint32 keys: one 32-bit membership flag per
-/// universe slot. memory_bytes() reports that flat representation honestly;
-/// the directory ablation prints it as the exact directory's footprint.
-class DenseSet {
- public:
-  DenseSet() = default;
-  explicit DenseSet(std::size_t universe) { reserve(universe); }
-
-  void reserve(std::size_t universe) {
-    if (universe > members_.size()) members_.resize(universe, 0);
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t universe() const { return members_.size(); }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return members_.capacity() * sizeof(std::uint32_t);
-  }
-
-  [[nodiscard]] bool contains(std::uint32_t key) const {
-    return key < members_.size() && members_[key] != 0;
-  }
-
-  /// Returns true if the key was newly inserted.
-  bool insert(std::uint32_t key) {
-    if (key >= members_.size()) members_.resize(static_cast<std::size_t>(key) + 1, 0);
-    if (members_[key] != 0) return false;
-    members_[key] = 1;
-    ++size_;
-    return true;
-  }
-
-  bool erase(std::uint32_t key) {
-    if (!contains(key)) return false;
-    members_[key] = 0;
-    --size_;
-    return true;
-  }
-
-  /// Visits members in ascending key order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::uint32_t key = 0; key < members_.size(); ++key) {
-      if (members_[key] != 0) fn(key);
-    }
-  }
-
- private:
-  std::vector<std::uint32_t> members_;
-  std::size_t size_ = 0;
-};
-
 /// Open-addressing hash map for dense uint32 keys whose population is
 /// bounded by a cache capacity, not the universe: linear probing over a
 /// power-of-two slot array, Fibonacci hashing, backward-shift deletion (no
@@ -194,6 +142,9 @@ class FlatMap {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Bytes held by the slot array: one key and one value per slot, empty
+  /// slots included.
+  [[nodiscard]] std::size_t memory_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
   [[nodiscard]] bool contains(std::uint32_t key) const { return find(key) != nullptr; }
 
@@ -258,8 +209,7 @@ class FlatMap {
   }
 
   /// Pre-sizes the table so `expected` entries stay under the 7/8 load
-  /// ceiling without any mid-run rehash (the Cache::reserve_universe hint
-  /// for policies whose index is a FlatMap). Never shrinks.
+  /// ceiling without any mid-run rehash. Never shrinks.
   void reserve(std::size_t expected) {
     std::size_t capacity = 16;
     while (capacity * 7 < expected * 8) capacity *= 2;

@@ -79,15 +79,22 @@ class LookupDirectory {
   obs::Counter& c_positives_;
 };
 
-/// Exact membership index of the objects cached in the P2P client cache.
-/// Objects are dense ids, so the "hashtable of objectIds" the paper describes
-/// reduces to a flat stamp array indexed by id — no hashing at all.
+/// Exact membership index of the objects cached in the P2P client cache: the
+/// "hashtable of objectIds" the paper describes, a FlatMap holding one slot
+/// per entry and nothing per object of the universe.
 class ExactDirectory final : public LookupDirectory {
  public:
-  using LookupDirectory::LookupDirectory;
+  /// `expected_entries` (optional) pre-sizes the table so that many entries
+  /// fill it at most 7/16: most lookups miss, and a miss probes until it
+  /// meets an empty slot. More entries grow it.
+  explicit ExactDirectory(obs::Registry* registry = nullptr, const std::string& prefix = "dir.",
+                          std::size_t expected_entries = 0)
+      : LookupDirectory(registry, prefix) {
+    entries_.reserve(2 * expected_entries);
+  }
 
   void add(ObjectNum object) override {
-    entries_.insert(object);
+    entries_[object] = {};
     note_add();
   }
   void remove(ObjectNum object) override {
@@ -103,15 +110,14 @@ class ExactDirectory final : public LookupDirectory {
     return entries_.contains(object);
   }
   [[nodiscard]] std::size_t entry_count() const override { return entries_.size(); }
-  [[nodiscard]] std::size_t memory_bytes() const override {
-    // The flat representation's honest cost: one 32-bit stamp per object in
-    // the universe touched so far, regardless of how many are resident.
-    return entries_.memory_bytes();
-  }
+  /// The table's slots, empty ones included: 8 bytes each (the id and its
+  /// padded empty value).
+  [[nodiscard]] std::size_t memory_bytes() const override { return entries_.memory_bytes(); }
   [[nodiscard]] std::string kind() const override { return "exact"; }
 
  private:
-  DenseSet entries_;
+  struct Present {};
+  FlatMap<Present> entries_;
 };
 
 /// Counting-Bloom-filter directory over SHA-1 objectIds.

@@ -1,5 +1,6 @@
 #include "p2p/p2p_client_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -59,7 +60,6 @@ P2PClientCache::P2PClientCache(P2PConfig config,
   obs::Registry& reg = obs::ensure_registry(registry, owned_registry_);
   registry_ = &reg;
   const std::string cache_prefix = config_.name_prefix + ".client_cache.";
-  location_.reserve(object_ids_->size());
   nodes_.reserve(config_.clients);
   for (ClientNum c = 0; c < config_.clients; ++c) {
     ClientNode node;
@@ -73,6 +73,7 @@ P2PClientCache::P2PClientCache(P2PConfig config,
     (void)slot;
     nodes_.push_back(std::move(node));
   }
+  location_.reserve(2 * total_capacity());
 }
 
 const Uint128& P2PClientCache::id_of(ObjectNum object) const {
@@ -153,7 +154,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
     const auto ins = root.cache->insert(object, cost);
     if (!ins.inserted) return outcome;  // capacity-0 client caches
     assert(!ins.evicted.has_value());
-    location_.set(object, static_cast<std::uint32_t>(root_idx));
+    location_[object] = static_cast<std::uint32_t>(root_idx);
     outcome.stored = true;
     msg_.store_receipts.inc();
     return outcome;
@@ -172,7 +173,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
       assert(!ins.evicted.has_value());
       peer.diverted_in[object] = static_cast<ClientNum>(root_idx);
       root.diverted_out[object] = peer_idx;
-      location_.set(object, peer_idx);
+      location_[object] = peer_idx;
       outcome.stored = true;
       outcome.diverted = true;
       outcome.hops += 1;  // root -> peer transfer
@@ -190,7 +191,7 @@ StoreOutcome P2PClientCache::store(ObjectNum object, double cost, ClientNum via_
     on_local_eviction(*ins.evicted, root_idx);
     outcome.displaced = ins.evicted;
   }
-  location_.set(object, static_cast<std::uint32_t>(root_idx));
+  location_[object] = static_cast<std::uint32_t>(root_idx);
   outcome.stored = true;
   msg_.store_receipts.inc();
   return outcome;
@@ -320,6 +321,7 @@ std::vector<ObjectNum> P2PClientCache::resident_objects() const {
   std::vector<ObjectNum> objects;
   objects.reserve(location_.size());
   location_.for_each([&objects](ObjectNum object, std::uint32_t) { objects.push_back(object); });
+  std::sort(objects.begin(), objects.end());
   return objects;
 }
 

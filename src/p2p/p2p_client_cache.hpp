@@ -158,8 +158,8 @@ class P2PClientCache {
   /// the diversion ablation reports.
   [[nodiscard]] double utilization_cv() const;
 
-  /// Every object resident anywhere in the cluster (the ground truth the
-  /// proxy's lookup directory approximates). Audit/test support.
+  /// Every object resident anywhere in the cluster, ascending (the ground
+  /// truth the proxy's lookup directory approximates). Audit/test support.
   [[nodiscard]] std::vector<ObjectNum> resident_objects() const;
 
   /// Structural self-check: location index ↔ per-node caches bidirectional,
@@ -211,10 +211,10 @@ class P2PClientCache {
   std::unique_ptr<obs::Registry> owned_registry_;
   pastry::Overlay overlay_;
   std::vector<ClientNode> nodes_;
-  /// object -> index of the node physically storing it (direct-indexed by
-  /// the dense object id; sized to the id table). 4 bytes per object of the
-  /// universe: no client index reaches DenseMap's 0xFFFFFFFF absence marker.
-  DenseMap<std::uint32_t> location_;
+  /// object -> index of the node physically storing it: one 8-byte slot per
+  /// entry, reserved so the cluster's full capacity fills at most 7/16 of
+  /// the table (most fetches and stores look up an object that is not here).
+  FlatMap<std::uint32_t> location_;
   net::MessageCounters msg_;
 };
 

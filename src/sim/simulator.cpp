@@ -218,8 +218,8 @@ Simulator::Simulator(SimConfig config, const workload::TraceSource& source)
         proxy.cache->reserve_universe(universe);
         proxy.cache->bind_observability(reg, proxy_prefix + "cache.");
         if (config_.directory == DirectoryKind::kExact) {
-          proxy.dir = std::make_unique<directory::ExactDirectory>(&reg,
-                                                                  cluster_prefix + "dir.");
+          proxy.dir = std::make_unique<directory::ExactDirectory>(
+              &reg, cluster_prefix + "dir.", p2p_capacity);
         } else {
           proxy.dir = std::make_unique<directory::BloomDirectory>(
               object_ids_, p2p_capacity, config_.bloom_target_fpr, &reg,

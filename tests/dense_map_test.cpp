@@ -145,39 +145,6 @@ TEST(DenseMap, MarkersAreTheMaximumAndNaN) {
   EXPECT_TRUE(d.contains(1));
 }
 
-// --- DenseSet -----------------------------------------------------------------
-
-TEST(DenseSet, InsertEraseContains) {
-  DenseSet s(16);
-  EXPECT_TRUE(s.insert(3));
-  EXPECT_FALSE(s.insert(3));  // duplicate
-  EXPECT_TRUE(s.insert(9));
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_TRUE(s.contains(3));
-  EXPECT_FALSE(s.contains(4));
-  EXPECT_TRUE(s.erase(3));
-  EXPECT_FALSE(s.erase(3));
-  EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(DenseSet, AscendingIteration) {
-  DenseSet s(32);
-  for (std::uint32_t k : {20u, 5u, 11u}) s.insert(k);
-  std::vector<std::uint32_t> members;
-  s.for_each([&](std::uint32_t k) { members.push_back(k); });
-  EXPECT_EQ(members, (std::vector<std::uint32_t>{5, 11, 20}));
-}
-
-TEST(DenseSet, MemoryBytesTracksFlatUniverse) {
-  DenseSet s;
-  EXPECT_EQ(s.memory_bytes(), 0u);
-  s.insert(999);
-  EXPECT_GE(s.memory_bytes(), 1000 * sizeof(std::uint32_t));
-  const auto grown = s.memory_bytes();
-  s.erase(999);
-  EXPECT_EQ(s.memory_bytes(), grown);  // flat arrays never shrink
-}
-
 // --- FlatMap ------------------------------------------------------------------
 
 TEST(FlatMap, InsertFindErase) {
@@ -245,9 +212,21 @@ TEST(FlatMap, ClearReleasesEverything) {
   EXPECT_EQ(m.size(), 1u);
 }
 
+TEST(FlatMap, MemoryFollowsTheSlotArray) {
+  FlatMap<std::uint32_t> m;
+  EXPECT_EQ(m.memory_bytes(), 0u);
+  m.reserve(14);  // 14 entries fit 16 slots under the 7/8 ceiling
+  EXPECT_EQ(m.memory_bytes(), 16 * 2 * sizeof(std::uint32_t));
+  m[4'000'000'000U] = 1;  // a far key costs no more than a near one
+  EXPECT_EQ(m.memory_bytes(), 16 * 2 * sizeof(std::uint32_t));
+  m.reserve(15);  // the 15th needs 32
+  EXPECT_EQ(m.memory_bytes(), 32 * 2 * sizeof(std::uint32_t));
+  EXPECT_EQ(*m.find(4'000'000'000U), 1u);
+}
+
 // --- growth under cluster churn -------------------------------------------------
 //
-// The P2P location index is reserved for the trace's object universe, and the
+// The P2P location index is reserved for twice the cluster's capacity, and the
 // per-client diversion maps start empty; fresh clients joining mid-run (churn)
 // must grow these structures on demand without disturbing resident state.
 

@@ -39,17 +39,27 @@ TEST(ExactDirectory, MemoryGrowsWithEntries) {
   EXPECT_GT(d.memory_bytes(), empty);
 }
 
-TEST(ExactDirectory, MemoryBytesReportsFlatStampArray) {
-  ExactDirectory d;
-  EXPECT_EQ(d.memory_bytes(), 0u);
-  // The flat representation is sized by the largest id touched, not by the
-  // number of live entries — one 32-bit stamp per universe slot.
-  d.add(999);
-  EXPECT_GE(d.memory_bytes(), 1000 * sizeof(std::uint32_t));
-  const auto grown = d.memory_bytes();
-  d.remove(999);
-  EXPECT_EQ(d.entry_count(), 0u);
-  EXPECT_EQ(d.memory_bytes(), grown);  // flat arrays never shrink
+TEST(ExactDirectory, MemoryFollowsEntriesNotIds) {
+  // A hash set of its entries: the table a far id lands in is the one a near
+  // id lands in, where a flat array would span every id up to the largest.
+  ExactDirectory near;
+  ExactDirectory far;
+  near.add(7);
+  far.add(10'000'000);
+  EXPECT_GT(near.memory_bytes(), 0u);
+  EXPECT_EQ(far.memory_bytes(), near.memory_bytes());
+  EXPECT_TRUE(far.may_contain(10'000'000));
+  EXPECT_FALSE(far.may_contain(7));
+}
+
+TEST(ExactDirectory, ExpectedEntriesPresizeTheTable) {
+  ExactDirectory sized(nullptr, "dir.", 500);
+  const auto reserved = sized.memory_bytes();
+  // Twice the expected entries under the 7/8 load ceiling: 2,048 slots.
+  EXPECT_EQ(reserved, 2048 * 2 * sizeof(std::uint32_t));
+  for (ObjectNum o = 0; o < 500; ++o) sized.add(o * 1'000);
+  EXPECT_EQ(sized.memory_bytes(), reserved);  // no rehash up to the expectation
+  EXPECT_EQ(sized.entry_count(), 500u);
 }
 
 TEST(ObjectIdTable, StableAndDistinct) {
@@ -111,11 +121,10 @@ TEST(BloomDirectory, FalsePositiveRateIsBounded) {
 }
 
 TEST(BloomDirectory, UsesLessMemoryThanExactAtScale) {
-  // The Bloom filter is sized by the cache capacity and stays constant, while
-  // the exact directory's flat stamp array scales with the object universe
-  // the cluster touches over time. With a universe much larger than the
-  // cache — the paper's operating regime — the filter wins even against
-  // 4-byte flat slots.
+  // Both are sized by the live entries, not by the 200k ids that pass
+  // through: the filter spends one byte per counter (about 9.6 per entry at
+  // a 1 % target), the exact directory's hash table an 8-byte slot per entry
+  // plus the free slots that keep its probe runs short.
   const auto table = build_object_id_table(200'000);
   BloomDirectory bloom(table, 10'000, 0.01);
   ExactDirectory exact;

@@ -106,6 +106,24 @@ TEST(ShardedDeterminism, ChurnAndLossRunsAreShardCountIndependent) {
   }
 }
 
+TEST(ShardedDeterminism, ExportsDoNotDependOnTheUniverse) {
+  // Cluster state sized by what the caches hold: the same requests over a
+  // universe padded 64x by objects no request names must export the same
+  // bytes, on the sequential engine and on 2 shards.
+  const auto trace = shard_trace();
+  workload::Trace padded = trace;
+  padded.universe = trace.universe * 64;
+  auto cfg = shard_config(sim::Scheme::kHierGD);
+  cfg.directory = sim::DirectoryKind::kExact;
+  cfg.browser_cache_capacity = 20;
+  cfg.churn_events = churn_schedule(cfg, trace.size());
+  cfg.p2p_loss_rate = 0.02;
+  for (const unsigned shards : {0U, 2U}) {
+    cfg.sim_shards = shards;
+    EXPECT_EQ(export_of(cfg, trace), export_of(cfg, padded)) << "shards=" << shards;
+  }
+}
+
 TEST(ShardedDeterminism, StreamedWctReplayMatchesInMemoryAtEveryShardCount) {
   const auto trace = shard_trace();
   const std::string path = ::testing::TempDir() + "sharded_determinism.wct";
@@ -282,6 +300,16 @@ TEST(ShardedDeterminism, EpochOneMatchesSequentialEngine) {
 
 // --- ClusterSets: the cooperation index and digests ---------------------------
 
+/// The ring scan by brute force: local+1, local+2, ... wrapping, never local.
+int ring_reference(const sim::ClusterSets& sets, ObjectNum object, unsigned clusters,
+                   unsigned local) {
+  for (unsigned i = 1; i < clusters; ++i) {
+    const unsigned cluster = (local + i) % clusters;
+    if (sets.test(object, cluster)) return static_cast<int>(cluster);
+  }
+  return -1;
+}
+
 TEST(ClusterSets, RingScanMatchesSingleWordSemanticsBelow64) {
   // Ring order from local+1 upward with wraparound, never returning local —
   // the exact contract of the old 64-bit scan.
@@ -298,6 +326,22 @@ TEST(ClusterSets, RingScanMatchesSingleWordSemanticsBelow64) {
   EXPECT_EQ(sets.first_in_ring(0, 0), -1);  // other objects are untouched
   EXPECT_EQ(sets.first_in_ring(9, 0), -1);  // beyond the universe: empty
   EXPECT_EQ(sim::ClusterSets{}.first_in_ring(0, 0), -1);
+
+  // One holder at every position, seen from every local cluster: 8 clusters
+  // fill one byte exactly, 9 and 17 spill one cluster into a further byte.
+  for (const unsigned clusters : {8U, 9U, 17U}) {
+    for (unsigned holder = 0; holder < clusters; ++holder) {
+      sim::ClusterSets one(clusters, 3);
+      one.set(1, holder);
+      for (unsigned local = 0; local < clusters; ++local) {
+        EXPECT_EQ(one.first_in_ring(1, local),
+                  local == holder ? -1 : static_cast<int>(holder))
+            << clusters << " clusters, holder " << holder << ", local " << local;
+        EXPECT_EQ(one.first_in_ring(0, local), -1);
+        EXPECT_EQ(one.first_in_ring(2, local), -1);
+      }
+    }
+  }
 }
 
 TEST(ClusterSets, RingScanCrossesWordBoundaries) {
@@ -321,6 +365,26 @@ TEST(ClusterSets, RingScanCrossesWordBoundaries) {
   sets.reset(1, 200);
   EXPECT_EQ(sets.first_in_ring(1, 0), 290);
   EXPECT_EQ(sets.first_in_ring(1, 290), -1);
+
+  // Every pair of holders from every local cluster at 8, 9 and 17 clusters,
+  // against the brute-force ring; resetting one holder leaves the other.
+  for (const unsigned clusters : {8U, 9U, 17U}) {
+    for (unsigned a = 0; a < clusters; ++a) {
+      for (unsigned b = a + 1; b < clusters; ++b) {
+        sim::ClusterSets pair(clusters, 2);
+        pair.set(1, a);
+        pair.set(1, b);
+        for (unsigned local = 0; local < clusters; ++local) {
+          EXPECT_EQ(pair.first_in_ring(1, local), ring_reference(pair, 1, clusters, local))
+              << clusters << " clusters, holders " << a << "," << b << ", local " << local;
+        }
+        pair.reset(1, a);
+        EXPECT_FALSE(pair.test(1, a));
+        EXPECT_EQ(pair.first_in_ring(1, a), static_cast<int>(b));
+        EXPECT_EQ(pair.first_in_ring(0, a), -1);
+      }
+    }
+  }
 }
 
 TEST(ManyProxies, ShardingIsSupportedAtAnyProxyCount) {
